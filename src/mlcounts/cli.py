@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,85 +56,12 @@ def _emit(args, payload=None, csv_rows=None, csv_header=None) -> None:
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(_jsonable(payload)) + "\n"
+        text = json.dumps(_jsonable(payload), allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized invocation: parsing then canonicalizing is idempotent."""
-
-    subcommand: str
-    b: float
-    alpha: float
-    n: int | None
-    disks: tuple[tuple[str, float, float], ...]  # ("r"|"s", value, u)
-    tolerances: tuple[tuple[str, float], ...]
-    seed: int | None
-    output_format: str
-    output_path: str | None
-    threads: int
-
-    def canonical(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "ensemble": {"b": self.b, "alpha": self.alpha, "n": self.n},
-            "disks": [{kind: value, "u": u} for kind, value, u in self.disks],
-            "tolerances": dict(self.tolerances),
-            "seed": self.seed,
-            "output": {"format": self.output_format, "path": self.output_path},
-            "threads": self.threads,
-        }
-
-    @staticmethod
-    def from_canonical(doc: dict) -> "RunConfig":
-        disks = []
-        for d in doc["disks"]:
-            kind = "r" if "r" in d else "s"
-            disks.append((kind, float(d[kind]), float(d["u"])))
-        return RunConfig(
-            subcommand=doc["subcommand"],
-            b=float(doc["ensemble"]["b"]),
-            alpha=float(doc["ensemble"]["alpha"]),
-            n=doc["ensemble"]["n"],
-            disks=tuple(disks),
-            tolerances=tuple(sorted(doc["tolerances"].items())),
-            seed=doc["seed"],
-            output_format=doc["output"]["format"],
-            output_path=doc["output"]["path"],
-            threads=doc["threads"],
-        )
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        disks = []
-        for spec in getattr(args, "disk", None) or []:
-            d = _parse_disk(spec)
-            if d.is_edge:
-                disks.append(("s", float(d.s), float(d.u)))
-            else:
-                disks.append(("r", float(d.r), float(d.u)))
-        tol = sorted(
-            (name, float(getattr(args, name)))
-            for name in ("rate_lo", "rate_hi", "tol")
-            if getattr(args, name, None) is not None
-        )
-        return RunConfig(
-            subcommand=args.command,
-            b=float(args.b) if getattr(args, "b", None) is not None else 0.0,
-            alpha=float(getattr(args, "alpha", 0.0)),
-            n=int(args.n) if getattr(args, "n", None) is not None else None,
-            disks=tuple(disks),
-            tolerances=tuple(tol),
-            seed=int(args.seed) if getattr(args, "seed", None) is not None else None,
-            output_format=getattr(args, "format", "json") or "json",
-            output_path=getattr(args, "out", None),
-            threads=_threads(args) if hasattr(args, "threads") else 1,
-        )
 
 
 def _parse_disk(spec: str) -> Disk:
@@ -179,11 +105,18 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
     env = os.environ.get(_THREADS_ENV)
-    return int(env) if env else 1
+    return _positive_int(env) if env else 1
 
 
 def _describe_disks(params: EnsembleParams, disks: DiskSystem) -> list[dict]:
@@ -257,17 +190,16 @@ def _cmd_cumulants(args) -> int:
     disks = _disks_from(args)
     orders = _int_list(args.orders)
     if args.mode == "exact":
-        entries = []
         p = len(disks.disks)
-        for order in orders:
-            for disk_idx in range(p):
-                multi = tuple(order if i == disk_idx else 0 for i in range(p))
-                (value,) = joint_cumulants_exact(params, disks, [multi])
-                entries.append({"disk": disk_idx, "order": order, "value": value})
-        for joint in args.joint or []:
-            multi = tuple(_int_list(joint))
-            (value,) = joint_cumulants_exact(params, disks, [multi])
-            entries.append({"multi_index": list(multi), "value": value})
+        marginal = [(order, disk_idx) for order in orders for disk_idx in range(p)]
+        joint = [tuple(_int_list(j)) for j in args.joint or []]
+        multis = [tuple(order if i == disk_idx else 0 for i in range(p))
+                  for order, disk_idx in marginal] + joint
+        values = joint_cumulants_exact(params, disks, multis)
+        entries = [{"disk": disk_idx, "order": order, "value": value}
+                   for (order, disk_idx), value in zip(marginal, values)]
+        entries += [{"multi_index": list(multi), "value": value}
+                    for multi, value in zip(joint, values[len(marginal):])]
         payload = {
             "params": _describe_params(params),
             "disks": _describe_disks(params, disks),
@@ -426,7 +358,7 @@ def _add_common(sub, n=True, disks=True) -> None:
             help="disk as r=<radius>[,u=<weight>] or s=<edge param>[,u=<weight>]; repeatable",
         )
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument("--threads", type=int, default=None,
+    sub.add_argument("--threads", type=_positive_int, default=None,
                      help=f"worker cap (default: ${_THREADS_ENV} or 1)")
 
 
@@ -513,7 +445,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, verify.BelowNoiseError) as exc:
+    except (ValueError, ArithmeticError, verify.BelowNoiseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

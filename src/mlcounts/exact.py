@@ -13,19 +13,26 @@ gamma function and omega_l are exponential jump weights built from the u's.
 Equivalently each particle j lands in annulus l with probability
 q_jl = P_jl - P_j,l-1, independently of all others; that categorical
 representation drives the exact cumulants here and the sampler.
+
+Only an O(sqrt n) window of rows around j ~ b n r_l^(2b) has P_jl away from
+0 and 1.  The profile evaluates that window; every other row is saturated
+(its prefactor z^a e^-z/Gamma(a) is below e^-60) and enters each sum in
+closed form.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
-from .specfun import reg_lower_gamma
+from .specfun import SATURATED_LOG_PREFACTOR, log_prefactor, log_reg_gamma_pq
 
 __all__ = [
     "BernoulliProfile",
@@ -39,7 +46,6 @@ __all__ = [
     "log_partition_exact",
     "mean_var_exact",
     "omega_weights",
-    "omega_tail_weights",
 ]
 
 MAX_CUMULANT_ORDER = 6
@@ -58,10 +64,10 @@ class EnsembleParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.b > 0:
-            raise ValueError(f"b must be > 0, got {self.b!r}")
-        if not self.alpha > -1:
-            raise ValueError(f"alpha must be > -1, got {self.alpha!r}")
+        if not (self.b > 0 and math.isfinite(self.b)):
+            raise ValueError(f"b must be finite and > 0, got {self.b!r}")
+        if not (self.alpha > -1 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and > -1, got {self.alpha!r}")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
 
@@ -184,90 +190,144 @@ class DiskSystem:
 def omega_weights(u: np.ndarray) -> np.ndarray:
     """Jump weights omega_l = e^(u_l+...+u_p) - e^(u_{l+1}+...+u_p), l=1..p.
 
-    Computed as exp(tail) * expm1(u_l), which stays accurate for small u.
+    Computed as exp(tail) * expm1(u_l), which stays accurate for small u; a
+    weight too large for a float comes out infinite.
     """
     u = np.asarray(u, dtype=float)
-    p = len(u)
-    tails = np.concatenate([np.cumsum(u[::-1])[::-1], [0.0]])  # tails[l] = u_l+...+u_p
-    return np.array([math.exp(tails[k + 1]) * math.expm1(u[k]) for k in range(p)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(_tails(u)[1:]) * np.expm1(u)
 
 
-def omega_tail_weights(u: np.ndarray) -> np.ndarray:
-    """Omega_l = e^(u_l+...+u_p) for l=1..p plus the closing Omega_{p+1} = 1."""
-    u = np.asarray(u, dtype=float)
-    tails = np.concatenate([np.cumsum(u[::-1])[::-1], [0.0]])
-    return np.exp(tails)
+def _tails(u: np.ndarray) -> np.ndarray:
+    """U_l = u_l + ... + u_p for l = 1..p, plus the closing U_{p+1} = 0."""
+    return np.concatenate([np.cumsum(u[::-1])[::-1], [0.0]])
 
 
 @dataclass(frozen=True)
 class BernoulliProfile:
-    """Per-particle disk probabilities P[j, l] and annulus weights q[j, l].
+    """Per-particle disk probabilities P[j, l] = P((j+1+alpha)/b, n r_l^(2b)).
 
-    P[j, l] = P((j+1+alpha)/b, n r_l^(2b)) with j = 0..n-1 (row j is particle
-    j+1); q has p+1 columns with q[j, l] = P[j, l] - P[j, l-1] padded by
-    P[j, -1] = 0 and P[j, p] = 1.
+    Row j is particle j+1.  Only the window rows (``rows``, increasing) are
+    evaluated, in log form: outside the window every entry is within
+    e^-60 / max_l,k e^(U_l - U_k) of 0 or 1, and is 1 exactly on the rows
+    j < inside[l] (shape below n r_l^(2b)).  ``P`` is the dense (n, p) view,
+    built on first access.
     """
 
-    P: np.ndarray  # (n, p)
-    q: np.ndarray  # (n, p+1)
+    n: int
     radii: np.ndarray  # (p,)
-    a: np.ndarray  # (n,) shape parameters (j + alpha)/b
-    z: np.ndarray  # (p,) arguments n r_l^(2b)
+    rows: np.ndarray  # (w,) window rows
+    log_P: np.ndarray  # (w, p) log P on the window rows
+    log_Q: np.ndarray  # (w, p) log(1 - P) on the window rows, evaluated directly
+    Pw: np.ndarray  # (w, p) exp(log_P)
+    inside: np.ndarray  # (p,) saturated value is 1 on rows j < inside[l]
+
+    @property
+    def saturated(self) -> np.ndarray:
+        """(p+1,) saturated rows per annulus; annulus l lies inside disks l..p-1."""
+        ones = self.inside - np.searchsorted(self.rows, self.inside)  # per disk
+        return np.diff(ones, prepend=0, append=self.n - len(self.rows))
+
+    @property
+    def log_q(self) -> np.ndarray:
+        """(w, p+1) log annulus probabilities of the window rows: differences
+        of P below 1/2 and of Q above, so a tiny q keeps its relative accuracy."""
+        lp, lq = self.log_P, self.log_Q
+        p = lp.shape[1]
+        out = np.empty((len(lp), p + 1))
+        out[:, 0] = lp[:, 0]
+        out[:, p] = lq[:, p - 1]
+        lower = lp[:, 1:] < math.log(0.5)
+        hi = np.where(lower, lp[:, 1:], lq[:, :-1])
+        lo = np.where(lower, lp[:, :-1], lq[:, 1:])
+        # log(e^hi - e^lo); rows are monotone up to rounding, so clamp the dust
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[:, 1:p] = hi + np.log(np.fmax(-np.expm1(lo - hi), 0.0))
+        return out
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """(n, p) dense profile."""
+        P = (np.arange(self.n)[:, None] < self.inside[None, :]).astype(float)
+        P[self.rows] = self.Pw
+        return P
 
 
-def _profile_column(a: np.ndarray, z: float) -> np.ndarray:
-    """P(a_j, z) for a whole column, vectorizing the trivial rows.
+def _first_true(pred, lo: int, hi: int) -> int:
+    """Smallest i in [lo, hi) with pred(i), or hi; pred is false then true."""
+    return lo + bisect.bisect_left(range(lo, hi), True, key=pred)
 
-    Rows whose prefactor z^a e^-z / Gamma(a) is below e^-60 are saturated at
-    0 or 1 (error < 1e-20, far below every tolerance here); the remaining
-    window of rows goes through specfun.reg_lower_gamma.
-    """
-    n = len(a)
-    col = np.empty(n)
-    if z == 0.0:
-        col.fill(0.0)
-        return col
-    logpre = a * math.log(z) - z - gammaln(a)
-    lam_hi = z > a
-    trivial = logpre < -60.0
-    col[trivial & lam_hi] = 1.0
-    col[trivial & ~lam_hi] = 0.0
-    for i in np.nonzero(~trivial)[0]:
-        col[i] = reg_lower_gamma(float(a[i]), z)
-    return col
+
+def _column_window(params: EnsembleParams, z: float, threshold: float) -> tuple[range, int]:
+    """Rows of the column of argument z whose log-prefactor reaches
+    `threshold`, and the count of rows whose shape lies below z.  The
+    log-prefactor of a = (j+1+alpha)/b is concave in j, so those rows form one
+    run around its maximum: three bisections find the maximum and both ends."""
+    n, alpha, b = params.n, params.alpha, params.b
+
+    def shape(j: int) -> float:
+        return (j + 1 + alpha) / b
+
+    inside = _first_true(lambda j: shape(j) >= z, 0, n)
+    if z == 0.0 or math.isinf(z):
+        return range(0), inside
+
+    def g(j: int) -> float:
+        return log_prefactor(shape(j), z)
+
+    top = _first_true(lambda j: g(j + 1) <= g(j), 0, n - 1)
+    if g(top) < threshold:
+        return range(0), inside
+    start = _first_true(lambda j: g(j) >= threshold, 0, top)
+    stop = _first_true(lambda j: g(j) < threshold, top, n)
+    return range(start, stop), inside
 
 
 def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliProfile:
-    """Evaluate the full [n x p] incomplete-gamma profile for (params, disks)."""
+    """Evaluate the incomplete-gamma profile for (params, disks) on its window.
+
+    A row is saturated when its prefactor stays below e^-60 after scaling by
+    the largest ratio of the disks' MGF weights e^(U_l), U_l = u_l + ... + u_p,
+    so the window also serves ``log_mgf_exact`` at these weights."""
     res = disks.resolve(params)
-    n, p = params.n, res.p
-    a = (np.arange(1, n + 1) + params.alpha) / params.b
-    z = params.n * res.radii ** (2.0 * params.b)
-    P = np.empty((n, p))
-    for col in range(p):
-        P[:, col] = _profile_column(a, float(z[col]))
-    padded = np.empty((n, p + 2))
-    padded[:, 0] = 0.0
-    padded[:, 1 : p + 1] = P
-    padded[:, p + 1] = 1.0
-    q = np.diff(padded, axis=1)
-    # monotone radii make rows monotone up to rounding; clamp dust
-    tiny_neg = (q < 0) & (q > -1e-12)
-    q[tiny_neg] = 0.0
-    if np.any(q < 0):
-        raise ArithmeticError("annulus probabilities came out negative")
-    return BernoulliProfile(P=P, q=q, radii=res.radii, a=a, z=z)
+    with np.errstate(over="ignore"):
+        z = params.n * res.radii ** (2.0 * params.b)
+    U = _tails(res.u)
+    threshold = SATURATED_LOG_PREFACTOR - (U.max() - U.min())
+    windows, inside = zip(*(_column_window(params, float(zl), threshold) for zl in z))
+    rows = np.sort(np.concatenate([np.arange(w.start, w.stop) for w in windows]))
+    rows = rows[np.diff(rows, prepend=-1) != 0]
+    inside = np.array(inside)
+    shapes = (rows + 1 + params.alpha) / params.b
+    # entries outside their own column's window are saturated: P = 0 or 1
+    log_P = np.where(rows[:, None] < inside, 0.0, -np.inf)
+    log_Q = np.where(rows[:, None] < inside, -np.inf, 0.0)
+    for col, (w, zl) in enumerate(zip(windows, z)):
+        lo, hi = np.searchsorted(rows, [w.start, w.stop])
+        log_P[lo:hi, col], log_Q[lo:hi, col] = log_reg_gamma_pq(shapes[lo:hi], float(zl))
+    return BernoulliProfile(n=params.n, radii=res.radii, rows=rows, log_P=log_P, log_Q=log_Q,
+                            Pw=np.exp(log_P), inside=inside)
 
 
 def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
-    """log E[prod_l exp(u_l N(D_rl))] = sum_j log(1 + sum_l omega_l P[j,l])."""
+    """log E[prod_l exp(u_l N(D_rl))] = sum_j log sum_l q_jl e^(U_l).
+
+    Window rows use log1p(sum_l omega_l P[j,l]) where that sum neither
+    overflows nor cancels, and the log-space sum over annuli elsewhere;
+    saturated rows add U_l for their annulus l.
+    """
     profile = bernoulli_profile(params, disks)
-    res = disks.resolve(params)
-    om = omega_weights(res.u)
-    x = profile.P @ om
-    if np.any(x <= -1.0):
-        raise ArithmeticError("non-positive MGF factor; numerical corruption")
-    return math.fsum(np.log1p(x).tolist())
+    u = disks.resolve(params).u
+    U = _tails(u)
+    omega = omega_weights(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = profile.Pw @ omega
+        scale = profile.Pw @ np.abs(omega)
+        direct = np.isfinite(scale) & (2.0 * (1.0 + x) >= 1.0 + scale)
+    terms = np.log1p(x, where=direct, out=np.zeros_like(x))
+    if not direct.all():
+        terms[~direct] = logsumexp(profile.log_q[~direct] + U, axis=1)
+    return math.fsum(terms.tolist() + (profile.saturated * U).tolist())
 
 
 def log_partition_exact(params: EnsembleParams) -> float:
@@ -345,6 +405,15 @@ def _per_particle_cumulant(k: tuple[int, ...], P: np.ndarray) -> np.ndarray:
     return kappa(k)
 
 
+def _mean(profile: BernoulliProfile, l: int) -> float:
+    return math.fsum(profile.Pw[:, l].tolist() + [float(profile.saturated[: l + 1].sum())])
+
+
+def _covariance(profile: BernoulliProfile, lo: int, hi: int) -> float:
+    """Cov(N_lo, N_hi) for lo <= hi: sum_j P[j,lo] (1 - P[j,hi]); saturated rows add 0."""
+    return math.fsum((profile.Pw[:, lo] * (1.0 - profile.Pw[:, hi])).tolist())
+
+
 def joint_cumulants_exact(
     params: EnsembleParams, disks: DiskSystem, orders: Sequence
 ) -> list[float]:
@@ -352,24 +421,22 @@ def joint_cumulants_exact(
 
     Orders 1 and 2 use the Bernoulli closed forms; higher orders run the
     exact categorical moment-to-cumulant recursion per particle (no finite
-    differencing anywhere).
+    differencing anywhere).  Sums run over the window rows; a saturated row
+    is deterministic, so it adds its indicator to a mean and nothing to a
+    cumulant of order >= 2.
     """
     profile = bernoulli_profile(params, disks)
-    P = profile.P
-    p = P.shape[1]
-    norm = _normalize_orders(orders, p)
+    norm = _normalize_orders(orders, profile.Pw.shape[1])
     out = []
     for k in norm:
         total_order = sum(k)
         support = [i for i, v in enumerate(k) if v > 0]
         if total_order == 1:
-            (l,) = support
-            out.append(math.fsum(P[:, l].tolist()))
+            out.append(_mean(profile, support[0]))
         elif total_order == 2:
-            lo, hi = min(support), max(support)
-            out.append(math.fsum((P[:, lo] * (1.0 - P[:, hi])).tolist()))
+            out.append(_covariance(profile, min(support), max(support)))
         else:
-            out.append(math.fsum(_per_particle_cumulant(k, P).tolist()))
+            out.append(math.fsum(_per_particle_cumulant(k, profile.Pw).tolist()))
     return out
 
 
@@ -378,12 +445,10 @@ def mean_var_exact(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means and covariance matrix of the disk counts."""
     profile = bernoulli_profile(params, disks)
-    P = profile.P
-    p = P.shape[1]
-    means = np.array([math.fsum(P[:, l].tolist()) for l in range(p)])
+    p = profile.Pw.shape[1]
+    means = np.array([_mean(profile, l) for l in range(p)])
     cov = np.empty((p, p))
     for l1 in range(p):
         for l2 in range(l1, p):
-            v = math.fsum((P[:, l1] * (1.0 - P[:, l2])).tolist())
-            cov[l1, l2] = cov[l2, l1] = v
+            cov[l1, l2] = cov[l2, l1] = _covariance(profile, l1, l2)
     return means, cov

@@ -1,24 +1,22 @@
-"""High-accuracy scalar special functions.
+"""Special functions: the regularized incomplete gamma function and friends.
 
-Everything the rest of the package needs reduces to five scalar primitives:
-the complementary error function, log-gamma, the regularized lower incomplete
-gamma function P(a, z) = gamma(a, z)/Gamma(a), the transformation
-eta(lambda) with eta^2/2 = lambda - 1 - log(lambda), and log of Barnes' G.
+The exact engine reduces to the regularized incomplete gamma functions
+P(a, z) = gamma(a, z)/Gamma(a) and Q = 1 - P on a column of shapes a for one
+argument z.  ``log_reg_gamma_pq`` evaluates log P and log Q on such a column
+in one array pass:
 
-P(a, z) is evaluated by one of four regimes selected deterministically from
-(a, z):
-
-* ``SERIES_SMALL_Z``      -- lower power series, z < a + 1, a below A_TEMME
-* ``CONTINUED_FRACTION``  -- Legendre continued fraction for Q = 1 - P
-* ``FIXED_A_LARGE_Z``     -- z so far above a that Q underflows; P = 1
-* ``TEMME_UNIFORM``       -- large-a uniform asymptotics
-                             P = erfc(-eta sqrt(a/2))/2 - R_a(eta)
+* a < A_TEMME: ``scipy.special.gammainc`` / ``gammaincc``; where one of them
+  leaves double range, its log comes from Kummer's function (P) or the
+  Legendre continued fraction (Q);
+* a >= A_TEMME: the uniform large-a (Temme) expansion
+  P = erfc(-eta sqrt(a/2))/2 - R_a(eta), eta^2/2 = lambda - 1 - log(lambda),
+  lambda = z/a, written in log form on its tail side.
 
 The uniform regime keeps two correction terms, R_a(eta) ~
 exp(-a eta^2/2)/sqrt(2 pi a) * (c0(eta) + c1(eta)/a), which caps its accuracy
 at ~|c2|/(a^2 sqrt(2 pi a)); A_TEMME = 20000 keeps that below 3e-14 absolute.
-
-All functions are pure and thread-safe.
+Also: scalar erfc, log-gamma, the eta map, ``gamma_regime`` (the classical
+regime of (a, z), for diagnostics) and log Barnes G.  All pure, thread-safe.
 """
 
 from __future__ import annotations
@@ -27,8 +25,12 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import erfcx, gammainc, gammaincc, gammaln, hyp1f1
+
 __all__ = [
     "A_TEMME",
+    "SATURATED_LOG_PREFACTOR",
     "EtaValue",
     "GammaRegime",
     "erfc",
@@ -36,6 +38,8 @@ __all__ = [
     "gamma_regime",
     "log_barnes_g",
     "log_gamma",
+    "log_prefactor",
+    "log_reg_gamma_pq",
     "reg_lower_gamma",
     "temme_R",
 ]
@@ -52,8 +56,17 @@ _ETA_SERIES_CUTOFF = 1e-3
 # Taylor expansions about eta = 0.
 _C_TAYLOR_CUTOFF = 1e-2
 
-# exp(x) for x below this cannot move P away from {0, 1} at 1e-13 absolute.
-_EXP_NEGLIGIBLE = -60.0
+# A prefactor z^a e^-z / Gamma(a) below exp(this) keeps P within ~1e-24 of
+# 0 or 1, far below the 1e-13 absolute budget: such (a, z) are saturated.
+SATURATED_LOG_PREFACTOR = -60.0
+
+# 1/(2k+3), k = 0..17: the atanh series of x - log(1+x) in t^2 = (x/(2+x))^2
+# <= 1/9, truncated below 1e-17 relative.
+_LOG1P_MINUS_SERIES = tuple(1.0 / (2.0 * k + 3.0) for k in range(18))
+
+# Below this log, scipy's P or Q nears the end of double range; the tail
+# formulas take over.
+_LOG_TINY = math.log(1e-300)
 
 # zeta'(-1); 30 digits, mpmath dps=60 (scripts/derive_frozen_constants.py).
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919066243
@@ -106,7 +119,7 @@ _C1_TAYLOR = (
 
 
 class GammaRegime(enum.Enum):
-    """Evaluation regime for ``reg_lower_gamma``; exactly one per (a, z)."""
+    """Classical evaluation regime of P(a, z); exactly one per (a, z)."""
 
     SERIES_SMALL_Z = "series_small_z"
     CONTINUED_FRACTION = "continued_fraction"
@@ -139,102 +152,126 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _log1p_minus(x: float) -> float:
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k, elementwise."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+# Decorator for the array helpers below: they evaluate closed forms on every
+# entry before replacing some, and the replaced ones may overflow harmlessly.
+_QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+def _log1p_minus(x: np.ndarray) -> np.ndarray:
     """x - log(1+x) for x > -1, accurate through the cancellation region."""
-    ax = abs(x)
-    if ax >= 0.5:
-        return x - math.log1p(x)
-    # x - log(1+x) = x^2 * sum_{k>=0} (-x)^k / (k+2)
-    term = 1.0
-    total = 0.5
-    k = 1
-    while True:
-        term *= -x
-        contrib = term / (k + 2.0)
-        total += contrib
-        if abs(contrib) <= 1e-17 * abs(total):
-            break
-        k += 1
-    return x * x * total
+    out = x - np.log1p(x)
+    small = np.abs(x) < 0.5
+    # with t = x/(2+x): x - log(1+x) = x t - 2 t^3 sum_{k>=0} t^(2k)/(2k+3), |t| <= 1/3
+    xs = x[small]
+    t = xs / (2.0 + xs)
+    out[small] = xs * t - 2.0 * t**3 * _horner(_LOG1P_MINUS_SERIES, t * t)
+    return out
+
+
+@_QUIET
+def _eta(lam: np.ndarray) -> np.ndarray:
+    x = lam - 1.0
+    eta = np.copysign(np.sqrt(2.0 * _log1p_minus(x)), x)
+    near = np.abs(x) < _ETA_SERIES_CUTOFF
+    eta[near] = x[near] * _horner(_ETA_SERIES, x[near])
+    return eta
 
 
 def eta_of_lambda(lam: float) -> EtaValue:
     """Map lambda = z/a to eta with eta^2/2 = lambda - 1 - log(lambda)."""
     if not lam > 0:
         raise ValueError(f"eta_of_lambda requires lambda > 0, got {lam!r}")
+    return EtaValue(eta=float(_eta(np.array([lam], dtype=float))[0]), lam=lam)
+
+
+def log_prefactor(a: float, z: float) -> float:
+    """log(z^a e^-z / Gamma(a)) for a > 0, z > 0: P(a, z) and Q(a, z) differ
+    from {0, 1} by at most a modest multiple of this prefactor.  Cancellation
+    costs ~1e-9 absolute at a = 1e6, irrelevant for a saturation test."""
+    return a * math.log(z) - z - math.lgamma(a)
+
+
+@_QUIET
+def _temme_corr(a: np.ndarray, eta: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """R_a(eta) exp(a eta^2/2) = (c0(eta) + c1(eta)/a) / sqrt(2 pi a)."""
     x = lam - 1.0
-    if abs(x) < _ETA_SERIES_CUTOFF:
-        acc = _ETA_SERIES[-1]
-        for c in reversed(_ETA_SERIES[:-1]):
-            acc = acc * x + c
-        eta = x * acc
-    else:
-        eta = math.copysign(math.sqrt(2.0 * _log1p_minus(x)), x)
-    return EtaValue(eta=eta, lam=lam)
-
-
-# Stirling correction log Gamma(a) - [(a-1/2) log a - a + log(2pi)/2],
-# usable at a >= 30 (next term is ~1e-19 there).
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-)
-
-
-def _stirling_correction(a: float) -> float:
-    inv2 = 1.0 / (a * a)
-    total = 0.0
-    power = 1.0 / a
-    for c in _STIRLING:
-        total += c * power
-        power *= inv2
-    return total
-
-
-def _log_prefactor(a: float, z: float) -> float:
-    """log(z^a e^-z / Gamma(a)).
-
-    The direct expression cancels ~a log a against lgamma(a); for large a it
-    is rewritten as -a(lambda-1-log lambda) + log(a/2pi)/2 - stirling(a),
-    which keeps absolute accuracy ~1e-15 where the prefactor matters.
-    """
-    if a < 30.0:
-        return a * math.log(z) - z - math.lgamma(a)
-    x = z / a - 1.0
-    return -a * _log1p_minus(x) + 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_correction(a)
-
-
-def _c0_c1(ev: EtaValue) -> tuple[float, float]:
-    eta = ev.eta
-    if abs(eta) < _C_TAYLOR_CUTOFF:
-        c0 = _C0_TAYLOR[-1]
-        c1 = _C1_TAYLOR[-1]
-        for k in range(len(_C0_TAYLOR) - 2, -1, -1):
-            c0 = c0 * eta + _C0_TAYLOR[k]
-            c1 = c1 * eta + _C1_TAYLOR[k]
-        return c0, c1
-    x = ev.lam - 1.0
     c0 = 1.0 / x - 1.0 / eta
-    c1 = 1.0 / eta**3 - 1.0 / x**3 - 1.0 / x**2 - 1.0 / (12.0 * x)
-    return c0, c1
+    c1 = 1.0 / (eta * eta * eta) - 1.0 / (x * x * x) - 1.0 / (x * x) - 1.0 / (12.0 * x)
+    near = np.abs(eta) < _C_TAYLOR_CUTOFF
+    c0[near] = _horner(_C0_TAYLOR, eta[near])
+    c1[near] = _horner(_C1_TAYLOR, eta[near])
+    return (c0 + c1 / a) / np.sqrt(2.0 * math.pi * a)
 
 
 def temme_R(a: float, eta: EtaValue) -> float:
     """Two-term correction R_a(eta) of the uniform large-a expansion."""
     if a < A_TEMME:
         raise ValueError(f"temme_R requires a >= {A_TEMME}, got {a!r}")
-    c0, c1 = _c0_c1(eta)
-    arg = -0.5 * a * eta.eta * eta.eta
-    if arg < -745.0:
-        return 0.0
-    return math.exp(arg) / math.sqrt(2.0 * math.pi * a) * (c0 + c1 / a)
+    corr = _temme_corr(np.float64(a), np.array([eta.eta]), np.array([eta.lam]))[0]
+    return math.exp(-0.5 * a * eta.eta * eta.eta) * float(corr)
+
+
+@_QUIET
+def _temme_log_pq(a: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """log P, log Q from the uniform expansion.  With t = eta sqrt(a/2),
+    Q = e^(-t^2) (erfcx(t)/2 + corr) and P = e^(-t^2) (erfcx(-t)/2 - corr);
+    the one on the tail side of t is taken in that log form, the other as
+    log1p of minus the first."""
+    lam = z / a
+    eta = _eta(lam)
+    t = eta * np.sqrt(0.5 * a)
+    upper = t >= 0.0
+    corr = _temme_corr(a, eta, lam)
+    log_tail = -t * t + np.log(0.5 * erfcx(np.abs(t)) + np.where(upper, corr, -corr))
+    log_bulk = np.log1p(-np.exp(log_tail))
+    return np.where(upper, log_bulk, log_tail), np.where(upper, log_tail, log_bulk)
+
+
+def _log_q_contfrac(a: np.ndarray, z: float) -> np.ndarray:
+    """log Q(a, z) for z well above a: the Legendre continued fraction
+    Q = z^a e^-z / Gamma(a) / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(z+5-a - ...))),
+    by modified Lentz.  Where Q is below double range it converges in ~15
+    steps."""
+    b = z + 1.0 - a
+    c = np.full_like(a, np.inf)
+    d = 1.0 / b
+    h = d
+    for i in range(1, 500):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h = h * c * d
+        if np.all(np.abs(c * d - 1.0) < 1e-16):
+            break
+    return a * math.log(z) - z - gammaln(a) + np.log(h)
+
+
+@_QUIET
+def _scipy_log_pq(a: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """log P, log Q from scipy; below double range, the tail side in log form:
+    P = z^a e^-z / Gamma(a+1) M(1, a+1, z) (Kummer) or the continued fraction."""
+    log_p = np.log(gammainc(a, z))
+    log_q = np.log(gammaincc(a, z))
+    tail = log_p < _LOG_TINY
+    at = a[tail]
+    log_p[tail] = at * math.log(z) - z - gammaln(at + 1.0) + np.log(hyp1f1(1.0, at + 1.0, z))
+    tail = log_q < _LOG_TINY
+    log_q[tail] = _log_q_contfrac(a[tail], z)
+    return log_p, log_q
 
 
 def gamma_regime(a: float, z: float) -> GammaRegime:
-    """Deterministic regime selection for ``reg_lower_gamma``."""
+    """Classical regime of (a, z); ``log_reg_gamma_pq`` uses the uniform
+    expansion in TEMME_UNIFORM and scipy everywhere else."""
     if not a > 0:
         raise ValueError(f"gamma_regime requires a > 0, got {a!r}")
     if not z >= 0:
@@ -243,80 +280,40 @@ def gamma_regime(a: float, z: float) -> GammaRegime:
         return GammaRegime.TEMME_UNIFORM
     if z < a + 1.0:
         return GammaRegime.SERIES_SMALL_Z
-    if _log_prefactor(a, z) < _EXP_NEGLIGIBLE:
+    if log_prefactor(a, z) < SATURATED_LOG_PREFACTOR:
         return GammaRegime.FIXED_A_LARGE_Z
     return GammaRegime.CONTINUED_FRACTION
 
 
-def _p_series(a: float, z: float) -> float:
-    # P = z^a e^-z / Gamma(a) * sum_{k>=0} z^k / (a (a+1) ... (a+k))
-    if z == 0.0:
-        return 0.0
-    logpre = _log_prefactor(a, z)
-    if logpre < -745.0:
-        return 0.0
-    term = 1.0 / a
-    total = term
-    k = 1
-    while k < 10_000_000:
-        term *= z / (a + k)
-        total += term
-        if term <= 1e-17 * total:
-            break
-        k += 1
-    return min(math.exp(logpre) * total, 1.0)
+def log_reg_gamma_pq(a, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """log P(a_i, z) and log Q(a_i, z), Q = 1 - P, for an array of shapes
+    a_i > 0 and one z >= 0.
 
-
-def _q_contfrac(a: float, z: float) -> float:
-    # Q = z^a e^-z / Gamma(a) * CF, modified Lentz on the Legendre fraction.
-    logpre = _log_prefactor(a, z)
-    if logpre < -745.0:
-        return 0.0
-    tiny = 1e-300
-    b_k = z + 1.0 - a
-    c_k = 1.0 / tiny
-    d_k = 1.0 / b_k if b_k != 0.0 else 1.0 / tiny
-    h = d_k
-    for i in range(1, 10_000_000):
-        a_k = -i * (i - a)
-        b_k += 2.0
-        d_k = a_k * d_k + b_k
-        if d_k == 0.0:
-            d_k = tiny
-        c_k = b_k + a_k / c_k
-        if c_k == 0.0:
-            c_k = tiny
-        d_k = 1.0 / d_k
-        delta = d_k * c_k
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(logpre) * h
-
-
-def _p_temme(a: float, z: float) -> float:
-    ev = eta_of_lambda(z / a)
-    half_erfc = 0.5 * math.erfc(-ev.eta * math.sqrt(0.5 * a))
-    p = half_erfc - temme_R(a, ev)
-    if p < 0.0:
-        return 0.0
-    if p > 1.0:
-        return 1.0
-    return p
+    Shapes below A_TEMME go through ``scipy.special.gammainc``/``gammaincc``;
+    from A_TEMME up, the two-term uniform expansion (scipy drifts to ~4e-11
+    at a = 1e6).  Both logs are evaluated directly and stay finite far below
+    double range, so exp of either has absolute error below 1e-13 and a tiny
+    P or Q keeps its relative accuracy.
+    """
+    a = np.asarray(a, dtype=float)
+    if not z >= 0:
+        raise ValueError(f"incomplete gamma requires z >= 0, got {z!r}")
+    if not np.all(a > 0):
+        raise ValueError("incomplete gamma requires shapes a > 0")
+    if z == 0.0 or math.isinf(z):
+        zero, minus_inf = np.zeros_like(a), np.full_like(a, -np.inf)
+        return (minus_inf, zero) if z == 0.0 else (zero, minus_inf)
+    log_p = np.empty_like(a)
+    log_q = np.empty_like(a)
+    small = a < A_TEMME
+    log_p[small], log_q[small] = _scipy_log_pq(a[small], z)
+    log_p[~small], log_q[~small] = _temme_log_pq(a[~small], z)
+    return log_p, log_q
 
 
 def reg_lower_gamma(a: float, z: float) -> float:
     """Regularized lower incomplete gamma P(a, z) = gamma(a, z)/Gamma(a)."""
-    regime = gamma_regime(a, z)  # also validates the domain
-    if z == 0.0:
-        return 0.0
-    if regime is GammaRegime.TEMME_UNIFORM:
-        return _p_temme(a, z)
-    if regime is GammaRegime.SERIES_SMALL_Z:
-        return _p_series(a, z)
-    if regime is GammaRegime.FIXED_A_LARGE_Z:
-        return 1.0
-    return 1.0 - _q_contfrac(a, z)
+    return math.exp(log_reg_gamma_pq(np.array([a], dtype=float), z)[0][0])
 
 
 # Barnes G.  log G(1+w) = (w^2/2) log w - 3w^2/4 + (w/2) log 2pi

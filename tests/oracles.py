@@ -205,3 +205,38 @@ def mp_zn_expansion(b, alpha, n, n1, n2, dps=40):
             + (2 * aa - bb + 1) * (2 * aa**2 - 2 * aa * bb + 2 * aa - bb) / (24 * bb) / n
         )
         return val
+
+
+def mp_log_gamma_pq(a, z, dps=40):
+    """(log P(a, z), log Q(a, z)) in dps-digit arithmetic, finite far below
+    double range: the lower series for z < a + 1, the Legendre continued
+    fraction (modified Lentz) otherwise; the complement by log1p."""
+    with mp.workdps(dps):
+        aa, zz = mpf(a), mpf(z)
+        tol = mpf(10) ** (-dps)
+        log_pre = aa * mplog(zz) - zz - mploggamma(aa)
+        if zz < aa + 1:
+            term = total = 1 / aa
+            k = 1
+            while term > tol * total:
+                term *= zz / (aa + k)
+                total += term
+                k += 1
+            small = log_pre + mplog(total)
+            return float(small), float(mp.log1p(-mp.e**small))
+        tiny = mpf(10) ** (-2 * dps)
+        b_k, c_k = zz + 1 - aa, 1 / tiny
+        d_k = 1 / b_k
+        h = d_k
+        i = 1
+        while True:
+            a_k = -i * (i - aa)
+            b_k += 2
+            d_k = 1 / (a_k * d_k + b_k)
+            c_k = b_k + a_k / c_k
+            h *= d_k * c_k
+            if abs(d_k * c_k - 1) < tol:
+                break
+            i += 1
+        small = log_pre + mplog(h)
+        return float(mp.log1p(-mp.e**small)), float(small)

@@ -18,7 +18,7 @@ import random
 import numpy as np
 
 import mlcounts as mlc
-from mlcounts.specfun import A_TEMME, _p_series, _p_temme, _q_contfrac
+from mlcounts.specfun import A_TEMME, log_reg_gamma_pq
 
 import oracles
 
@@ -36,13 +36,13 @@ def test_criterion_01_special_function_accuracy():
     for i, a in enumerate(data["a"]):
         for j, lam in enumerate(data["lambda"]):
             worst = max(worst, abs(mlc.reg_lower_gamma(a, lam * a) - data["p"][i][j]))
+    # the evaluator switches from scipy to the uniform expansion at A_TEMME:
+    # P just below and at the switch must agree
+    shapes = np.array([np.nextafter(A_TEMME, 0.0), A_TEMME])
     boundary = 0.0
     for lam in (0.6, 0.9, 0.98, 1.0, 1.01, 1.4, 2.5):
-        z = lam * A_TEMME
-        direct = _p_series(A_TEMME, z) if z < A_TEMME + 1 else 1.0 - _q_contfrac(A_TEMME, z)
-        boundary = max(boundary, abs(direct - _p_temme(A_TEMME, z)))
-    for a in (3.0, 40.0, 1200.0):
-        boundary = max(boundary, abs(_p_series(a, a + 1.0) - (1.0 - _q_contfrac(a, a + 1.0))))
+        log_p, _ = log_reg_gamma_pq(shapes, lam * A_TEMME)
+        boundary = max(boundary, abs(math.exp(log_p[0]) - math.exp(log_p[1])))
     ok = worst <= 1e-13 and boundary <= 1e-12
     _report(1, ok, f"grid worst abs err {worst:.2e} (<=1e-13), "
                    f"regime boundary {boundary:.2e} (<=1e-12)")

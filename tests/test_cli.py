@@ -182,22 +182,6 @@ def test_specfun_test_csv(capsys):
     assert worst < 1e-13
 
 
-def test_runconfig_round_trip_idempotent():
-    from mlcounts.cli import RunConfig, build_parser
-
-    argv = ["verify-residual", "--b", "1.5", "--alpha", "0.25",
-            "--disk", "r=0.5,u=0.2", "--disk", "s=0.3,u=-0.1",
-            "--n-values", "100,200,400,800", "--rate-lo", "-1.35", "--rate-hi", "-0.75"]
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig.from_args(args)
-    canon = cfg.canonical()
-    again = RunConfig.from_canonical(canon)
-    assert again == cfg
-    assert again.canonical() == canon
-    assert canon["disks"] == [{"r": 0.5, "u": 0.2}, {"s": 0.3, "u": -0.1}]
-    assert canon["tolerances"] == {"rate_lo": -1.35, "rate_hi": -0.75}
-
-
 def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("ML_COUNTS_THREADS", "2")
     code, out, _ = run(
@@ -213,3 +197,71 @@ def test_threads_env_fallback(capsys, monkeypatch):
         "--num-samples", "64", "--seed", "1", "--format", "csv",
     )
     assert out == out2
+
+
+def test_non_finite_parameters_exit_2(capsys):
+    code, out, err = run(
+        capsys, "mgf-exact", "--b", "inf", "--alpha", "0", "--n", "100", "--disk", "r=0.5,u=1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "b must be finite" in err
+    code, _, _ = run(capsys, "zn", "--b", "1", "--alpha", "nan", "--n", "100")
+    assert code == 2
+
+
+def test_non_positive_threads_exit_2(capsys, monkeypatch):
+    argv = ["sample", "--b", "1", "--n", "10", "--disk", "r=0.5", "--num-samples", "4"]
+    code, out, _ = run(capsys, *argv, "--threads", "-3")
+    assert code == 2 and out == ""
+    code, _, _ = run(capsys, *argv, "--threads", "0")
+    assert code == 2
+    monkeypatch.setenv("ML_COUNTS_THREADS", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_large_weight_is_finite(capsys):
+    code, out, _ = run(
+        capsys, "mgf-exact", "--b", "1", "--alpha", "0", "--n", "10000", "--disk", "r=0.6,u=800"
+    )
+    assert code == 0
+    value = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-finite {token}"))
+    assert math.isfinite(value["log_mgf"]) and value["log_mgf"] > 800 * 3600
+
+
+def test_arithmetic_errors_exit_2(capsys, monkeypatch):
+    import mlcounts.cli as cli
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "log_mgf_exact", overflow)
+    code, out, err = run(capsys, "mgf-exact", "--b", "1", "--n", "10", "--disk", "r=0.5,u=1")
+    assert code == 2 and out == ""
+    assert "math range error" in err
+
+
+def test_cumulants_exact_one_profile(capsys, monkeypatch):
+    import mlcounts.exact as exact
+
+    calls = []
+    real = exact.bernoulli_profile
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exact, "bernoulli_profile", counting)
+    code, out, _ = run(
+        capsys,
+        "cumulants", "--b", "1", "--alpha", "0", "--n", "500",
+        "--disk", "r=0.4", "--disk", "r=0.7", "--orders", "1,2,3", "--joint", "1,1", "--joint", "2,1",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    entries = json.loads(out)["cumulants"]
+    assert [(e.get("order"), e.get("disk")) for e in entries[:6]] == [
+        (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)
+    ]
+    assert [e["multi_index"] for e in entries[6:]] == [[1, 1], [2, 1]]

@@ -3,6 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammainc, gammaincc, hyp1f1, gammaln
 
 from mlcounts.exact import (
     Disk,
@@ -13,9 +16,9 @@ from mlcounts.exact import (
     log_mgf_exact,
     log_partition_exact,
     mean_var_exact,
-    omega_tail_weights,
     omega_weights,
 )
+from mlcounts.specfun import log_reg_gamma_pq
 
 import oracles
 
@@ -91,17 +94,27 @@ def test_edge_resolution_requires_positive_factor():
         DiskSystem([Disk.edge(-3.0)]).resolve(params)  # 1 + sqrt2*s/2 < 0
 
 
+def _exp_tails(u):
+    """Omega_l = e^(u_l+...+u_p) for l=1..p plus the closing Omega_{p+1} = 1."""
+    return np.exp(np.concatenate([np.cumsum(u[::-1])[::-1], [0.0]]))
+
+
 def test_omega_weights_identities():
     rng = random.Random(5)
     for _ in range(50):
         u = np.array([rng.uniform(-2, 2) for _ in range(rng.randint(1, 4))])
         om = omega_weights(u)
-        tails = omega_tail_weights(u)
+        tails = _exp_tails(u)
         # Omega_l = sum_{k >= l} omega_k with omega_{p+1} = 1
         p = len(u)
         for l in range(p):
             assert tails[l] == pytest.approx(om[l:].sum() + 1.0, rel=1e-13)
-        assert tails[p] == 1.0
+
+
+def test_omega_weights_overflow_to_inf():
+    with np.errstate(over="raise"):
+        om = omega_weights(np.array([800.0, 0.5]))
+    assert math.isinf(om[0]) and om[1] == pytest.approx(math.expm1(0.5), rel=1e-15)
 
 
 # --- profile ------------------------------------------------------------------
@@ -136,14 +149,18 @@ def test_profile_invariants_random_sweep():
         params, disks = _rng_config(rng)
         prof = bernoulli_profile(params, disks)
         assert np.all(np.diff(prof.P, axis=1) >= -1e-13)  # row-monotone
-        assert np.all(prof.q >= 0.0)
-        np.testing.assert_allclose(prof.q.sum(axis=1), 1.0, atol=1e-12)
-        res = disks.resolve(params)
-        om = omega_weights(res.u)
-        tails = omega_tail_weights(res.u)
-        lhs = 1.0 + prof.P @ om
-        rhs = prof.q @ tails
+        q = np.exp(prof.log_q)
+        np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
+        # the annuli inside disk l add up to P[j, l]
+        np.testing.assert_allclose(np.cumsum(q, axis=1)[:, :-1], prof.Pw, atol=1e-13)
+        u = disks.resolve(params).u
+        lhs = 1.0 + prof.Pw @ omega_weights(u)
+        rhs = q @ _exp_tails(u)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        # outside the window every row is one-hot: P is 0 or 1
+        outside = np.setdiff1d(np.arange(params.n), prof.rows)
+        assert np.all((prof.P[outside] == 0.0) | (prof.P[outside] == 1.0))
+        assert prof.saturated.sum() == len(outside)
 
 
 def test_profile_matches_scalar_specfun():
@@ -323,3 +340,109 @@ def test_ginibre_bulk_variance_leading_order():
     params = EnsembleParams(b=1.0, alpha=0.0, n=n)
     _, cov = mean_var_exact(params, DiskSystem([Disk.fixed(r)]))
     assert cov[0, 0] == pytest.approx(r * math.sqrt(n / math.pi), rel=0.02)
+
+
+# --- window and log-space MGF --------------------------------------------------
+
+
+def _brute_force(params, disks, orders):
+    """Log-MGF, means, covariances and cumulants over all n rows, no window."""
+    res = disks.resolve(params)
+    shapes = (np.arange(1, params.n + 1) + params.alpha) / params.b
+    logs = [log_reg_gamma_pq(shapes, params.n * r ** (2 * params.b)) for r in res.radii]
+    P = np.exp(np.column_stack([lp for lp, _ in logs]))
+    Q = np.exp(np.column_stack([lq for _, lq in logs]))
+    from mlcounts.exact import _per_particle_cumulant
+
+    p = len(res.radii)
+    log_mgf = math.fsum(np.log1p(P @ omega_weights(res.u)).tolist())
+    means = [math.fsum(P[:, l].tolist()) for l in range(p)]
+    cov = [[math.fsum((P[:, min(i, k)] * Q[:, max(i, k)]).tolist()) for k in range(p)]
+           for i in range(p)]
+    cums = [math.fsum(_per_particle_cumulant(k, P).tolist()) for k in orders]
+    return log_mgf, means, cov, cums
+
+
+@pytest.mark.parametrize("n", [1000, 10000])
+@pytest.mark.parametrize(
+    "b, alpha, radii",
+    [
+        (1.0, 0.0, (0.6,)),
+        (0.5, 0.25, (1.9,)),
+        (1.0, 0.0, (0.3, 0.5, 0.7, 0.9)),  # disjoint windows
+        (2.0, 0.5, (0.6, 0.61, 0.62, 0.63)),  # overlapping windows
+    ],
+)
+def test_windowed_reductions_match_brute_force(n, b, alpha, radii):
+    us = (0.7, -0.4, 0.3, 0.5)[: len(radii)]
+    params = EnsembleParams(b=b, alpha=alpha, n=n)
+    disks = DiskSystem([Disk.fixed(r, u) for r, u in zip(radii, us)])
+    p = len(radii)
+    orders = [tuple(k if i == l else 0 for i in range(p)) for l in range(p) for k in (3, 4, 6)]
+    if p > 1:
+        orders += [(1, 1, 0, 0), (2, 1, 0, 0), (0, 1, 2, 0), (1, 0, 0, 3)]
+    log_mgf, means, cov, cums = _brute_force(params, disks, orders)
+    prof = bernoulli_profile(params, disks)
+    assert prof.saturated.sum() > 0  # the closed-form rows take part
+    assert log_mgf_exact(params, disks) == pytest.approx(log_mgf, rel=1e-12)
+    got_means, got_cov = mean_var_exact(params, disks)
+    np.testing.assert_allclose(got_means, means, rtol=1e-12)
+    np.testing.assert_allclose(got_cov, cov, rtol=1e-12, atol=1e-12)
+    for got, want in zip(joint_cumulants_exact(params, disks, orders), cums):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _single_disk_log_mgf(n, r, u):
+    """sum_j log(Q_j + P_j e^u) over all rows for b = 1, alpha = 0.  log P
+    comes from scipy where the row is inside the disk (a < z) and from
+    Kummer's function, P = z^a e^-z M(1, a+1, z) / Gamma(a+1), outside, which
+    stays finite far below double range."""
+    a = np.arange(1, n + 1, dtype=float)
+    z = n * r * r
+    with np.errstate(divide="ignore"):
+        kummer = a * math.log(z) - z - gammaln(a + 1) + np.log(hyp1f1(1.0, a + 1, z))
+        log_p = np.where(a < z, np.log(gammainc(a, z)), kummer)
+        log_q = np.log(gammaincc(a, z))
+    return math.fsum(np.logaddexp(log_p + u, log_q).tolist())
+
+
+@pytest.mark.parametrize("u", [-40.0, 800.0])
+def test_mgf_extreme_weights_vs_log_space(u):
+    # -40 used to cancel to a non-positive factor, 800 to overflow the weights;
+    # at 800 rows with P down to e^-860 still contribute
+    params = EnsembleParams(b=1.0, alpha=0.0, n=10_000)
+    got = log_mgf_exact(params, DiskSystem([Disk.fixed(0.6, u)]))
+    assert got == pytest.approx(_single_disk_log_mgf(10_000, 0.6, u), rel=1e-13)
+
+
+@st.composite
+def _mgf_configs(draw):
+    b = draw(st.floats(0.3, 3.0))
+    alpha = draw(st.floats(-0.9, 2.0))
+    n = draw(st.integers(1, 2000))
+    rstar = b ** (-1 / (2 * b))
+    p = draw(st.integers(1, 3))
+    scaled = sorted(draw(st.lists(st.floats(0.05, 2.0), min_size=p, max_size=p, unique=True)))
+    radii = [rstar * x for x in scaled]
+    if any(r2 - r1 <= 1e-9 * r2 for r1, r2 in zip(radii, radii[1:])):
+        radii = [rstar * (0.2 + 0.3 * i) for i in range(p)]
+    us = draw(st.lists(st.floats(-60.0, 800.0), min_size=p, max_size=p))
+    l = draw(st.integers(0, p - 1))
+    bump = draw(st.floats(0.01, 50.0))
+    return EnsembleParams(b=b, alpha=alpha, n=n), radii, us, l, bump
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mgf_configs())
+def test_mgf_property_finite_zero_monotone(config):
+    params, radii, us, l, bump = config
+
+    def value(weights):
+        return log_mgf_exact(params, DiskSystem([Disk.fixed(r, w) for r, w in zip(radii, weights)]))
+
+    assert value([0.0] * len(radii)) == 0.0
+    base = value(us)
+    assert math.isfinite(base)
+    bumped = list(us)
+    bumped[l] += bump
+    assert value(bumped) >= base

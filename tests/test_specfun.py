@@ -3,20 +3,19 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from mlcounts.specfun import (
     A_TEMME,
     EtaValue,
     GammaRegime,
-    _p_series,
-    _p_temme,
-    _q_contfrac,
     erfc,
     eta_of_lambda,
     gamma_regime,
     log_barnes_g,
     log_gamma,
+    log_reg_gamma_pq,
     reg_lower_gamma,
     temme_R,
 )
@@ -192,15 +191,47 @@ def test_p_against_frozen_grid():
 
 
 def test_regime_boundary_continuity():
-    # adjacent methods agree to <= 1e-12 absolute at both regime boundaries
+    # scipy just below A_TEMME and the uniform expansion at A_TEMME agree to
+    # <= 1e-12 absolute, in P and in Q
+    shapes = np.array([np.nextafter(A_TEMME, 0.0), A_TEMME])
     for lam in (0.6, 0.9, 0.98, 1.0, 1.01, 1.4, 2.5):
-        a = A_TEMME
-        z = lam * a
-        direct = _p_series(a, z) if z < a + 1.0 else 1.0 - _q_contfrac(a, z)
-        assert abs(direct - _p_temme(a, z)) <= 1e-12
-    for a in (3.0, 11.0, 300.0, 8000.0):
-        z = a + 1.0  # series/continued-fraction crossover
-        assert abs(_p_series(a, z) - (1.0 - _q_contfrac(a, z))) <= 1e-12
+        for logs in log_reg_gamma_pq(shapes, lam * A_TEMME):
+            assert abs(math.exp(logs[0]) - math.exp(logs[1])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "a, z",
+    [
+        (7.3, 6.0),  # bulk
+        (6300.0, 3600.0),  # P below 1e-300: Kummer's function
+        (2.0, 1e-200),
+        (0.5, 800.0),  # Q below 1e-300: continued fraction
+        (1e4, 1.5e4),
+        (3e4, 2.2e4),  # uniform expansion, both tails
+        (3e4, 4e4),
+    ],
+)
+def test_log_pq_far_below_double_range(a, z):
+    import oracles
+
+    log_p, log_q = log_reg_gamma_pq(np.array([a]), z)
+    want_p, want_q = oracles.mp_log_gamma_pq(a, z)
+    assert log_p[0] == pytest.approx(want_p, rel=1e-12, abs=1e-15)
+    assert log_q[0] == pytest.approx(want_q, rel=1e-12, abs=1e-15)
+
+
+def test_log_pq_column_edges():
+    shapes = np.array([0.5, 3.0, 3e4])
+    for z, (want_p, want_q) in ((0.0, (-np.inf, 0.0)), (np.inf, (0.0, -np.inf))):
+        log_p, log_q = log_reg_gamma_pq(shapes, z)
+        assert np.all(log_p == want_p) and np.all(log_q == want_q)
+    with pytest.raises(ValueError):
+        log_reg_gamma_pq(shapes, -1.0)
+    with pytest.raises(ValueError):
+        log_reg_gamma_pq(np.array([1.0, 0.0]), 1.0)
+    # one column equals the scalar evaluations, row by row
+    column = np.exp(log_reg_gamma_pq(np.array([0.7, 40.0, 2.5e4]), 30.0)[0])
+    assert list(column) == [reg_lower_gamma(a, 30.0) for a in (0.7, 40.0, 2.5e4)]
 
 
 def test_p_monotone_in_z_and_a():
