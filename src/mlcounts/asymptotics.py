@@ -9,26 +9,35 @@ integrated against low-degree polynomials.  Bulk disks (r inside the
 equilibrium support), one optional edge disk (radius pinned to the support
 edge at scale s/sqrt(n)), and outside disks each contribute their own terms.
 
-Cumulant coefficients need u-derivatives of F and G at u = 0 (s = e^u).
-Those derivatives are exact: F(t, e^u) and G(t, e^u) are rational/log
-compositions of e^u - 1, so their Taylor coefficients in u follow from
-truncated power-series arithmetic, with no numerical differentiation.
+Each regime's (C1, C2, C3, C4) is written once and runs over a kernel that
+returns F(t, e^u), F(t, e^-u), G(t, e^u) and G(t, e^u)^2 on a t-array,
+either as values at u (the log-MGF) or as exact j-th u-derivatives at u = 0
+(the cumulant coefficients).  The derivatives need no numerical
+differentiation: F(t, e^u) and G(t, e^u) are rational/log compositions of
+e^u - 1, so their Taylor coefficients in u follow from truncated power-series
+arithmetic.
 
-Semi-infinite integrals are truncated at T = sqrt(-log tol) + 2 with
-tol = 1e-16: every integrand here is O(e^{-t^2}) (F decays like erfc, G
-carries an explicit Gaussian), so the discarded tail is below
-poly(T) e^{-T^2} ~ 1e-24, far under the 1e-12 quadrature budget.
+Every integral goes through `quad`: Gauss-Legendre on equal panels, with the
+panel count doubled until two successive rules agree to QUAD_RTOL; the
+difference of the last two rules is the reported `quad_error`.
+Semi-infinite integrals are truncated at sqrt(T^2 + |u|), T = sqrt(-log tol) + 2
+with tol = 1e-16: every integrand here is O(e^{|u| - t^2}) (F decays like
+erfc, G carries an explicit Gaussian, each scaled by at most e^|u|), so the
+discarded tail is below poly(T) e^{-T^2} ~ 1e-24 of the integrand's scale,
+far under QUAD_RTOL.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import erfc
 
 from .exact import DiskSystem, EnsembleParams
 from .specfun import ZETA_PRIME_MINUS_ONE, log_barnes_g
@@ -51,8 +60,11 @@ __all__ = [
 ]
 
 ORDER_MAX = 6
-QUAD_EPSABS = 1e-12
 TAIL_T = math.sqrt(-math.log(1e-16)) + 2.0  # ~8.07
+QUAD_PANELS = 8  # panels of the first rule on every interval
+QUAD_RTOL = 1e-13  # successive rules agree to this, relative to max(1, |value|)
+_QUAD_DOUBLINGS = 6
+_GL_ORDER = 40  # nodes per panel
 
 _SQRT_PI = math.sqrt(math.pi)
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0)
@@ -60,98 +72,146 @@ _FACT = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0)
 _EXPM1_COEF = np.array([0.0, 1.0, 0.5, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720])
 
 
+# ---------------------------------------------------------------------------
+# kernels
+
+
+class _Kernel(NamedTuple):
+    """What a regime's formula integrates.
+
+    `arrays(t)` returns F(t, e^u), F(t, e^-u), G(t, e^u) and G(t, e^u)^2 on a
+    t-array, as values at u or as exact j-th u-derivatives at u = 0; `lin`
+    is u in the same form; past |t| = `tail` every integrand has dropped
+    below e^(-TAIL_T^2) of its scale.
+    """
+
+    arrays: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    lin: float
+    tail: float
+
+
+def _value_kernel(u: float) -> _Kernel:
+    """The kernel at u.
+
+    With c = erfc(|t|)/2 <= 1/2, F(t, e^u) = log1p((e^u - 1) c) for t >= 0
+    and u + log1p((e^-u - 1) c) for t < 0, so the log1p argument never falls
+    below -1/2: nothing cancels as e^u -> 0 or oo, and F is exactly 0 at
+    u = 0.  G = -(e^u - 1) e^(-t^2 - F)/sqrt(pi).  The integrands decay like
+    e^(|u| - t^2), hence the tail sqrt(TAIL_T^2 + |u|).  Past |u| ~ 709.78,
+    math.expm1 raises OverflowError.
+    """
+    em, emi = math.expm1(u), math.expm1(-u)
+
+    def arrays(t):
+        c = erfc(np.abs(t)) / 2.0
+        neg = t < 0.0
+        f_plus = np.where(neg, u, 0.0) + np.log1p(np.where(neg, emi, em) * c)
+        f_minus = np.where(neg, -u, 0.0) + np.log1p(np.where(neg, em, emi) * c)
+        g = -em * np.exp(-t * t - f_plus) / _SQRT_PI
+        return f_plus, f_minus, g, g * g
+
+    return _Kernel(arrays, u, math.sqrt(TAIL_T**2 + abs(u)))
+
+
 def F_func(t: float, s: float) -> float:
     """F(t, s) = log(1 + (s-1) erfc(t)/2) for s > 0."""
     if not s > 0:
         raise ValueError(f"F_func requires s > 0, got {s!r}")
-    return math.log1p((s - 1.0) * math.erfc(t) / 2.0)
+    return float(_value_kernel(math.log(s)).arrays(np.float64(t))[0])
 
 
 def G_func(t: float, s: float) -> float:
     """G(t, s) = dF/dt = (1-s)/(1 + (s-1) erfc(t)/2) * e^{-t^2}/sqrt(pi)."""
     if not s > 0:
         raise ValueError(f"G_func requires s > 0, got {s!r}")
-    return (1.0 - s) / (1.0 + (s - 1.0) * math.erfc(t) / 2.0) * math.exp(-t * t) / _SQRT_PI
+    return float(_value_kernel(math.log(s)).arrays(np.float64(t))[2])
 
 
-# ---------------------------------------------------------------------------
-# exact u-derivatives of F(t, e^{+-u}) and G(t, e^u) at u = 0
-
-
-def _f_series(c: float, sign: float) -> np.ndarray:
+def _f_series(c: np.ndarray, sign: float) -> list[np.ndarray]:
     """Taylor coefficients in u of log(1 + c (e^{sign u} - 1)), orders 0..6."""
-    q = np.empty(ORDER_MAX + 1)
-    q[0] = 1.0
+    q = [np.ones_like(c)]
     sgn = 1.0
     for k in range(1, ORDER_MAX + 1):
         sgn *= sign
-        q[k] = c * _EXPM1_COEF[k] * sgn
-    ell = np.zeros(ORDER_MAX + 1)
+        q.append(c * _EXPM1_COEF[k] * sgn)
+    ell = [np.zeros_like(c)]
     # from L' Q = Q':  (k+1) l_{k+1} = (k+1) q_{k+1} - sum_i (i+1) l_{i+1} q_{k-i}
     for k in range(ORDER_MAX):
         acc = (k + 1) * q[k + 1]
         for i in range(k):
-            acc -= (i + 1) * ell[i + 1] * q[k - i]
-        ell[k + 1] = acc / (k + 1)
+            acc = acc - (i + 1) * ell[i + 1] * q[k - i]
+        ell.append(acc / (k + 1))
     return ell
 
 
-def _g_series(c: float, g0: float) -> np.ndarray:
+def _g_series(c: np.ndarray, g0: np.ndarray) -> list[np.ndarray]:
     """Taylor coefficients in u of G(t, e^u) = g0 (1 - e^u)/(1 + c(e^u - 1))."""
-    q = np.empty(ORDER_MAX + 1)
-    q[0] = 1.0
-    q[1:] = c * _EXPM1_COEF[1:]
-    r = np.zeros(ORDER_MAX + 1)
+    q = [None] + [c * _EXPM1_COEF[k] for k in range(1, ORDER_MAX + 1)]
+    r = []
     for k in range(ORDER_MAX + 1):
-        acc = -_EXPM1_COEF[k]
+        acc = np.full_like(c, -_EXPM1_COEF[k])
         for i in range(k):
-            acc -= r[i] * q[k - i]
-        r[k] = acc
-    return g0 * r
+            acc = acc - r[i] * q[k - i]
+        r.append(acc)
+    return [g0 * rk for rk in r]
 
 
-class _UDerivatives:
-    """Order-j u-derivatives at u=0 of the F/G kernels for one t."""
+def _derivative_kernel(j: int) -> _Kernel:
+    """The kernel as exact j-th u-derivatives at u = 0 (j <= ORDER_MAX)."""
 
-    __slots__ = ("f_plus", "f_minus", "g", "g_sq")
+    def arrays(t):
+        c = erfc(t) / 2.0
+        gs = _g_series(c, np.exp(-t * t) / _SQRT_PI)
+        g_sq = sum(gs[i] * gs[j - i] for i in range(j + 1))
+        fact = _FACT[j]
+        return (
+            _f_series(c, 1.0)[j] * fact,
+            _f_series(c, -1.0)[j] * fact,
+            gs[j] * fact,
+            g_sq * fact,
+        )
 
-    def __init__(self, t: float):
-        c = math.erfc(t) / 2.0
-        lp = _f_series(c, 1.0)
-        lm = _f_series(c, -1.0)
-        gs = _g_series(c, math.exp(-t * t) / _SQRT_PI)
-        g2 = np.convolve(gs, gs)[: ORDER_MAX + 1]
-        fact = np.asarray(_FACT)
-        self.f_plus = lp * fact  # d^j/du^j F(t, e^u)
-        self.f_minus = lm * fact  # d^j/du^j F(t, e^{-u})
-        self.g = gs * fact  # d^j/du^j G(t, e^u)
-        self.g_sq = g2 * fact  # d^j/du^j G(t, e^u)^2
+    return _Kernel(arrays, float(j == 1), TAIL_T)
 
 
 # ---------------------------------------------------------------------------
-# quadrature plumbing
+# quadrature
 
 
-class _QuadAccumulator:
-    """Sums scipy.integrate.quad results and their error estimates."""
+@functools.cache
+def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of `panels` equal Gauss-Legendre panels on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    half = 0.5 / panels
+    starts = np.arange(panels) / panels
+    nodes = (starts[:, None] + half * (x + 1.0)).ravel()
+    weights = np.tile(half * w, panels)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
-    def __init__(self) -> None:
-        self.error = 0.0
 
-    def __call__(self, f, lo: float, hi: float, knots: tuple[float, ...] = ()) -> float:
-        if lo == hi:
-            return 0.0
-        sign = 1.0
-        if hi < lo:
-            lo, hi = hi, lo
-            sign = -1.0
-        points = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
-        total = 0.0
-        for a, b in zip(points, points[1:]):
-            val, err = quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=0.0, limit=200)
-            total += val
-            self.error += err
-        return sign * total
+def quad(f, lo: float, hi: float) -> tuple[np.ndarray, float]:
+    """Integral from lo to hi (signed) of f, which maps a t-array to a stack
+    of integrands (..., t).
+
+    Returns (value, error): the rule with QUAD_PANELS panels is doubled until
+    two successive rules agree to QUAD_RTOL; error is the summed absolute
+    difference of the last two.
+    """
+    span = hi - lo
+    panels = QUAD_PANELS
+    x, w = _unit_rule(panels)
+    prev = f(lo + span * x) @ (span * w)
+    for _ in range(_QUAD_DOUBLINGS):
+        panels *= 2
+        x, w = _unit_rule(panels)
+        value = f(lo + span * x) @ (span * w)
+        diff = np.abs(value - prev)
+        if np.all(diff <= QUAD_RTOL * np.maximum(1.0, np.abs(value))):
+            break
+        prev = value
+    return value, float(np.sum(diff))
 
 
 # ---------------------------------------------------------------------------
@@ -191,118 +251,102 @@ def _flag_extreme_s(s_frak: float) -> None:
             "the e^(-s^2) factors underflow and the returned coefficients are "
             "effectively their saturated limits",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of the public entry point
         )
 
 
-def _bulk_contribution(b: float, alpha: float, r: float, u: float, acc) -> tuple[float, ...]:
-    C1 = b * r ** (2.0 * b) * u
-    if u == 0.0:
-        return C1, 0.0, 0.0, 0.0
-    s, si = math.exp(u), math.exp(-u)
+def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
+    """(C1, C2, C3, C4) of a bulk disk and the quadrature error."""
+
+    def f_terms(t):
+        f_plus, f_minus, _, _ = kernel.arrays(t)
+        f_sum = f_plus + f_minus
+        return np.stack([f_sum, t * (f_plus - f_minus), t * t * f_sum])
+
+    def g_terms(t):
+        _, _, g, g_sq = kernel.arrays(t)
+        poly = (5.0 * t * t - 1.0) / 3.0
+        return np.stack([g * poly, g * (21.0 * t - 193.0 * t**3 + 50.0 * t**5) / 18.0, g_sq * poly**2])
+
+    (f_sum, f_odd, f_t2), f_err = quad(f_terms, 0.0, kernel.tail)
+    (g_poly, g_e, g_sq), g_err = quad(g_terms, -kernel.tail, kernel.tail)
     rb = r**b
-    C2 = math.sqrt(2.0) * b * rb * acc(lambda t: F_func(t, s) + F_func(t, si), 0.0, TAIL_T)
-    C3 = (
-        -(0.5 + alpha) * u
-        + 4.0 * b * acc(lambda t: t * (F_func(t, s) - F_func(t, si)), 0.0, TAIL_T)
-        + b * acc(lambda t: G_func(t, s) * (5.0 * t * t - 1.0) / 3.0, -TAIL_T, TAIL_T, knots=(0.0,))
-    )
+    C1 = b * r ** (2.0 * b) * kernel.lin
+    C2 = math.sqrt(2.0) * b * rb * f_sum
+    C3 = -(0.5 + alpha) * kernel.lin + 4.0 * b * f_odd + b * g_poly
     C4 = (
-        6.0 * math.sqrt(2.0) * b / rb * acc(lambda t: t * t * (F_func(t, s) + F_func(t, si)), 0.0, TAIL_T)
-        - b / (math.sqrt(2.0) * rb)
-        * acc(
-            lambda t: G_func(t, s) * (21.0 * t - 193.0 * t**3 + 50.0 * t**5) / 18.0,
-            -TAIL_T,
-            TAIL_T,
-            knots=(0.0,),
-        )
-        - b / (2.0 * math.sqrt(2.0) * rb)
-        * acc(
-            lambda t: (G_func(t, s) * (5.0 * t * t - 1.0) / 3.0) ** 2,
-            -TAIL_T,
-            TAIL_T,
-            knots=(0.0,),
-        )
+        6.0 * math.sqrt(2.0) * b / rb * f_t2
+        - b / (math.sqrt(2.0) * rb) * g_e
+        - b / (2.0 * math.sqrt(2.0) * rb) * g_sq
     )
-    return C1, C2, C3, C4
+    return (C1, float(C2), float(C3), float(C4)), f_err + g_err
 
 
-def _edge_contribution(b: float, alpha: float, s_frak: float, u: float, acc) -> tuple[float, ...]:
-    C1 = u
-    if u == 0.0:
-        return C1, 0.0, 0.0, 0.0
-    _flag_extreme_s(s_frak)
-    se, sei = math.exp(u), math.exp(-u)
-    lo = -(TAIL_T + abs(s_frak))
-    C2 = (
-        math.sqrt(2.0 * b) * acc(lambda t: F_func(t, sei), 0.0, TAIL_T)
-        + math.sqrt(2.0 * b) * s_frak * u
-        + math.sqrt(2.0 * b) * acc(lambda t: F_func(t, se), 0.0, -s_frak)
-    )
-    C3 = (
-        (0.5 + alpha) * F_func(s_frak, sei)
-        - 2.0 * b * acc(lambda t: (2.0 * t - s_frak) * F_func(t, sei), 0.0, TAIL_T)
-        + 2.0 * b * acc(lambda t: (2.0 * t + s_frak) * F_func(t, se), 0.0, -s_frak)
-        + b
-        * acc(
-            lambda t: G_func(t, se) * (5.0 * t * t + 3.0 * s_frak * t - 1.0) / 3.0,
-            lo,
-            -s_frak,
-            knots=(0.0,),
-        )
-    )
-    b32 = (2.0 * b) ** 1.5
+def _edge(b: float, alpha: float, sf: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
+    """(C1, C2, C3, C4) of the edge disk at parameter sf and the quadrature error."""
+    _flag_extreme_s(sf)
 
-    def poly_e(t: float) -> float:
-        return (
+    def f_minus_terms(t):
+        f_minus = kernel.arrays(t)[1]
+        return np.stack([f_minus, (2.0 * t - sf) * f_minus, (3.0 * t * t - 2.0 * sf * t) * f_minus])
+
+    def f_plus_terms(t):
+        f_plus = kernel.arrays(t)[0]
+        return np.stack([f_plus, (2.0 * t + sf) * f_plus, (3.0 * t * t + 2.0 * sf * t) * f_plus])
+
+    def g_terms(t):
+        _, _, g, g_sq = kernel.arrays(t)
+        poly = (5.0 * t * t + 3.0 * sf * t - 1.0) / 3.0
+        poly_e = (
             21.0 * t
             - 193.0 * t**3
             + 50.0 * t**5
-            + 6.0 * s_frak * (1.0 - 29.0 * t * t + 10.0 * t**4)
-            - 9.0 * s_frak * s_frak * (3.0 * t - 2.0 * t**3)
+            + 6.0 * sf * (1.0 - 29.0 * t * t + 10.0 * t**4)
+            - 9.0 * sf * sf * (3.0 * t - 2.0 * t**3)
         ) / 18.0
+        return np.stack([g * poly, g * poly_e, g_sq * poly**2])
 
+    (m0, m1, m2), m_err = quad(f_minus_terms, 0.0, kernel.tail)
+    (p0, p1, p2), p_err = quad(f_plus_terms, 0.0, -sf)
+    (g_poly, g_e, g_sq), g_err = quad(g_terms, -(kernel.tail + abs(sf)), -sf)
+    f_minus_at_s = kernel.arrays(np.array([sf]))[1][0]
+    g_at_minus_s = kernel.arrays(np.array([-sf]))[2][0]
+    C2 = math.sqrt(2.0 * b) * (m0 + sf * kernel.lin + p0)
+    C3 = (0.5 + alpha) * f_minus_at_s - 2.0 * b * m1 + 2.0 * b * p1 + b * g_poly
     C4 = (
-        b32 * acc(lambda t: (3.0 * t * t - 2.0 * s_frak * t) * F_func(t, sei), 0.0, TAIL_T)
-        + b32 * acc(lambda t: (3.0 * t * t + 2.0 * s_frak * t) * F_func(t, se), 0.0, -s_frak)
-        - b**1.5 / math.sqrt(2.0) * acc(lambda t: G_func(t, se) * poly_e(t), lo, -s_frak, knots=(0.0,))
-        - b**1.5
-        / (2.0 * math.sqrt(2.0))
-        * acc(
-            lambda t: (G_func(t, se) * (5.0 * t * t + 3.0 * s_frak * t - 1.0) / 3.0) ** 2,
-            lo,
-            -s_frak,
-            knots=(0.0,),
-        )
+        (2.0 * b) ** 1.5 * (m2 + p2)
+        - b**1.5 / math.sqrt(2.0) * g_e
+        - b**1.5 / (2.0 * math.sqrt(2.0)) * g_sq
         + (
-            (0.5 + alpha) * (2.0 * s_frak * s_frak - 1.0) / (3.0 * math.sqrt(2.0)) * math.sqrt(b)
+            (0.5 + alpha) * (2.0 * sf * sf - 1.0) / (3.0 * math.sqrt(2.0)) * math.sqrt(b)
             + (1.0 + 6.0 * alpha + 6.0 * alpha * alpha) / (12.0 * math.sqrt(2.0 * b))
         )
-        * G_func(-s_frak, se)
+        * g_at_minus_s
     )
-    return C1, C2, C3, C4
+    return (kernel.lin, float(C2), float(C3), float(C4)), m_err + p_err + g_err
 
 
 def theorem_coefficients(params: EnsembleParams, disks: DiskSystem) -> ExpansionCoefficients:
     """C1..C4 for the given disk configuration (independent of params.n)."""
     b, alpha = params.b, params.alpha
     kinds, s_frak = disks.classify(b)
-    acc = _QuadAccumulator()
     per_disk = []
+    error = 0.0
     for idx, (disk, kind) in enumerate(zip(disks.disks, kinds)):
         if kind == "bulk":
-            contrib = _bulk_contribution(b, alpha, disk.r, disk.u, acc)
+            contrib, err = _bulk(b, alpha, disk.r, _value_kernel(disk.u))
         elif kind == "edge":
-            contrib = _edge_contribution(b, alpha, s_frak, disk.u, acc)
+            contrib, err = _edge(b, alpha, s_frak, _value_kernel(disk.u))
         else:
-            contrib = (disk.u, 0.0, 0.0, 0.0)
+            contrib, err = (disk.u, 0.0, 0.0, 0.0), 0.0
+        error += err
         per_disk.append(DiskContribution(idx, kind, *contrib))
     return ExpansionCoefficients(
         C1=math.fsum(d.C1 for d in per_disk),
         C2=math.fsum(d.C2 for d in per_disk),
         C3=math.fsum(d.C3 for d in per_disk),
         C4=math.fsum(d.C4 for d in per_disk),
-        quad_error=acc.error,
+        quad_error=error,
         per_disk=tuple(per_disk),
     )
 
@@ -345,114 +389,15 @@ def bulk_cumulant_coeffs(j: int, b: float, alpha: float, r: float) -> CumulantSe
     rstar = b ** (-1.0 / (2.0 * b))
     if not 0 < r < rstar:
         raise ValueError(f"bulk radius must satisfy 0 < r < {rstar}, got {r!r}")
-    acc = _QuadAccumulator()
-    fj = _FACT[j]
-
-    def dF_sum(t: float) -> float:
-        d = _UDerivatives(t)
-        return d.f_plus[j] + d.f_minus[j]
-
-    def dF_diff(t: float) -> float:
-        d = _UDerivatives(t)
-        return d.f_plus[j] - d.f_minus[j]
-
-    def dG(t: float) -> float:
-        return _UDerivatives(t).g[j]
-
-    def dG2(t: float) -> float:
-        return _UDerivatives(t).g_sq[j]
-
-    rb = r**b
-    c = math.sqrt(2.0) * b * rb * acc(dF_sum, 0.0, TAIL_T)
-    d = (
-        (-0.5 - alpha if j == 1 else 0.0)
-        + 4.0 * b * acc(lambda t: t * dF_diff(t), 0.0, TAIL_T)
-        + b * acc(lambda t: dG(t) * (5.0 * t * t - 1.0) / 3.0, -TAIL_T, TAIL_T, knots=(0.0,))
-    )
-    e = (
-        6.0 * math.sqrt(2.0) * b / rb * acc(lambda t: t * t * dF_sum(t), 0.0, TAIL_T)
-        - b / rb
-        * acc(
-            lambda t: dG(t) * (21.0 * t - 193.0 * t**3 + 50.0 * t**5) / (18.0 * math.sqrt(2.0)),
-            -TAIL_T,
-            TAIL_T,
-            knots=(0.0,),
-        )
-        - b
-        / (2.0 * math.sqrt(2.0) * rb)
-        * acc(lambda t: dG2(t) * ((5.0 * t * t - 1.0) / 3.0) ** 2, -TAIL_T, TAIL_T, knots=(0.0,))
-    )
-    leading = b * r ** (2.0 * b) if j == 1 else 0.0
-    return CumulantSeries("bulk", j, leading, c, d, e, acc.error)
+    coeffs, err = _bulk(b, alpha, r, _derivative_kernel(j))
+    return CumulantSeries("bulk", j, *coeffs, err)
 
 
 def edge_cumulant_coeffs(j: int, b: float, alpha: float, s_frak: float) -> CumulantSeries:
     """Coefficients (c_j, d_j, e_j) for the edge disk at parameter s."""
     _check_order(j)
-    _flag_extreme_s(s_frak)
-    acc = _QuadAccumulator()
-    lo = -(TAIL_T + abs(s_frak))
-
-    def dFm(t: float) -> float:
-        return _UDerivatives(t).f_minus[j]
-
-    def dFp(t: float) -> float:
-        return _UDerivatives(t).f_plus[j]
-
-    def dG(t: float) -> float:
-        return _UDerivatives(t).g[j]
-
-    def dG2(t: float) -> float:
-        return _UDerivatives(t).g_sq[j]
-
-    c = (
-        (math.sqrt(2.0 * b) * s_frak if j == 1 else 0.0)
-        + math.sqrt(2.0 * b) * acc(dFm, 0.0, TAIL_T)
-        + math.sqrt(2.0 * b) * acc(dFp, 0.0, -s_frak)
-    )
-    d = (
-        (0.5 + alpha) * _UDerivatives(s_frak).f_minus[j]
-        - 2.0 * b * acc(lambda t: (2.0 * t - s_frak) * dFm(t), 0.0, TAIL_T)
-        + 2.0 * b * acc(lambda t: (2.0 * t + s_frak) * dFp(t), 0.0, -s_frak)
-        + b
-        * acc(
-            lambda t: dG(t) * (5.0 * t * t + 3.0 * s_frak * t - 1.0) / 3.0,
-            lo,
-            -s_frak,
-            knots=(0.0,),
-        )
-    )
-    b32 = (2.0 * b) ** 1.5
-
-    def poly_e(t: float) -> float:
-        return (
-            21.0 * t
-            - 193.0 * t**3
-            + 50.0 * t**5
-            + 6.0 * s_frak * (1.0 - 29.0 * t * t + 10.0 * t**4)
-            - 9.0 * s_frak * s_frak * (3.0 * t - 2.0 * t**3)
-        ) / 18.0
-
-    e = (
-        b32 * acc(lambda t: (3.0 * t * t - 2.0 * s_frak * t) * dFm(t), 0.0, TAIL_T)
-        + b32 * acc(lambda t: (3.0 * t * t + 2.0 * s_frak * t) * dFp(t), 0.0, -s_frak)
-        - b**1.5 / math.sqrt(2.0) * acc(lambda t: dG(t) * poly_e(t), lo, -s_frak, knots=(0.0,))
-        - b**1.5
-        / (2.0 * math.sqrt(2.0))
-        * acc(
-            lambda t: dG2(t) * ((5.0 * t * t + 3.0 * s_frak * t - 1.0) / 3.0) ** 2,
-            lo,
-            -s_frak,
-            knots=(0.0,),
-        )
-        + (
-            (0.5 + alpha) * (2.0 * s_frak * s_frak - 1.0) / (3.0 * math.sqrt(2.0)) * math.sqrt(b)
-            + (1.0 + 6.0 * alpha + 6.0 * alpha * alpha) / (12.0 * math.sqrt(2.0 * b))
-        )
-        * _UDerivatives(-s_frak).g[j]
-    )
-    leading = 1.0 if j == 1 else 0.0
-    return CumulantSeries("edge", j, leading, c, d, e, acc.error)
+    coeffs, err = _edge(b, alpha, s_frak, _derivative_kernel(j))
+    return CumulantSeries("edge", j, *coeffs, err)
 
 
 def outside_cumulant_coeffs(j: int) -> CumulantSeries:

@@ -166,7 +166,7 @@ def _cmd_mgf_asymptotic(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    params = _params_from(args)
+    params = _params_from(args, n=1)  # the coefficients do not depend on n
     disks = _disks_from(args)
     coeffs = asymptotics.theorem_coefficients(params, disks)
     payload = {
@@ -358,8 +358,11 @@ def _add_common(sub, n=True, disks=True) -> None:
             help="disk as r=<radius>[,u=<weight>] or s=<edge param>[,u=<weight>]; repeatable",
         )
     sub.add_argument("--out", help="write output to this path instead of stdout")
+
+
+def _add_threads(sub) -> None:
     sub.add_argument("--threads", type=_positive_int, default=None,
-                     help=f"worker cap (default: ${_THREADS_ENV} or 1)")
+                     help=f"worker cap for sampling (default: ${_THREADS_ENV} or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("coeffs", help="expansion coefficients C1..C4")
     _add_common(s, n=False)
-    s.add_argument("--n", type=int, default=1, help="unused by the coefficients; kept for symmetry")
     s.set_defaults(handler=_cmd_coeffs)
 
     s = subs.add_parser("cumulants", help="disk count cumulants")
@@ -399,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("sample", help="Monte Carlo disk counts")
     _add_common(s)
+    _add_threads(s)
     s.add_argument("--num-samples", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--format", choices=("csv", "json"), default="json",
@@ -414,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("verify-clt", help="joint Gaussian fluctuation check")
     _add_common(s, disks=False)
+    _add_threads(s)
     s.add_argument("--bulk-r", default="", help="comma-separated bulk radii")
     s.add_argument("--s", type=float, default=None, help="edge parameter (omit for no edge disk)")
     s.add_argument("--num-samples", type=int, required=True)

@@ -51,8 +51,10 @@ def sample_counts(
         raise ValueError(f"num_samples must be >= 1, got {num_samples!r}")
     res = disks.resolve(params)
     shapes = (np.arange(1, params.n + 1) + params.alpha) / params.b
-    # counting R_j < r_l is counting G_j < n r_l^(2b)
-    thresholds = params.n * res.radii ** (2.0 * params.b)
+    # counting R_j < r_l is counting G_j < n r_l^(2b); a threshold that
+    # overflows to inf counts every particle, as it should
+    with np.errstate(over="ignore"):
+        thresholds = params.n * res.radii ** (2.0 * params.b)
     counts = np.empty((num_samples, res.p), dtype=np.int64)
 
     def fill(lo: int, hi: int) -> None:

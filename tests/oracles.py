@@ -150,6 +150,40 @@ def bulk_coeffs_complex(b, alpha, r, u, T=8.2):
     return C2, C3, C4
 
 
+def mp_bulk_coeffs(b, alpha, r, u, dps=30):
+    """(C2, C3, C4) for one bulk disk at real u: the three bulk integrals by
+    mpmath quadrature over the whole line, with the kernel written as
+    F(t, s) = log(erfc(-t)/2 + s erfc(t)/2), a sum of positive terms that
+    cannot cancel however small s = e^u is."""
+    with mp.workdps(dps):
+        bb, aa, uu = mpf(b), mpf(alpha), mpf(u)
+        rb = mpf(r) ** bb
+        s, si = mp.e**uu, mp.e**-uu
+        sqrt2 = mp.sqrt(2)
+
+        def F(t, sv):
+            return mplog(mp.erfc(-t) / 2 + sv * mp.erfc(t) / 2)
+
+        def G(t):
+            return (1 - s) * mp.e ** (-t * t) / mp.sqrt(mppi) / (mp.erfc(-t) / 2 + s * mp.erfc(t) / 2)
+
+        # breakpoints at the integers: G turns over near erfc(|t|)/2 = e^u
+        half = list(range(0, 11)) + [mp.inf]
+        full = [-mp.inf] + list(range(-10, 11)) + [mp.inf]
+        C2 = sqrt2 * bb * rb * mpquad(lambda t: F(t, s) + F(t, si), half)
+        C3 = (
+            -(mpf(1) / 2 + aa) * uu
+            + 4 * bb * mpquad(lambda t: t * (F(t, s) - F(t, si)), half)
+            + bb * mpquad(lambda t: G(t) * (5 * t * t - 1) / 3, full)
+        )
+        C4 = (
+            6 * sqrt2 * bb / rb * mpquad(lambda t: t * t * (F(t, s) + F(t, si)), half)
+            - bb / (sqrt2 * rb) * mpquad(lambda t: G(t) * (21 * t - 193 * t**3 + 50 * t**5) / 18, full)
+            - bb / (2 * sqrt2 * rb) * mpquad(lambda t: (G(t) * (5 * t * t - 1) / 3) ** 2, full)
+        )
+        return float(C2), float(C3), float(C4)
+
+
 def bulk_coeff_derivatives(b, alpha, r, order, rho=0.4, points=32):
     """d^j/du^j (C2, C3, C4) at u=0 via the Cauchy integral on |u| = rho."""
     vals = np.array(

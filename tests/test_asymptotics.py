@@ -1,8 +1,11 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlcounts.asymptotics as asym
 from mlcounts.asymptotics import (
@@ -57,28 +60,27 @@ def test_G_is_t_derivative_of_F():
 
 def test_u_parity_of_symmetrized_F():
     # odd u-derivatives of F(t,e^u) + F(t,e^-u) vanish identically
-    from mlcounts.asymptotics import _UDerivatives
-
     rng = random.Random(4)
-    for _ in range(50):
-        d = _UDerivatives(rng.uniform(-4, 4))
-        for j in (1, 3, 5):
-            assert d.f_plus[j] + d.f_minus[j] == 0.0
-        for j in (2, 4, 6):
-            assert d.f_plus[j] - d.f_minus[j] == 0.0
+    t = np.array([rng.uniform(-4, 4) for _ in range(50)])
+    for j in (1, 3, 5):
+        f_plus, f_minus, _, _ = asym._derivative_kernel(j).arrays(t)
+        assert np.all(f_plus + f_minus == 0.0)
+    for j in (2, 4, 6):
+        f_plus, f_minus, _, _ = asym._derivative_kernel(j).arrays(t)
+        assert np.all(f_plus - f_minus == 0.0)
 
 
 def test_u_derivative_series_vs_complex_step():
     # order-1 derivative of F(t, e^u) via complex step
-    from mlcounts.asymptotics import _UDerivatives
-
     h = 1e-20
-    for t in (-2.0, 0.0, 0.8, 3.0):
-        d = _UDerivatives(t)
+    ts = np.array([-2.0, 0.0, 0.8, 3.0])
+    f_plus = asym._derivative_kernel(1).arrays(ts)[0]
+    g = asym._derivative_kernel(0).arrays(ts)[2]
+    for i, t in enumerate(ts):
         cs = complex(np.log(1 + (np.exp(1j * h) - 1) * math.erfc(t) / 2)).imag / h
-        assert d.f_plus[1] == pytest.approx(cs, rel=1e-12, abs=1e-15)
+        assert f_plus[i] == pytest.approx(cs, rel=1e-12, abs=1e-15)
         # and the G-series order 0 must equal G itself
-        assert d.g[0] == pytest.approx(G_func(t, 1.0), abs=1e-15)
+        assert g[i] == pytest.approx(G_func(t, 1.0), abs=1e-15)
 
 
 # --- theorem coefficients -----------------------------------------------------
@@ -162,12 +164,46 @@ def test_quadrature_convergence(monkeypatch):
     disks = DiskSystem([Disk.fixed(0.5, 0.8), Disk.edge(-0.4, 0.6)])
     base = theorem_coefficients(params, disks)
     monkeypatch.setattr(asym, "TAIL_T", asym.TAIL_T * 2.0)
-    monkeypatch.setattr(asym, "QUAD_EPSABS", asym.QUAD_EPSABS / 10.0)
+    monkeypatch.setattr(asym, "QUAD_PANELS", asym.QUAD_PANELS * 2)
     refined = theorem_coefficients(params, disks)
     for attr in ("C1", "C2", "C3", "C4"):
         assert abs(getattr(base, attr) - getattr(refined, attr)) <= max(
             base.quad_error, 1e-13
         )
+
+
+@pytest.mark.parametrize("u", [-30.0, -40.0, -50.0])
+def test_bulk_coefficients_at_large_negative_u(u):
+    # log1p((s-1) erfc(t)/2) used to cancel as s = e^u -> 0: C4 was 0.3 off
+    # at u = -30 and u = -40 divided by zero; the integrands decay like
+    # e^(|u| - t^2), so a cutoff at TAIL_T alone leaves C4 2.5e-6 off at -50
+    params = EnsembleParams(b=1.0, alpha=0.0, n=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C = theorem_coefficients(params, DiskSystem([Disk.fixed(0.6, u)]))
+    want = oracles.mp_bulk_coeffs(1.0, 0.0, 0.6, u)
+    assert (C.C2, C.C3, C.C4) == pytest.approx(want, rel=1e-9)
+
+
+@st.composite
+def _coeff_configs(draw):
+    b = draw(st.floats(0.3, 3.0))
+    alpha = draw(st.floats(-0.9, 2.0))
+    r = b ** (-1 / (2 * b)) * draw(st.floats(0.05, 0.95))
+    s = draw(st.floats(-3.0, 3.0))
+    us = draw(st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=2))
+    return EnsembleParams(b=b, alpha=alpha, n=100), r, s, us
+
+
+@settings(max_examples=40, deadline=None)
+@given(_coeff_configs())
+def test_coeffs_property_finite_and_zero_at_u_zero(config):
+    params, r, s, (u_bulk, u_edge) = config
+    C = theorem_coefficients(params, DiskSystem([Disk.fixed(r, u_bulk), Disk.edge(s, u_edge)]))
+    assert all(math.isfinite(v) for v in (C.C1, C.C2, C.C3, C.C4))
+    assert math.isfinite(C.quad_error) and C.quad_error >= 0.0
+    Z = theorem_coefficients(params, DiskSystem([Disk.fixed(r, 0.0), Disk.edge(s, 0.0)]))
+    assert (Z.C1, Z.C2, Z.C3, Z.C4) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_rejects_two_edge_like_disks():
@@ -266,8 +302,6 @@ def test_edge_quadrature_matches_closed_forms():
 
 
 def test_extreme_edge_parameter_is_flagged():
-    import warnings
-
     with pytest.warns(RuntimeWarning) as record:
         series = edge_cumulant_coeffs(1, 1.0, 0.0, 7.5)
     assert any("edge parameter" in str(w.message) for w in record)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -219,6 +220,30 @@ def test_non_positive_threads_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("ML_COUNTS_THREADS", "0")
     code, out, _ = run(capsys, *argv)
     assert code == 2 and out == ""
+
+
+def test_unread_options_exit_2(capsys):
+    code, out, _ = run(capsys, "coeffs", "--b", "1", "--n", "5", "--disk", "r=0.6,u=1")
+    assert code == 2 and out == ""
+    code, out, _ = run(
+        capsys, "mgf-exact", "--b", "1", "--n", "10", "--disk", "r=0.5,u=1", "--threads", "2"
+    )
+    assert code == 2 and out == ""
+
+
+def test_sample_huge_radius_counts_every_particle(capsys):
+    # n r^(2b) overflows to inf: the threshold that counts every particle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(
+            capsys,
+            "sample", "--b", "2", "--n", "100", "--disk", "r=1e200",
+            "--num-samples", "4", "--format", "csv",
+        )
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.split(",")[1] == "100" for row in rows)
 
 
 def test_large_weight_is_finite(capsys):

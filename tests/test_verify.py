@@ -48,7 +48,7 @@ def test_residual_scan_noise_floor_robust_to_tighter_quadrature(monkeypatch):
 
     disks = DiskSystem([Disk.fixed(0.6, 1.0)])
     base = residual_scan(_params(), disks, [200, 400, 800, 1600])
-    monkeypatch.setattr(asym, "QUAD_EPSABS", asym.QUAD_EPSABS / 10.0)
+    monkeypatch.setattr(asym, "QUAD_PANELS", asym.QUAD_PANELS * 2)
     tighter = residual_scan(_params(), disks, [200, 400, 800, 1600])
     assert abs(base.fitted_rate - tighter.fitted_rate) <= 0.05
 
