@@ -37,7 +37,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .exact import DiskSystem, EnsembleParams
 from .specfun import ZETA_PRIME_MINUS_ONE, log_barnes_g
@@ -67,6 +66,10 @@ _QUAD_DOUBLINGS = 6
 _GL_ORDER = 40  # nodes per panel
 
 _SQRT_PI = math.sqrt(math.pi)
+# past this |u| the e^|u| side of the value kernel is taken in log form: erfc
+# flushes to 0 below ~e^-708, and from |u| ~ 670 on, e^|u| times what it drops
+# is no longer negligible (e^|u| itself overflows past log(DBL_MAX) ~ 709.78)
+_LOG_FORM_U = 600.0
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0)
 # Taylor coefficients of e^u - 1
 _EXPM1_COEF = np.array([0.0, 1.0, 0.5, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720])
@@ -97,17 +100,32 @@ def _value_kernel(u: float) -> _Kernel:
     and u + log1p((e^-u - 1) c) for t < 0, so the log1p argument never falls
     below -1/2: nothing cancels as e^u -> 0 or oo, and F is exactly 0 at
     u = 0.  G = -(e^u - 1) e^(-t^2 - F)/sqrt(pi).  The integrands decay like
-    e^(|u| - t^2), hence the tail sqrt(TAIL_T^2 + |u|).  Past |u| ~ 709.78,
-    math.expm1 raises OverflowError.
+    e^(|u| - t^2), hence the tail sqrt(TAIL_T^2 + |u|).
+
+    Past |u| = _LOG_FORM_U the e^|u| side is taken in log form, so that
+    neither e^|u| overflowing nor erfc underflowing breaks it:
+    log(1 + (e^v - 1) c) = v + log(c + (1-c) e^-v), summed in log space with
+    log c = log(erfcx(|t|)/2) - t^2, and log(e^u - 1) = u + log1p(-e^-u) in G.
     """
-    em, emi = math.expm1(u), math.expm1(-u)
+    from scipy.special import erfc, erfcx
+
+    def log1p_expm1(v, c, t):
+        # log(1 + (e^v - 1) c)
+        if v <= _LOG_FORM_U:
+            return np.log1p(math.expm1(v) * c)
+        log_c = np.log(erfcx(np.abs(t)) / 2.0) - t * t
+        return v + np.logaddexp(log_c, np.log1p(-c) - v)
 
     def arrays(t):
         c = erfc(np.abs(t)) / 2.0
         neg = t < 0.0
-        f_plus = np.where(neg, u, 0.0) + np.log1p(np.where(neg, emi, em) * c)
-        f_minus = np.where(neg, -u, 0.0) + np.log1p(np.where(neg, em, emi) * c)
-        g = -em * np.exp(-t * t - f_plus) / _SQRT_PI
+        lp, lm = log1p_expm1(u, c, t), log1p_expm1(-u, c, t)
+        f_plus = np.where(neg, u + lm, lp)
+        f_minus = np.where(neg, -u + lp, lm)
+        if u > _LOG_FORM_U:
+            g = -np.exp(u + math.log1p(-math.exp(-u)) - t * t - f_plus) / _SQRT_PI
+        else:
+            g = -math.expm1(u) * np.exp(-t * t - f_plus) / _SQRT_PI
         return f_plus, f_minus, g, g * g
 
     return _Kernel(arrays, u, math.sqrt(TAIL_T**2 + abs(u)))
@@ -158,6 +176,7 @@ def _g_series(c: np.ndarray, g0: np.ndarray) -> list[np.ndarray]:
 
 def _derivative_kernel(j: int) -> _Kernel:
     """The kernel as exact j-th u-derivatives at u = 0 (j <= ORDER_MAX)."""
+    from scipy.special import erfc
 
     def arrays(t):
         c = erfc(t) / 2.0

@@ -27,10 +27,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .specfun import SATURATED_LOG_PREFACTOR, log_prefactor, log_reg_gamma_pq
 
@@ -40,12 +39,14 @@ __all__ = [
     "DiskSystem",
     "EnsembleParams",
     "ResolvedDisks",
+    "SaturationWindow",
     "bernoulli_profile",
     "joint_cumulants_exact",
     "log_mgf_exact",
     "log_partition_exact",
     "mean_var_exact",
     "omega_weights",
+    "saturation_window",
 ]
 
 MAX_CUMULANT_ORDER = 6
@@ -221,12 +222,12 @@ class BernoulliProfile:
     log_Q: np.ndarray  # (w, p) log(1 - P) on the window rows, evaluated directly
     Pw: np.ndarray  # (w, p) exp(log_P)
     inside: np.ndarray  # (p,) saturated value is 1 on rows j < inside[l]
+    ones: np.ndarray  # (p,) saturated rows inside each disk
 
     @property
     def saturated(self) -> np.ndarray:
         """(p+1,) saturated rows per annulus; annulus l lies inside disks l..p-1."""
-        ones = self.inside - np.searchsorted(self.rows, self.inside)  # per disk
-        return np.diff(ones, prepend=0, append=self.n - len(self.rows))
+        return np.diff(self.ones, prepend=0, append=self.n - len(self.rows))
 
     @property
     def log_q(self) -> np.ndarray:
@@ -283,6 +284,37 @@ def _column_window(params: EnsembleParams, z: float, threshold: float) -> tuple[
     return range(start, stop), inside
 
 
+class SaturationWindow(NamedTuple):
+    """The rows of a disk system that are not saturated in some column.
+
+    Row j (particle j+1, shape a_j = (j+1+alpha)/b) is saturated in column l
+    when its prefactor z_l^a e^-z_l / Gamma(a) is below e^threshold: then
+    P(a_j, z_l) is within about that much of 1 if j < inside[l] and of 0
+    otherwise.  ``rows`` is the union of the columns' runs of unsaturated
+    rows; ``ones[l]`` counts the rows outside it that lie inside disk l.
+    """
+
+    z: np.ndarray  # (p,) n r_l^(2b)
+    columns: tuple[range, ...]  # each column's own run of unsaturated rows
+    rows: np.ndarray  # (w,) their union, increasing
+    inside: np.ndarray  # (p,) rows j < inside[l] have shape below z_l
+    ones: np.ndarray  # (p,) saturated rows inside disk l
+
+
+def saturation_window(
+    params: EnsembleParams, radii: np.ndarray, threshold: float
+) -> SaturationWindow:
+    """The window of ``radii`` at log-prefactor ``threshold``."""
+    # a z that overflows to inf puts every row inside, with an empty window
+    with np.errstate(over="ignore"):
+        z = params.n * np.asarray(radii, dtype=float) ** (2.0 * params.b)
+    columns, inside = zip(*(_column_window(params, float(zl), threshold) for zl in z))
+    rows = np.sort(np.concatenate([np.arange(c.start, c.stop) for c in columns]))
+    rows = rows[np.diff(rows, prepend=-1) != 0]
+    inside = np.array(inside)
+    return SaturationWindow(z, columns, rows, inside, inside - np.searchsorted(rows, inside))
+
+
 def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliProfile:
     """Evaluate the incomplete-gamma profile for (params, disks) on its window.
 
@@ -290,23 +322,18 @@ def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliPro
     the largest ratio of the disks' MGF weights e^(U_l), U_l = u_l + ... + u_p,
     so the window also serves ``log_mgf_exact`` at these weights."""
     res = disks.resolve(params)
-    with np.errstate(over="ignore"):
-        z = params.n * res.radii ** (2.0 * params.b)
     U = _tails(res.u)
-    threshold = SATURATED_LOG_PREFACTOR - (U.max() - U.min())
-    windows, inside = zip(*(_column_window(params, float(zl), threshold) for zl in z))
-    rows = np.sort(np.concatenate([np.arange(w.start, w.stop) for w in windows]))
-    rows = rows[np.diff(rows, prepend=-1) != 0]
-    inside = np.array(inside)
+    win = saturation_window(params, res.radii, SATURATED_LOG_PREFACTOR - (U.max() - U.min()))
+    rows, inside = win.rows, win.inside
     shapes = (rows + 1 + params.alpha) / params.b
     # entries outside their own column's window are saturated: P = 0 or 1
     log_P = np.where(rows[:, None] < inside, 0.0, -np.inf)
     log_Q = np.where(rows[:, None] < inside, -np.inf, 0.0)
-    for col, (w, zl) in enumerate(zip(windows, z)):
-        lo, hi = np.searchsorted(rows, [w.start, w.stop])
+    for col, (c, zl) in enumerate(zip(win.columns, win.z)):
+        lo, hi = np.searchsorted(rows, [c.start, c.stop])
         log_P[lo:hi, col], log_Q[lo:hi, col] = log_reg_gamma_pq(shapes[lo:hi], float(zl))
     return BernoulliProfile(n=params.n, radii=res.radii, rows=rows, log_P=log_P, log_Q=log_Q,
-                            Pw=np.exp(log_P), inside=inside)
+                            Pw=np.exp(log_P), inside=inside, ones=win.ones)
 
 
 def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
@@ -326,6 +353,8 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
         direct = np.isfinite(scale) & (2.0 * (1.0 + x) >= 1.0 + scale)
     terms = np.log1p(x, where=direct, out=np.zeros_like(x))
     if not direct.all():
+        from scipy.special import logsumexp
+
         terms[~direct] = logsumexp(profile.log_q[~direct] + U, axis=1)
     return math.fsum(terms.tolist() + (profile.saturated * U).tolist())
 
@@ -333,8 +362,7 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
 def log_partition_exact(params: EnsembleParams) -> float:
     """log Z_n from the closed product formula."""
     b, alpha, n = params.b, params.alpha, params.n
-    j = np.arange(1, n + 1)
-    lg = math.fsum(gammaln((j + alpha) / b).tolist())
+    lg = math.fsum(math.lgamma((j + alpha) / b) for j in range(1, n + 1))
     return (
         -(n * n) / (2.0 * b) * math.log(n)
         - (1.0 + 2.0 * alpha) / (2.0 * b) * n * math.log(n)

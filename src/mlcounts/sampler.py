@@ -1,11 +1,23 @@
 """Monte Carlo sampling of disk counts via the independent-moduli law.
 
-Rotation invariance makes the squared-modulus vector of the ensemble
-distributed as independent coordinates G_j/n with G_j ~ Gamma((j+alpha)/b, 1)
-(the 2D analogue of Kostlan's observation), so a sample of all p disk counts
-is p threshold counts over one vector of n gamma draws.  Each sample owns a
-Philox stream keyed by (seed, sample_index): results are reproducible and
-independent of execution order or thread count.
+Rotation invariance makes the squared moduli of the ensemble independent,
+|z_j|^(2b) = G_j/n with G_j ~ Gamma((j+alpha)/b, 1) (the 2D analogue of
+Kostlan's observation), so particle j lies in disk l exactly when
+G_j < n r_l^(2b), and a sample of all p disk counts is p threshold counts
+over one vector of gamma draws.
+
+Only the rows of the exact engine's saturation window (prefactor at least
+e^-60 in some disk) are drawn.  A row below a disk's window is inside it with
+probability at least 1 - e^-60, a row above with probability at most e^-60,
+so those rows enter each count as a constant: the law is that of all n
+draws up to the e^-60 saturation the exact engine also accepts.
+
+Samples come in blocks of SAMPLE_BLOCK.  Block k draws its (block, w) gammas
+on the w window rows, sample by sample, from one Philox stream keyed
+(seed, k) (counter-based streams, Salmon et al., SC'11).  Sample s therefore
+depends only on (seed, s): results are reproducible, prefix-stable (a longer
+run extends a shorter one) and independent of the thread count, which only
+spreads the blocks over workers.
 """
 
 from __future__ import annotations
@@ -16,9 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import DiskSystem, EnsembleParams
+from .exact import DiskSystem, EnsembleParams, saturation_window
+from .specfun import SATURATED_LOG_PREFACTOR
 
-__all__ = ["McCumulants", "SampleBatch", "mc_cumulants", "sample_counts"]
+__all__ = ["SAMPLE_BLOCK", "McCumulants", "SampleBatch", "mc_cumulants", "sample_counts"]
+
+# samples per Philox stream; part of the stream contract
+SAMPLE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -32,13 +48,6 @@ class SampleBatch:
     radii: np.ndarray  # (p,)
 
 
-def _sample_row(shapes: np.ndarray, thresholds: np.ndarray, seed: int, index: int) -> np.ndarray:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    g = rng.standard_gamma(shapes)
-    return np.count_nonzero(g[:, None] < thresholds[None, :], axis=0)
-
-
 def sample_counts(
     params: EnsembleParams,
     disks: DiskSystem,
@@ -50,24 +59,26 @@ def sample_counts(
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples!r}")
     res = disks.resolve(params)
-    shapes = (np.arange(1, params.n + 1) + params.alpha) / params.b
-    # counting R_j < r_l is counting G_j < n r_l^(2b); a threshold that
-    # overflows to inf counts every particle, as it should
-    with np.errstate(over="ignore"):
-        thresholds = params.n * res.radii ** (2.0 * params.b)
+    win = saturation_window(params, res.radii, SATURATED_LOG_PREFACTOR)
+    shapes = (win.rows + 1 + params.alpha) / params.b
     counts = np.empty((num_samples, res.p), dtype=np.int64)
 
-    def fill(lo: int, hi: int) -> None:
-        for idx in range(lo, hi):
-            counts[idx] = _sample_row(shapes, thresholds, seed, idx)
+    def fill(k: int) -> None:
+        lo, hi = k * SAMPLE_BLOCK, min((k + 1) * SAMPLE_BLOCK, num_samples)
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, k], dtype=np.uint64)
+        g = np.random.Generator(np.random.Philox(key=key)).standard_gamma(
+            shapes, size=(hi - lo, len(shapes))
+        )
+        for l, zl in enumerate(win.z):
+            counts[lo:hi, l] = win.ones[l] + np.count_nonzero(g < zl, axis=1)
 
-    if threads <= 1 or num_samples < 2 * threads:
-        fill(0, num_samples)
+    blocks = range(-(-num_samples // SAMPLE_BLOCK))
+    if threads <= 1 or len(blocks) < 2:
+        for k in blocks:
+            fill(k)
     else:
-        step = (num_samples + threads - 1) // threads
-        bounds = [(lo, min(lo + step, num_samples)) for lo in range(0, num_samples, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda ab: fill(*ab), bounds))
+        with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+            list(pool.map(fill, blocks))
     return SampleBatch(
         counts=counts, seed=seed, num_samples=num_samples, n=params.n, radii=res.radii
     )

@@ -17,6 +17,9 @@ exp(-a eta^2/2)/sqrt(2 pi a) * (c0(eta) + c1(eta)/a), which caps its accuracy
 at ~|c2|/(a^2 sqrt(2 pi a)); A_TEMME = 20000 keeps that below 3e-14 absolute.
 Also: scalar erfc, log-gamma, the eta map, ``gamma_regime`` (the classical
 regime of (a, z), for diagnostics) and log Barnes G.  All pure, thread-safe.
+scipy.special is imported inside the evaluators that call it, so importing
+this module (and the sampler and partition-function paths built on it) does
+not load scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, gammainc, gammaincc, gammaln, hyp1f1
 
 __all__ = [
     "A_TEMME",
@@ -225,6 +227,8 @@ def _temme_log_pq(a: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
     Q = e^(-t^2) (erfcx(t)/2 + corr) and P = e^(-t^2) (erfcx(-t)/2 - corr);
     the one on the tail side of t is taken in that log form, the other as
     log1p of minus the first."""
+    from scipy.special import erfcx
+
     lam = z / a
     eta = _eta(lam)
     t = eta * np.sqrt(0.5 * a)
@@ -240,6 +244,8 @@ def _log_q_contfrac(a: np.ndarray, z: float) -> np.ndarray:
     Q = z^a e^-z / Gamma(a) / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(z+5-a - ...))),
     by modified Lentz.  Where Q is below double range it converges in ~15
     steps."""
+    from scipy.special import gammaln
+
     b = z + 1.0 - a
     c = np.full_like(a, np.inf)
     d = 1.0 / b
@@ -259,6 +265,8 @@ def _log_q_contfrac(a: np.ndarray, z: float) -> np.ndarray:
 def _scipy_log_pq(a: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
     """log P, log Q from scipy; below double range, the tail side in log form:
     P = z^a e^-z / Gamma(a+1) M(1, a+1, z) (Kummer) or the continued fraction."""
+    from scipy.special import gammainc, gammaincc, gammaln, hyp1f1
+
     log_p = np.log(gammainc(a, z))
     log_q = np.log(gammaincc(a, z))
     tail = log_p < _LOG_TINY

@@ -167,9 +167,12 @@ def mp_bulk_coeffs(b, alpha, r, u, dps=30):
         def G(t):
             return (1 - s) * mp.e ** (-t * t) / mp.sqrt(mppi) / (mp.erfc(-t) / 2 + s * mp.erfc(t) / 2)
 
-        # breakpoints at the integers: G turns over near erfc(|t|)/2 = e^u
-        half = list(range(0, 11)) + [mp.inf]
-        full = [-mp.inf] + list(range(-10, 11)) + [mp.inf]
+        # breakpoints at the integers up to 10 and around sqrt(|u|): G turns
+        # over near erfc(|t|)/2 = e^-|u|, and for |u| >~ 100 that lies past 10
+        kink = int(math.sqrt(abs(u)))
+        ends = sorted(set(range(0, 11)) | set(range(max(kink - 3, 0), kink + 5)))
+        half = ends + [mp.inf]
+        full = [-mp.inf] + [-t for t in reversed(ends[1:])] + ends + [mp.inf]
         C2 = sqrt2 * bb * rb * mpquad(lambda t: F(t, s) + F(t, si), half)
         C3 = (
             -(mpf(1) / 2 + aa) * uu

@@ -185,6 +185,32 @@ def test_bulk_coefficients_at_large_negative_u(u):
     assert (C.C2, C.C3, C.C4) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("u", [710.0, -710.0, 800.0, -800.0])
+def test_bulk_coefficients_past_exp_overflow(u):
+    # e^|u| overflows a float past |u| ~ 709.78 (and erfc flushes to 0 where
+    # e^|u| erfc still counts): the kernel takes that side in log form instead
+    # of raising OverflowError from math.expm1
+    params = EnsembleParams(b=1.0, alpha=0.0, n=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C = theorem_coefficients(params, DiskSystem([Disk.fixed(0.6, u)]))
+    want = oracles.mp_bulk_coeffs(1.0, 0.0, 0.6, u)
+    assert (C.C2, C.C3, C.C4) == pytest.approx(want, rel=1e-9)
+    assert math.isfinite(C.quad_error)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_coefficients_continuous_across_exp_overflow(sign):
+    # both forms of the kernel agree where the log form takes over, for a
+    # bulk disk and the edge disk alike
+    params = EnsembleParams(b=1.5, alpha=0.5, n=10)
+    below, above = (sign * (asym._LOG_FORM_U + d) for d in (-1e-9, 1e-9))
+    for make in (lambda u: Disk.fixed(0.5, u), lambda u: Disk.edge(0.3, u)):
+        lo = theorem_coefficients(params, DiskSystem([make(below)]))
+        hi = theorem_coefficients(params, DiskSystem([make(above)]))
+        assert (hi.C1, hi.C2, hi.C3, hi.C4) == pytest.approx((lo.C1, lo.C2, lo.C3, lo.C4), rel=1e-10)
+
+
 @st.composite
 def _coeff_configs(draw):
     b = draw(st.floats(0.3, 3.0))

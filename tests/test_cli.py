@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import mlcounts
 from mlcounts.cli import main
 
 
@@ -290,3 +294,70 @@ def test_cumulants_exact_one_profile(capsys, monkeypatch):
         (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)
     ]
     assert [e["multi_index"] for e in entries[6:]] == [[1, 1], [2, 1]]
+
+
+# Run in a fresh interpreter: the package and the sample, zn and verify-clt
+# paths never load scipy.special; mgf-exact does, which shows the check bites.
+_SCIPY_GUARD = r"""
+import contextlib, importlib, io, pkgutil, sys
+
+import mlcounts
+
+assert "scipy.special" not in sys.modules, "import mlcounts"
+for info in pkgutil.iter_modules(mlcounts.__path__):
+    if info.name != "__main__":
+        importlib.import_module("mlcounts." + info.name)
+assert "scipy.special" not in sys.modules, "importing every mlcounts module"
+
+from mlcounts.cli import main
+
+base = ["--b", "1", "--alpha", "0", "--n", "1000"]
+runs = [
+    ["sample", *base, "--disk", "r=0.6", "--num-samples", "300", "--seed", "3"],
+    ["sample", *base, "--disk", "r=0.6", "--disk", "r=0.8", "--num-samples", "300",
+     "--seed", "4", "--format", "csv"],
+    ["zn", "--b", "0.5", "--alpha", "0", "--n", "1000"],
+    ["verify-clt", *base, "--bulk-r", "0.6", "--s", "0", "--num-samples", "600",
+     "--seed", "5", "--tol", "10"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "scipy.special" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["mgf-exact", *base, "--disk", "r=0.6,u=0.8"]) == 0
+assert "scipy.special" in sys.modules, "mgf-exact"
+"""
+
+# stdout of the scipy-backed subcommands, byte for byte, from before their
+# scipy imports moved into the functions that call them
+_SCIPY_OUTPUTS = {
+    ("mgf-exact", "--b", "1", "--alpha", "0", "--n", "1000", "--disk", "r=0.6,u=0.8"):
+        '{"params": {"b": 1.0, "alpha": 0.0, "n": 1000}, "disks": [{"radius": 0.6, "kind": '
+        '"bulk", "u": 0.8}], "log_mgf": 291.4231425827725}\n',
+    ("mgf-exact", "--b", "1.5", "--alpha", "0.5", "--n", "10000", "--disk", "r=0.5,u=-40",
+     "--disk", "r=0.7,u=2"):
+        '{"params": {"b": 1.5, "alpha": 0.5, "n": 10000}, "disks": [{"radius": 0.5, "kind": '
+        '"bulk", "u": -40.0}, {"radius": 0.7, "kind": "bulk", "u": 2.0}], "log_mgf": '
+        '-53378.21712752413}\n',
+    ("coeffs", "--b", "1", "--alpha", "0", "--disk", "r=0.6,u=0.8", "--disk", "s=0.3,u=0.5"):
+        '{"params": {"b": 1.0, "alpha": 0.0, "n": 1}, "C1": 0.788, "C2": 0.017108227013463498, '
+        '"C3": -0.01453660649992583, "C4": -0.004372502965520893, "quad_error": '
+        '5.58887246378259e-15, "per_disk_breakdown": [{"index": 0, "kind": "bulk", "C1": 0.288, '
+        '"C2": 0.10802163821933415, "C3": 0.00779786394093529, "C4": -0.019052313702068224}, '
+        '{"index": 1, "kind": "edge", "C1": 0.5, "C2": -0.09091341120587065, "C3": '
+        '-0.02233447044086112, "C4": 0.014679810736547332}]}\n',
+}
+
+
+def test_scipy_special_loaded_only_by_its_evaluators():
+    src = os.path.dirname(os.path.dirname(mlcounts.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    guard = subprocess.run([sys.executable, "-c", _SCIPY_GUARD], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert guard.returncode == 0, guard.stderr
+    for argv, want in _SCIPY_OUTPUTS.items():
+        proc = subprocess.run([sys.executable, "-m", "mlcounts", *argv], env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want.encode()

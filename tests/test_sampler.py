@@ -2,9 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
-from mlcounts.exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact, mean_var_exact
-from mlcounts.sampler import mc_cumulants, sample_counts
+from mlcounts.exact import (
+    Disk,
+    DiskSystem,
+    EnsembleParams,
+    bernoulli_profile,
+    log_mgf_exact,
+    mean_var_exact,
+)
+from mlcounts.sampler import SAMPLE_BLOCK, mc_cumulants, sample_counts
 from mlcounts.specfun import reg_lower_gamma
 
 
@@ -13,24 +23,29 @@ def _disks(*radii):
 
 
 def test_reproducible_and_order_independent():
+    # four blocks, so that threads=4 runs blocks in parallel
     params = EnsembleParams(b=1.0, alpha=0.0, n=50)
     disks = _disks(0.4, 0.8)
-    a = sample_counts(params, disks, 200, seed=123)
-    b = sample_counts(params, disks, 200, seed=123)
+    S = 3 * SAMPLE_BLOCK + 40
+    a = sample_counts(params, disks, S, seed=123)
+    b = sample_counts(params, disks, S, seed=123)
     np.testing.assert_array_equal(a.counts, b.counts)
-    c = sample_counts(params, disks, 200, seed=123, threads=4)
+    c = sample_counts(params, disks, S, seed=123, threads=4)
     np.testing.assert_array_equal(a.counts, c.counts)
-    d = sample_counts(params, disks, 200, seed=124)
+    d = sample_counts(params, disks, S, seed=124)
     assert np.any(d.counts != a.counts)
 
 
 def test_prefix_stability():
-    # sample s depends only on (seed, s): a longer run extends a shorter one
+    # sample s depends only on (seed, s): a longer run extends a shorter one,
+    # also when the shorter one stops inside a block and the longer one
+    # crosses that block's end
     params = EnsembleParams(b=2.0, alpha=0.5, n=30)
     disks = _disks(0.5)
-    short = sample_counts(params, disks, 50, seed=9)
-    long = sample_counts(params, disks, 150, seed=9)
-    np.testing.assert_array_equal(short.counts, long.counts[:50])
+    long = sample_counts(params, disks, 3 * SAMPLE_BLOCK + 5, seed=9)
+    for S in (50, SAMPLE_BLOCK + 50):
+        short = sample_counts(params, disks, S, seed=9)
+        np.testing.assert_array_equal(short.counts, long.counts[:S])
 
 
 def test_counts_nested_and_bounded():
@@ -71,19 +86,91 @@ def test_empirical_mgf_matches_exact():
     assert abs(emp / want - 1.0) <= 5.0 / math.sqrt(batch.num_samples)
 
 
-def test_gamma_stream_ks():
-    # the documented stream contract: sample i uses Philox key [seed, i];
-    # for n=1 the single draw is Gamma((1+alpha)/b, 1), checked by KS
-    b, alpha, seed, S = 1.0, 0.0, 77, 100_000
-    draws = np.empty(S)
-    for i in range(S):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        draws[i] = rng.standard_gamma((1 + alpha) / b)
-    draws.sort()
-    cdf = np.array([reg_lower_gamma((1 + alpha) / b, g) for g in draws[:: S // 1000]])
-    ks = np.max(np.abs(cdf - np.linspace(0, 1, len(cdf), endpoint=False)))
-    # KS critical value at significance 1e-3 (subsampled grid is conservative)
-    assert ks <= 1.949 / math.sqrt(len(cdf)) + 0.01
+def test_block_stream_contract():
+    # the documented stream contract: block k (samples k*SAMPLE_BLOCK onward)
+    # draws its (block, w) gammas on the w window rows of the exact engine
+    # from one Philox stream keyed (seed, k); rows below the window count as
+    # inside, rows above as outside
+    params = EnsembleParams(b=1.5, alpha=0.3, n=2000)
+    disks = _disks(0.5, 0.6)
+    seed, S = 77, 2 * SAMPLE_BLOCK + 100
+    batch = sample_counts(params, disks, S, seed=seed)
+    prof = bernoulli_profile(params, disks)  # at u = 0 its window is the sampler's
+    assert prof.ones[0] > 0 and prof.rows[-1] < params.n - 1
+    shapes = (prof.rows + 1 + params.alpha) / params.b
+    z = params.n * prof.radii ** (2.0 * params.b)
+    for k in range(3):
+        lo, hi = k * SAMPLE_BLOCK, min((k + 1) * SAMPLE_BLOCK, S)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        g = rng.standard_gamma(shapes, size=(hi - lo, len(shapes)))
+        want = prof.ones + np.count_nonzero(g[:, :, None] < z, axis=1)
+        np.testing.assert_array_equal(batch.counts[lo:hi], want)
+
+
+def _poisson_binomial(probs):
+    """PMF of a sum of independent Bernoulli(probs) (Hong, CSDA 2013), O(w^2)."""
+    pmf = np.zeros(len(probs) + 1)
+    pmf[0] = 1.0
+    for m, q in enumerate(probs, start=1):
+        pmf[1 : m + 1] = pmf[1 : m + 1] * (1.0 - q) + pmf[:m] * q
+        pmf[0] *= 1.0 - q
+    return pmf
+
+
+def test_whole_distribution_matches_poisson_binomial():
+    # p = 1: the count is the saturated ones plus a Poisson-binomial sum over
+    # the window rows; chi-square over bins with >= 5 expected, tails merged
+    params = EnsembleParams(b=1.0, alpha=0.0, n=1000)
+    disks = _disks(0.6)
+    S = 100_000
+    prof = bernoulli_profile(params, disks)
+    pmf = _poisson_binomial(prof.Pw[:, 0])
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    batch = sample_counts(params, disks, S, seed=2013)
+    k = batch.counts[:, 0] - prof.ones[0]
+    assert k.min() >= 0 and k.max() <= len(prof.rows)
+    observed = np.bincount(k, minlength=len(pmf)).astype(float)
+    expected = S * pmf
+    keep = np.flatnonzero(expected >= 5.0)
+    lo, hi = keep[0], keep[-1]
+    obs = observed[lo : hi + 1].copy()
+    exp = expected[lo : hi + 1].copy()
+    obs[0] += observed[:lo].sum()
+    exp[0] += expected[:lo].sum()
+    obs[-1] += observed[hi + 1 :].sum()
+    exp[-1] += expected[hi + 1 :].sum()
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    assert len(obs) > 20
+    assert chi2.sf(stat, len(obs) - 1) > 1e-4
+
+
+@st.composite
+def _sample_configs(draw):
+    b = draw(st.floats(0.3, 3.0))
+    alpha = draw(st.floats(-0.9, 2.0))
+    n = draw(st.integers(1, 2000))
+    rstar = b ** (-1 / (2 * b))
+    p = draw(st.integers(1, 3))
+    scaled = sorted(draw(st.lists(st.floats(0.001, 3.0), min_size=p, max_size=p, unique=True)))
+    radii = [rstar * x for x in scaled]
+    if any(r2 - r1 <= 1e-9 * r2 for r1, r2 in zip(radii, radii[1:])):
+        radii = [rstar * (0.2 + 0.3 * i) for i in range(p)]
+    seed = draw(st.integers(-(2**63), 2**64 - 1))
+    return EnsembleParams(b=b, alpha=alpha, n=n), radii, seed
+
+
+@settings(max_examples=25, deadline=None)
+@given(_sample_configs())
+def test_counts_property_bounded_nested_thread_independent(config):
+    params, radii, seed = config
+    disks = _disks(*radii)
+    S = 2 * SAMPLE_BLOCK + 37
+    one = sample_counts(params, disks, S, seed=seed)
+    three = sample_counts(params, disks, S, seed=seed, threads=3)
+    np.testing.assert_array_equal(one.counts, three.counts)
+    assert one.counts.shape == (S, len(radii))
+    assert np.all(one.counts >= 0) and np.all(one.counts <= params.n)
+    assert np.all(np.diff(one.counts, axis=1) >= 0)
 
 
 def test_n2_joint_law_matches_density_oracle():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mlcounts.exact import Disk, DiskSystem, EnsembleParams
+from mlcounts.sampler import SAMPLE_BLOCK
 from mlcounts.verify import (
     BelowNoiseError,
     clt_experiment,
@@ -102,6 +103,8 @@ def test_clt_requires_samples():
 
 
 def test_clt_deterministic():
-    a = clt_experiment(_params(), [0.5], None, n=200, num_samples=1000, seed=7)
-    b = clt_experiment(_params(), [0.5], None, n=200, num_samples=1000, seed=7, threads=3)
+    # three blocks and a part, so that threads=3 runs blocks in parallel
+    S = 3 * SAMPLE_BLOCK + 17
+    a = clt_experiment(_params(), [0.5], None, n=200, num_samples=S, seed=7)
+    b = clt_experiment(_params(), [0.5], None, n=200, num_samples=S, seed=7, threads=3)
     np.testing.assert_allclose(a.covariance, b.covariance, rtol=0, atol=0)
