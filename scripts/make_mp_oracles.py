@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Freeze the slow mpmath oracle values that the test suite checks against.
+
+Writes tests/data/mp_oracles.json with two tables:
+
+* ``bulk_coeffs``: (C2, C3, C4) of one bulk disk (b = 1, alpha = 0, r = 0.6)
+  at large |u|, from the 30-digit whole-line quadrature
+  ``tests/oracles.py::mp_bulk_coeffs``;
+* ``exact_cumulants``: joint cumulants of orders 7-12 for two overlapping
+  disks (b = 1, alpha = 0, n = 1000, r = 0.6, 0.63), 50-digit ``mp.diff``
+  derivatives from ``tests/oracles.py::mp_joint_cumulants`` on the window
+  rows of the exact engine's profile.
+
+The tests keep one live spot check of each table, so a stale file fails.
+
+Run from the repository root:  python3 scripts/make_mp_oracles.py
+"""
+
+import json
+import pathlib
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+import oracles  # noqa: E402
+from mlcounts.exact import Disk, DiskSystem, EnsembleParams, bernoulli_profile  # noqa: E402
+
+BULK = {"b": 1.0, "alpha": 0.0, "r": 0.6, "u": [-30.0, -40.0, -50.0, 710.0, -710.0, 800.0, -800.0]}
+EXACT = {
+    "b": 1.0,
+    "alpha": 0.0,
+    "n": 1000,
+    "radii": [0.6, 0.63],
+    "orders": [[7, 0], [0, 8], [9, 0], [12, 0], [0, 12], [3, 4], [5, 5], [2, 9], [1, 11], [4, 8],
+               [6, 6]],
+}
+
+
+def _key(values) -> str:
+    return ",".join(repr(v) for v in values)
+
+
+def main() -> None:
+    t0 = time.time()
+    bulk = {}
+    for u in BULK["u"]:
+        bulk[repr(u)] = oracles.mp_bulk_coeffs(BULK["b"], BULK["alpha"], BULK["r"], u)
+        print(f"bulk u = {u} done ({time.time() - t0:.1f}s)", flush=True)
+    params = EnsembleParams(b=EXACT["b"], alpha=EXACT["alpha"], n=EXACT["n"])
+    profile = bernoulli_profile(params, DiskSystem([Disk.fixed(r) for r in EXACT["radii"]]))
+    exact = {}
+    for k in EXACT["orders"]:
+        exact[_key(k)] = oracles.mp_joint_cumulants(profile.Pw, [k])[0]
+        print(f"exact {k} done ({time.time() - t0:.1f}s)", flush=True)
+    out = {
+        "bulk_coeffs": {**{k: v for k, v in BULK.items() if k != "u"}, "dps": 30, "values": bulk},
+        "exact_cumulants": {**{k: v for k, v in EXACT.items() if k != "orders"}, "dps": 50,
+                            "values": exact},
+    }
+    target = ROOT / "tests" / "data" / "mp_oracles.json"
+    target.write_text(json.dumps(out, indent=1) + "\n")
+    print("wrote", target)
+
+
+if __name__ == "__main__":
+    main()

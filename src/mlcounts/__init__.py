@@ -33,17 +33,7 @@ from .exact import (
     mean_var_exact,
 )
 from .sampler import McCumulants, SampleBatch, mc_cumulants, sample_counts
-from .specfun import (
-    EtaValue,
-    GammaRegime,
-    erfc,
-    eta_of_lambda,
-    gamma_regime,
-    log_barnes_g,
-    log_gamma,
-    reg_lower_gamma,
-    temme_R,
-)
+from .specfun import GammaRegime, gamma_regime, log_barnes_g, reg_lower_gamma
 from .verify import (
     BelowNoiseError,
     CltResult,

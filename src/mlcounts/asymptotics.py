@@ -12,10 +12,11 @@ edge at scale s/sqrt(n)), and outside disks each contribute their own terms.
 Each regime's (C1, C2, C3, C4) is written once and runs over a kernel that
 returns F(t, e^u), F(t, e^-u), G(t, e^u) and G(t, e^u)^2 on a t-array,
 either as values at u (the log-MGF) or as exact j-th u-derivatives at u = 0
-(the cumulant coefficients).  The derivatives need no numerical
-differentiation: F(t, e^u) and G(t, e^u) are rational/log compositions of
-e^u - 1, so their Taylor coefficients in u follow from truncated power-series
-arithmetic.
+(the cumulant coefficients, any order up to series.MAX_ORDER).  The
+derivatives need no numerical differentiation: F(t, e^u) is the cumulant
+generating function of a Bernoulli(erfc(t)/2) variable and G(t, e^u) a
+quotient of series in e^u - 1, both taken from the power-series engine in
+``series``.
 
 Every integral goes through `quad`: Gauss-Legendre on equal panels, with the
 panel count doubled until two successive rules agree to QUAD_RTOL; the
@@ -38,7 +39,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exact import DiskSystem, EnsembleParams
+from . import series
+from .exact import DiskSystem, EnsembleParams, support_radius
 from .specfun import ZETA_PRIME_MINUS_ONE, log_barnes_g
 
 __all__ = [
@@ -58,7 +60,6 @@ __all__ = [
     "zn_expansion",
 ]
 
-ORDER_MAX = 6
 TAIL_T = math.sqrt(-math.log(1e-16)) + 2.0  # ~8.07
 QUAD_PANELS = 8  # panels of the first rule on every interval
 QUAD_RTOL = 1e-13  # successive rules agree to this, relative to max(1, |value|)
@@ -70,9 +71,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # flushes to 0 below ~e^-708, and from |u| ~ 670 on, e^|u| times what it drops
 # is no longer negligible (e^|u| itself overflows past log(DBL_MAX) ~ 709.78)
 _LOG_FORM_U = 600.0
-_FACT = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0)
-# Taylor coefficients of e^u - 1
-_EXPM1_COEF = np.array([0.0, 1.0, 0.5, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720])
 
 
 # ---------------------------------------------------------------------------
@@ -145,50 +143,34 @@ def G_func(t: float, s: float) -> float:
     return float(_value_kernel(math.log(s)).arrays(np.float64(t))[2])
 
 
-def _f_series(c: np.ndarray, sign: float) -> list[np.ndarray]:
-    """Taylor coefficients in u of log(1 + c (e^{sign u} - 1)), orders 0..6."""
-    q = [np.ones_like(c)]
-    sgn = 1.0
-    for k in range(1, ORDER_MAX + 1):
-        sgn *= sign
-        q.append(c * _EXPM1_COEF[k] * sgn)
-    ell = [np.zeros_like(c)]
-    # from L' Q = Q':  (k+1) l_{k+1} = (k+1) q_{k+1} - sum_i (i+1) l_{i+1} q_{k-i}
-    for k in range(ORDER_MAX):
-        acc = (k + 1) * q[k + 1]
-        for i in range(k):
-            acc = acc - (i + 1) * ell[i + 1] * q[k - i]
-        ell.append(acc / (k + 1))
-    return ell
-
-
-def _g_series(c: np.ndarray, g0: np.ndarray) -> list[np.ndarray]:
-    """Taylor coefficients in u of G(t, e^u) = g0 (1 - e^u)/(1 + c(e^u - 1))."""
-    q = [None] + [c * _EXPM1_COEF[k] for k in range(1, ORDER_MAX + 1)]
-    r = []
-    for k in range(ORDER_MAX + 1):
-        acc = np.full_like(c, -_EXPM1_COEF[k])
-        for i in range(k):
-            acc = acc - r[i] * q[k - i]
-        r.append(acc)
-    return [g0 * rk for rk in r]
-
-
 def _derivative_kernel(j: int) -> _Kernel:
-    """The kernel as exact j-th u-derivatives at u = 0 (j <= ORDER_MAX)."""
+    """The kernel as exact j-th u-derivatives at u = 0 (j <= MAX_ORDER).
+
+    With c = erfc(t)/2, the j-th derivative F_j of
+    F(t, e^u) = log(1 + c(e^u - 1)) is the Bernoulli cumulant kappa_j(c);
+    F(t, e^-u) gives (-1)^j F_j, so the parity zeros of F(t, e^u) +- F(t, e^-u)
+    are exact.  G(t, e^u) = -g0 (e^u - 1)/(1 + c(e^u - 1)),
+    g0 = e^(-t^2)/sqrt(pi), is a quotient of series.  All are built at |t|, where c <= 1/2 and nothing cancels, and
+    reflected (c -> 1 - c): F_j(-t) = [j = 1] + (-1)^j F_j(t),
+    G_j(-t) = (-1)^(j+1) G_j(t), (G^2)_j(-t) = (-1)^j (G^2)_j(t).
+    """
     from scipy.special import erfc
 
+    expm1 = series.inverse_factorials(j)
+    expm1[0] = 0.0  # e^u - 1
+    fact = math.factorial(j)
+
     def arrays(t):
-        c = erfc(t) / 2.0
-        gs = _g_series(c, np.exp(-t * t) / _SQRT_PI)
+        c = erfc(np.abs(t)) / 2.0
+        kappa = series.cumulants((j,), lambda a: c) if j else np.zeros_like(c)
+        g0 = np.exp(-t * t) / _SQRT_PI
+        gs = [g0 * r for r in series.quotient(-expm1, [1.0, *(c * e for e in expm1[1:])])]
         g_sq = sum(gs[i] * gs[j - i] for i in range(j + 1))
-        fact = _FACT[j]
-        return (
-            _f_series(c, 1.0)[j] * fact,
-            _f_series(c, -1.0)[j] * fact,
-            gs[j] * fact,
-            g_sq * fact,
-        )
+        flip = t < 0.0
+        sign = np.where(flip, (-1.0) ** j, 1.0)
+        f_plus = np.where(flip, float(j == 1), 0.0) + sign * kappa
+        g = np.where(flip, -sign, 1.0) * gs[j]
+        return f_plus, (-1) ** j * f_plus, g * fact, sign * g_sq * fact
 
     return _Kernel(arrays, float(j == 1), TAIL_T)
 
@@ -398,14 +380,14 @@ class CumulantSeries:
 
 
 def _check_order(j: int) -> None:
-    if not (isinstance(j, int) and 1 <= j <= ORDER_MAX):
-        raise ValueError(f"cumulant order must be an integer in 1..{ORDER_MAX}, got {j!r}")
+    if not (isinstance(j, int) and 1 <= j <= series.MAX_ORDER):
+        raise ValueError(f"cumulant order must be an integer in 1..{series.MAX_ORDER}, got {j!r}")
 
 
 def bulk_cumulant_coeffs(j: int, b: float, alpha: float, r: float) -> CumulantSeries:
     """Coefficients (c_j, d_j, e_j) for a fixed disk strictly inside the bulk."""
     _check_order(j)
-    rstar = b ** (-1.0 / (2.0 * b))
+    rstar = support_radius(b)
     if not 0 < r < rstar:
         raise ValueError(f"bulk radius must satisfy 0 < r < {rstar}, got {r!r}")
     coeffs, err = _bulk(b, alpha, r, _derivative_kernel(j))

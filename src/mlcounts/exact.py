@@ -12,7 +12,9 @@ where P_jl = P((j+alpha)/b, n r_l^(2b)) is the regularized lower incomplete
 gamma function and omega_l are exponential jump weights built from the u's.
 Equivalently each particle j lands in annulus l with probability
 q_jl = P_jl - P_j,l-1, independently of all others; that categorical
-representation drives the exact cumulants here and the sampler.
+representation drives the sampler, and the exact cumulants (any total order
+up to series.MAX_ORDER) sum the per-row cumulants that ``series.cumulants``
+builds from its moments, which are columns of P.
 
 Only an O(sqrt n) window of rows around j ~ b n r_l^(2b) has P_jl away from
 0 and 1.  The profile evaluates that window; every other row is saturated
@@ -23,7 +25,6 @@ closed form.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import series
 from .specfun import SATURATED_LOG_PREFACTOR, log_prefactor, log_reg_gamma_pq
 
 __all__ = [
@@ -47,13 +49,24 @@ __all__ = [
     "mean_var_exact",
     "omega_weights",
     "saturation_window",
+    "support_radius",
 ]
-
-MAX_CUMULANT_ORDER = 6
 
 # Radii closer than this (relative) are treated as equal, which is an input
 # error: the product identity needs strictly increasing radii.
 _RADII_DISTINCT_RTOL = 1e-12
+
+
+def support_radius(b: float) -> float:
+    """Edge of the equilibrium support, b^(-1/(2b)), for b > 0.  Raises
+    ValueError where it is not a finite float (b below ~0.0039)."""
+    try:
+        r = b ** (-1.0 / (2.0 * b))
+    except (OverflowError, ZeroDivisionError):
+        r = math.inf
+    if not (isinstance(r, float) and math.isfinite(r)):
+        raise ValueError(f"support radius b^(-1/(2b)) is not finite for b = {b!r}")
+    return r
 
 
 @dataclass(frozen=True)
@@ -71,11 +84,12 @@ class EnsembleParams:
             raise ValueError(f"alpha must be finite and > -1, got {self.alpha!r}")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        support_radius(self.b)  # raises where b^(-1/(2b)) leaves double range
 
     @property
     def support_radius(self) -> float:
         """Edge of the equilibrium support, b^(-1/(2b))."""
-        return self.b ** (-1.0 / (2.0 * self.b))
+        return support_radius(self.b)
 
 
 @dataclass(frozen=True)
@@ -144,7 +158,7 @@ class DiskSystem:
         A fixed radius within 1e-12 (relative) of the support edge counts as
         an edge disk with s = 0.
         """
-        rstar = b ** (-1.0 / (2.0 * b))
+        rstar = support_radius(b)
         kinds = []
         s_frak = None
         for d in self.disks:
@@ -383,54 +397,10 @@ def _normalize_orders(orders: Sequence, p: int) -> list[tuple[int, ...]]:
             raise ValueError(f"multi-index {k} does not match p={p} disks")
         if any(v < 0 for v in k) or sum(k) < 1:
             raise ValueError(f"invalid cumulant multi-index {k}")
-        if sum(k) > MAX_CUMULANT_ORDER:
-            raise ValueError(
-                f"total order {sum(k)} exceeds supported maximum {MAX_CUMULANT_ORDER}"
-            )
+        if sum(k) > series.MAX_ORDER:
+            raise ValueError(f"total order {sum(k)} exceeds supported maximum {series.MAX_ORDER}")
         normalized.append(k)
     return normalized
-
-
-def _per_particle_cumulant(k: tuple[int, ...], P: np.ndarray) -> np.ndarray:
-    """Joint cumulant of the indicator vector of particle j, for every j.
-
-    The indicators v_l = 1{particle in D_rl} satisfy
-    E[prod_{l in S} v_l^(anything)] = P[:, min(S)], so every mixed moment is a
-    single profile column and the multivariate moment-to-cumulant recursion
-    closes over columns of P.
-    """
-    n = P.shape[0]
-
-    def moment(idx: tuple[int, ...]) -> np.ndarray:
-        support = [i for i, v in enumerate(idx) if v > 0]
-        if not support:
-            return np.ones(n)
-        return P[:, min(support)]
-
-    memo: dict[tuple[int, ...], np.ndarray] = {}
-
-    def kappa(idx: tuple[int, ...]) -> np.ndarray:
-        if idx in memo:
-            return memo[idx]
-        i0 = next(i for i, v in enumerate(idx) if v > 0)
-        rest = list(idx)
-        rest[i0] -= 1
-        total = moment(idx).copy()
-        # kappa(k) = m(k) - sum_{l < k-e} C(k-e, l) kappa(l+e) m(k-e-l)
-        for sub in itertools.product(*(range(v + 1) for v in rest)):
-            if list(sub) == rest:
-                continue
-            comb = 1.0
-            for v, s in zip(rest, sub):
-                comb *= math.comb(v, s)
-            lead = list(sub)
-            lead[i0] += 1
-            complement = tuple(v - s for v, s in zip(rest, sub))
-            total -= comb * kappa(tuple(lead)) * moment(complement)
-        memo[idx] = total
-        return total
-
-    return kappa(k)
 
 
 def _mean(profile: BernoulliProfile, l: int) -> float:
@@ -447,11 +417,12 @@ def joint_cumulants_exact(
 ) -> list[float]:
     """Exact joint cumulants at u = 0 for the requested multi-indices.
 
-    Orders 1 and 2 use the Bernoulli closed forms; higher orders run the
-    exact categorical moment-to-cumulant recursion per particle (no finite
-    differencing anywhere).  Sums run over the window rows; a saturated row
-    is deterministic, so it adds its indicator to a mean and nothing to a
-    cumulant of order >= 2.
+    Orders 1 and 2 use the Bernoulli closed forms; higher orders sum over the
+    window the per-row cumulants of ``series.cumulants`` (no finite
+    differencing anywhere).  The indicators of nested disks have
+    E prod_{l in S} 1{particle in D_rl} = P[:, min S], so every moment is a
+    profile column.  A saturated row is deterministic: it adds its indicator
+    to a mean and nothing to a cumulant of order >= 2.
     """
     profile = bernoulli_profile(params, disks)
     norm = _normalize_orders(orders, profile.Pw.shape[1])
@@ -464,7 +435,11 @@ def joint_cumulants_exact(
         elif total_order == 2:
             out.append(_covariance(profile, min(support), max(support)))
         else:
-            out.append(math.fsum(_per_particle_cumulant(k, profile.Pw).tolist()))
+            kappa = series.cumulants(
+                [k[i] for i in support],
+                lambda a: profile.Pw[:, min(i for i, v in zip(support, a) if v)],
+            )
+            out.append(math.fsum(kappa.tolist()))
     return out
 
 

@@ -15,7 +15,7 @@ in one array pass:
 The uniform regime keeps two correction terms, R_a(eta) ~
 exp(-a eta^2/2)/sqrt(2 pi a) * (c0(eta) + c1(eta)/a), which caps its accuracy
 at ~|c2|/(a^2 sqrt(2 pi a)); A_TEMME = 20000 keeps that below 3e-14 absolute.
-Also: scalar erfc, log-gamma, the eta map, ``gamma_regime`` (the classical
+Also: ``reg_lower_gamma`` (one scalar P), ``gamma_regime`` (the classical
 regime of (a, z), for diagnostics) and log Barnes G.  All pure, thread-safe.
 scipy.special is imported inside the evaluators that call it, so importing
 this module (and the sampler and partition-function paths built on it) does
@@ -26,24 +26,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "A_TEMME",
     "SATURATED_LOG_PREFACTOR",
-    "EtaValue",
     "GammaRegime",
-    "erfc",
-    "eta_of_lambda",
     "gamma_regime",
     "log_barnes_g",
-    "log_gamma",
     "log_prefactor",
     "log_reg_gamma_pq",
     "reg_lower_gamma",
-    "temme_R",
 ]
 
 # Uniform-asymptotics threshold.  Tunable; must stay high enough that the
@@ -129,31 +123,6 @@ class GammaRegime(enum.Enum):
     FIXED_A_LARGE_Z = "fixed_a_large_z"
 
 
-@dataclass(frozen=True)
-class EtaValue:
-    """The Temme variable eta together with the ratio lambda = z/a.
-
-    sign(eta) = sign(lambda - 1) and eta^2/2 = lambda - 1 - log(lambda).
-    """
-
-    eta: float
-    lam: float
-
-
-def erfc(t: float) -> float:
-    """Complementary error function (2/sqrt(pi)) int_t^inf exp(-x^2) dx."""
-    if not math.isfinite(t):
-        raise ValueError(f"erfc requires finite t, got {t!r}")
-    return math.erfc(t)
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def _horner(coeffs, x):
     """sum_k coeffs[k] x^k, elementwise."""
     acc = coeffs[-1]
@@ -180,18 +149,12 @@ def _log1p_minus(x: np.ndarray) -> np.ndarray:
 
 @_QUIET
 def _eta(lam: np.ndarray) -> np.ndarray:
+    """eta with eta^2/2 = lambda - 1 - log(lambda), sign(eta) = sign(lambda - 1)."""
     x = lam - 1.0
     eta = np.copysign(np.sqrt(2.0 * _log1p_minus(x)), x)
     near = np.abs(x) < _ETA_SERIES_CUTOFF
     eta[near] = x[near] * _horner(_ETA_SERIES, x[near])
     return eta
-
-
-def eta_of_lambda(lam: float) -> EtaValue:
-    """Map lambda = z/a to eta with eta^2/2 = lambda - 1 - log(lambda)."""
-    if not lam > 0:
-        raise ValueError(f"eta_of_lambda requires lambda > 0, got {lam!r}")
-    return EtaValue(eta=float(_eta(np.array([lam], dtype=float))[0]), lam=lam)
 
 
 def log_prefactor(a: float, z: float) -> float:
@@ -211,14 +174,6 @@ def _temme_corr(a: np.ndarray, eta: np.ndarray, lam: np.ndarray) -> np.ndarray:
     c0[near] = _horner(_C0_TAYLOR, eta[near])
     c1[near] = _horner(_C1_TAYLOR, eta[near])
     return (c0 + c1 / a) / np.sqrt(2.0 * math.pi * a)
-
-
-def temme_R(a: float, eta: EtaValue) -> float:
-    """Two-term correction R_a(eta) of the uniform large-a expansion."""
-    if a < A_TEMME:
-        raise ValueError(f"temme_R requires a >= {A_TEMME}, got {a!r}")
-    corr = _temme_corr(np.float64(a), np.array([eta.eta]), np.array([eta.lam]))[0]
-    return math.exp(-0.5 * a * eta.eta * eta.eta) * float(corr)
 
 
 @_QUIET

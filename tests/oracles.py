@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the production code paths it checks:
 the MGF oracle integrates the radial one-fold integrals with mpmath
-quadrature (no incomplete gamma), derivative oracles use complex-step and
-Cauchy-circle differentiation, and the partition-function oracle evaluates
-both sides in 40-digit arithmetic.
+quadrature (no incomplete gamma), derivative oracles use complex-step,
+Cauchy-circle and 50-digit mpmath differentiation (never a
+moment-to-cumulant recursion), and the partition-function oracle evaluates
+both sides in 40-digit arithmetic.  The slow mpmath values are frozen in
+tests/data/mp_oracles.json by scripts/make_mp_oracles.py.
 """
 
 from __future__ import annotations
@@ -78,6 +80,53 @@ def complex_log_mgf_gradient(P, us):
         )
         grads.append(complex(np.sum((P @ domega) / denom)))
     return grads
+
+
+def mp_joint_cumulants(Pw, orders, dps=50):
+    """Joint cumulants kappa_k of the disk counts carried by the profile rows
+    Pw (w, p), as dps-digit ``mp.diff`` partial derivatives at u = 0 of
+    sum_j log sum_l q_jl e^(U_l).  The annulus probabilities come from the same
+    floats, q_j0 = P_j0, q_jl = P_jl - P_j,l-1, q_jp = 1 - P_j,p-1, and
+    U_l = u_l + ... + u_p; the sum of logs is taken as the log of the product,
+    so each evaluation costs one log."""
+    p = Pw.shape[1]
+    with mp.workdps(dps):
+        rows = []
+        for row in Pw.tolist():
+            P = [mpf(v) for v in row]
+            rows.append([P[0]] + [hi - lo for lo, hi in zip(P, P[1:])] + [1 - P[-1]])
+
+        def f(*u):
+            weights = [mp.exp(mp.fsum(u[l:])) for l in range(p)] + [mpf(1)]
+            prod = mpf(1)
+            for q in rows:
+                prod *= mp.fdot(q, weights)
+            return mplog(prod)
+
+        return [float(mp.diff(f, [0] * p, list(k))) for k in orders]
+
+
+def mp_kernel_derivatives(t, order, dps=50):
+    """j-th u-derivatives at u = 0, j = 0..order, of F(t, e^u), F(t, e^-u),
+    G(t, e^u) and G(t, e^u)^2 at one t, from dps-digit ``mp.taylor``, with
+    F = log(1 + c (e^u - 1)), G = -e^(-t^2)/sqrt(pi) (e^u - 1)/(1 + c (e^u - 1))
+    and c = erfc(t)/2.  Returns four lists of order + 1 values."""
+    with mp.workdps(dps):
+        tt = mpf(t)
+        c = mp.erfc(tt) / 2
+        g0 = mp.e ** (-tt * tt) / mp.sqrt(mppi)
+
+        def F(u):
+            return mplog(1 + c * mp.expm1(u))
+
+        def G(u):
+            return -g0 * mp.expm1(u) / (1 + c * mp.expm1(u))
+
+        out = []
+        for fn in (F, lambda u: F(-u), G, lambda u: G(u) ** 2):
+            coeffs = mp.taylor(fn, 0, order)
+            out.append([float(cf * mp.factorial(j)) for j, cf in enumerate(coeffs)])
+        return out
 
 
 def cumulants_by_complex_step(P, p, multi_indices, h=1e-20, delta=1e-150):

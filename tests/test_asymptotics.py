@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 import warnings
 
@@ -21,8 +23,18 @@ from mlcounts.asymptotics import (
     zn_expansion,
 )
 from mlcounts.exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact, log_partition_exact
+from mlcounts.series import MAX_ORDER
 
 import oracles
+
+FROZEN = json.loads((pathlib.Path(__file__).parent / "data" / "mp_oracles.json").read_text())
+
+
+def _frozen_bulk(u):
+    """(C2, C3, C4) of the bulk disk of mp_oracles.json at u (30-digit mpmath)."""
+    table = FROZEN["bulk_coeffs"]
+    assert (table["b"], table["alpha"], table["r"]) == (1.0, 0.0, 0.6)
+    return table["values"][repr(u)]
 
 
 # --- kernel functions ---------------------------------------------------------
@@ -62,10 +74,10 @@ def test_u_parity_of_symmetrized_F():
     # odd u-derivatives of F(t,e^u) + F(t,e^-u) vanish identically
     rng = random.Random(4)
     t = np.array([rng.uniform(-4, 4) for _ in range(50)])
-    for j in (1, 3, 5):
+    for j in range(1, MAX_ORDER + 1, 2):
         f_plus, f_minus, _, _ = asym._derivative_kernel(j).arrays(t)
         assert np.all(f_plus + f_minus == 0.0)
-    for j in (2, 4, 6):
+    for j in range(2, MAX_ORDER + 1, 2):
         f_plus, f_minus, _, _ = asym._derivative_kernel(j).arrays(t)
         assert np.all(f_plus - f_minus == 0.0)
 
@@ -81,6 +93,18 @@ def test_u_derivative_series_vs_complex_step():
         assert f_plus[i] == pytest.approx(cs, rel=1e-12, abs=1e-15)
         # and the G-series order 0 must equal G itself
         assert g[i] == pytest.approx(G_func(t, 1.0), abs=1e-15)
+
+
+def test_derivative_kernel_vs_mp_taylor():
+    # every order up to MAX_ORDER of F(t, e^u), F(t, e^-u), G and G^2 against
+    # 50-digit Taylor coefficients, to 1e-14 of each column's largest value
+    ts = np.array([-6.0, -3.1, -1.2, -0.3, 0.0, 0.45, 1.7, 3.3, 5.2, 7.9])
+    want = np.array([oracles.mp_kernel_derivatives(t, MAX_ORDER) for t in ts])  # (t, 4, j)
+    for j in range(MAX_ORDER + 1):
+        got = np.array(asym._derivative_kernel(j).arrays(ts))
+        ref = want[:, :, j].T
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale), j
 
 
 # --- theorem coefficients -----------------------------------------------------
@@ -181,8 +205,12 @@ def test_bulk_coefficients_at_large_negative_u(u):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         C = theorem_coefficients(params, DiskSystem([Disk.fixed(0.6, u)]))
-    want = oracles.mp_bulk_coeffs(1.0, 0.0, 0.6, u)
-    assert (C.C2, C.C3, C.C4) == pytest.approx(want, rel=1e-9)
+    assert (C.C2, C.C3, C.C4) == pytest.approx(_frozen_bulk(u), rel=1e-9)
+
+
+def test_frozen_bulk_oracle_is_current():
+    # one live evaluation of the 30-digit oracle behind the frozen table
+    assert oracles.mp_bulk_coeffs(1.0, 0.0, 0.6, -30.0) == pytest.approx(_frozen_bulk(-30.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("u", [710.0, -710.0, 800.0, -800.0])
@@ -194,8 +222,7 @@ def test_bulk_coefficients_past_exp_overflow(u):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         C = theorem_coefficients(params, DiskSystem([Disk.fixed(0.6, u)]))
-    want = oracles.mp_bulk_coeffs(1.0, 0.0, 0.6, u)
-    assert (C.C2, C.C3, C.C4) == pytest.approx(want, rel=1e-9)
+    assert (C.C2, C.C3, C.C4) == pytest.approx(_frozen_bulk(u), rel=1e-9)
     assert math.isfinite(C.quad_error)
 
 
@@ -272,9 +299,36 @@ def test_bulk_parity_structure():
 
 def test_bulk_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        bulk_cumulant_coeffs(7, 1.0, 0.0, 0.5)
+        bulk_cumulant_coeffs(MAX_ORDER + 1, 1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         bulk_cumulant_coeffs(1, 1.0, 0.0, 1.2)  # outside the bulk
+    with pytest.raises(ValueError, match=r"b = 1e-05"):
+        bulk_cumulant_coeffs(2, 1e-5, 0.0, 0.5)  # support radius past double range
+
+
+@st.composite
+def _parity_configs(draw):
+    b = draw(st.floats(0.3, 3.0))
+    alpha = draw(st.floats(-0.9, 2.0))
+    r = b ** (-1 / (2 * b)) * draw(st.floats(0.05, 0.95))
+    return b, alpha, r, draw(st.integers(1, MAX_ORDER))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_parity_configs())
+def test_bulk_parity_property(config):
+    # odd orders: c_j is exactly 0 and e_j vanishes; even orders: d_j vanishes
+    # ("vanishes": within 1e-10 of the nonzero coefficients, as criterion 07).
+    # e_j is b/r^b times integrals whose odd parts cancel, so its zero is
+    # measured on that scale too: at r = 0.05 r*, b = 3 (b/r^b = 4e4) the
+    # rounding left in e_11 is 2.7e-10
+    b, alpha, r, j = config
+    s = bulk_cumulant_coeffs(j, b, alpha, r)
+    if j % 2:
+        assert s.c == 0.0
+        assert abs(s.e) <= 1e-10 * max(1.0, abs(s.d), b / r**b)
+    else:
+        assert abs(s.d) <= 1e-10 * max(1.0, abs(s.c), abs(s.e))
 
 
 def test_expansion_derivatives_match_cumulant_series():

@@ -215,6 +215,31 @@ def test_non_finite_parameters_exit_2(capsys):
     assert code == 2
 
 
+def test_support_radius_overflow_exits_2(capsys):
+    # b^(-1/(2b)) leaves double range at b = 1e-5: a ValueError naming b,
+    # not the bare OverflowError of the power
+    code, out, err = run(
+        capsys, "mgf-exact", "--b", "1e-5", "--n", "10", "--disk", "r=0.5,u=1"
+    )
+    assert code == 2 and out == ""
+    assert "b = 1e-05" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "asymptotic"])
+def test_cumulant_orders_up_to_max_order(capsys, mode):
+    from mlcounts.series import MAX_ORDER
+
+    argv = ["cumulants", "--b", "1", "--n", "1000", "--disk", "r=0.6", "--mode", mode]
+    code, out, _ = run(capsys, *argv, "--orders", str(MAX_ORDER))
+    assert code == 0
+    payload = json.loads(out)
+    rows = payload["cumulants"] if mode == "exact" else payload["series"]
+    assert [row["order"] for row in rows] == [MAX_ORDER]
+    code, out, err = run(capsys, *argv, "--orders", str(MAX_ORDER + 1))
+    assert code == 2 and out == ""
+    assert str(MAX_ORDER) in err
+
+
 def test_non_positive_threads_exit_2(capsys, monkeypatch):
     argv = ["sample", "--b", "1", "--n", "10", "--disk", "r=0.5", "--num-samples", "4"]
     code, out, _ = run(capsys, *argv, "--threads", "-3")

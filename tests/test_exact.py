@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -17,7 +19,10 @@ from mlcounts.exact import (
     log_partition_exact,
     mean_var_exact,
     omega_weights,
+    support_radius,
 )
+from mlcounts import series
+from mlcounts.series import MAX_ORDER
 from mlcounts.specfun import log_reg_gamma_pq
 
 import oracles
@@ -50,6 +55,14 @@ def test_params_validation():
     assert EnsembleParams(b=2.0, alpha=0.0, n=3).support_radius == pytest.approx(
         2.0 ** (-0.25)
     )
+
+
+def test_support_radius_out_of_range_names_b():
+    # b^(-1/(2b)) overflows a float for b below ~0.0039
+    for make in (lambda: support_radius(1e-5), lambda: EnsembleParams(b=1e-5, alpha=0.0, n=10)):
+        with pytest.raises(ValueError, match=r"b = 1e-05"):
+            make()
+    assert support_radius(0.004) == pytest.approx(0.004 ** -125.0, rel=1e-12)
 
 
 def test_disk_validation():
@@ -260,8 +273,9 @@ def test_first_two_cumulants_closed_forms():
 def test_cumulants_order_cap():
     params = EnsembleParams(b=1.0, alpha=0.0, n=5)
     disks = DiskSystem([Disk.fixed(0.5)])
+    assert math.isfinite(joint_cumulants_exact(params, disks, [MAX_ORDER])[0])
     with pytest.raises(ValueError):
-        joint_cumulants_exact(params, disks, [7])
+        joint_cumulants_exact(params, disks, [MAX_ORDER + 1])
     with pytest.raises(ValueError):
         joint_cumulants_exact(params, disks, [(4, 3)])  # needs p=2 anyway
 
@@ -304,15 +318,48 @@ def test_higher_cumulants_vs_univariate_formulas():
     )
 
 
-def test_recursion_consistent_with_closed_forms():
-    from mlcounts.exact import _per_particle_cumulant
+def _row_cumulants(P, k):
+    """kappa_k of each row's nested disk indicators: E prod_{l in S} v_l = P[:, min S]."""
+    support = [i for i, v in enumerate(k) if v]
+    return series.cumulants(
+        [k[i] for i in support], lambda a: P[:, min(i for i, v in zip(support, a) if v)]
+    )
 
+
+def test_recursion_consistent_with_closed_forms():
     params = EnsembleParams(b=2.0, alpha=0.5, n=30)
     disks = DiskSystem([Disk.fixed(0.4), Disk.fixed(0.7)])
     prof = bernoulli_profile(params, disks)
-    rec = _per_particle_cumulant((1, 1), prof.P).sum()
+    rec = _row_cumulants(prof.P, (1, 1)).sum()
     closed = (prof.P[:, 0] * (1 - prof.P[:, 1])).sum()
     assert rec == pytest.approx(closed, rel=1e-12)
+
+
+_FROZEN = json.loads((pathlib.Path(__file__).parent / "data" / "mp_oracles.json").read_text())
+_ORACLE = _FROZEN["exact_cumulants"]
+
+
+def _oracle_case():
+    params = EnsembleParams(b=_ORACLE["b"], alpha=_ORACLE["alpha"], n=_ORACLE["n"])
+    return params, DiskSystem([Disk.fixed(r) for r in _ORACLE["radii"]])
+
+
+@pytest.mark.parametrize("key", sorted(_ORACLE["values"]))
+def test_high_order_cumulants_vs_mp_oracle(key):
+    # orders 7-12, univariate and mixed, against 50-digit mp.diff derivatives
+    # of sum_j log sum_l q_jl e^(U_l) on the same window rows
+    # (tests/oracles.py::mp_joint_cumulants, frozen by scripts/make_mp_oracles.py).
+    # Tolerance: 1e-12 relative through order 8, 1e-11 for orders 9-12, where
+    # per-row values of both signs cancel in the sum (3.1e-12 seen at (6, 6))
+    k = tuple(int(v) for v in key.split(","))
+    got = joint_cumulants_exact(*_oracle_case(), [k])[0]
+    assert got == pytest.approx(_ORACLE["values"][key], rel=1e-12 if sum(k) <= 8 else 1e-11, abs=0.0)
+
+
+def test_frozen_exact_oracle_is_current():
+    params, disks = _oracle_case()
+    live = oracles.mp_joint_cumulants(bernoulli_profile(params, disks).Pw, [(7, 0)])[0]
+    assert live == pytest.approx(_ORACLE["values"]["7,0"], rel=1e-12, abs=0.0)
 
 
 def test_mean_var_exact_properties():
@@ -352,14 +399,13 @@ def _brute_force(params, disks, orders):
     logs = [log_reg_gamma_pq(shapes, params.n * r ** (2 * params.b)) for r in res.radii]
     P = np.exp(np.column_stack([lp for lp, _ in logs]))
     Q = np.exp(np.column_stack([lq for _, lq in logs]))
-    from mlcounts.exact import _per_particle_cumulant
 
     p = len(res.radii)
     log_mgf = math.fsum(np.log1p(P @ omega_weights(res.u)).tolist())
     means = [math.fsum(P[:, l].tolist()) for l in range(p)]
     cov = [[math.fsum((P[:, min(i, k)] * Q[:, max(i, k)]).tolist()) for k in range(p)]
            for i in range(p)]
-    cums = [math.fsum(_per_particle_cumulant(k, P).tolist()) for k in orders]
+    cums = [math.fsum(_row_cumulants(P, k).tolist()) for k in orders]
     return log_mgf, means, cov, cums
 
 

@@ -8,96 +8,109 @@ import pytest
 
 from mlcounts.specfun import (
     A_TEMME,
-    EtaValue,
     GammaRegime,
-    erfc,
-    eta_of_lambda,
+    _eta,
+    _temme_corr,
     gamma_regime,
     log_barnes_g,
-    log_gamma,
     log_reg_gamma_pq,
     reg_lower_gamma,
-    temme_R,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-# --- erfc -------------------------------------------------------------------
+def _eta1(lam):
+    return float(_eta(np.array([lam]))[0])
+
+
+def _temme_R(a, lam):
+    """R_a(eta) = exp(-a eta^2/2) (c0 + c1/a)/sqrt(2 pi a), from the evaluator's pieces."""
+    eta = _eta(np.array([lam]))
+    return math.exp(-0.5 * a * eta[0] ** 2) * float(_temme_corr(np.float64(a), eta, np.array([lam]))[0])
+
+
+# --- erfc, as P and Q at shape 1/2 --------------------------------------------
+# erfc(t) = Q(1/2, t^2) for t >= 0 and 1 + P(1/2, t^2) for t < 0: the erfc
+# checks run through log_reg_gamma_pq
+
+
+def _erfc(t):
+    log_p, log_q = log_reg_gamma_pq(np.array([0.5]), t * t)
+    return math.exp(log_q[0]) if t >= 0 else 1.0 + math.exp(log_p[0])
 
 
 def test_erfc_at_zero():
-    assert erfc(0.0) == 1.0
+    assert _erfc(0.0) == 1.0
 
 
 def test_erfc_limits():
-    assert 0.0 <= erfc(30.0) < 1e-300
-    assert erfc(-30.0) == pytest.approx(2.0, abs=1e-15)
-    assert erfc(-5.0) < 2.0
+    assert 0.0 <= _erfc(30.0) < 1e-300
+    assert _erfc(-30.0) == pytest.approx(2.0, abs=1e-15)
+    assert _erfc(-5.0) < 2.0
 
 
 def test_erfc_spot_value():
     # 50-digit oracle: erfc(1) = 0.15729920705028513065877936491739...
-    assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-14)
+    assert _erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-14)
 
 
 def test_erfc_symmetry_sweep():
     rng = random.Random(1)
     for _ in range(300):
         t = rng.uniform(-8, 8)
-        assert erfc(t) + erfc(-t) == pytest.approx(2.0, abs=1e-14)
+        assert _erfc(t) + _erfc(-t) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_erfc_monotone():
     # strictly decreasing where both neighbours are representable away from
     # the saturated tails, weakly decreasing everywhere
     ts = [(-5.5 + 11.0 * k / 200) for k in range(201)]
-    vals = [erfc(t) for t in ts]
+    vals = [_erfc(t) for t in ts]
     assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
-    wide = [erfc(-12 + 24 * k / 100) for k in range(101)]
+    wide = [_erfc(-12 + 24 * k / 100) for k in range(101)]
     assert all(v2 <= v1 for v1, v2 in zip(wide, wide[1:]))
 
 
 def test_erfc_rejects_nan():
     with pytest.raises(ValueError):
-        erfc(float("nan"))
+        _erfc(float("nan"))
 
 
-# --- log_gamma --------------------------------------------------------------
+# --- log-gamma --------------------------------------------------------------
 
 
 def test_log_gamma_trivia():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-    assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
+    assert math.lgamma(1.0) == 0.0
+    assert math.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+    assert math.lgamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
 
 
 def test_log_gamma_domain():
+    # the evaluator rejects the shapes where log Gamma(a) is not that of a
+    # positive argument
     for bad in (0.0, -1.0, -0.5):
         with pytest.raises(ValueError):
-            log_gamma(bad)
+            log_reg_gamma_pq(np.array([bad]), 1.0)
 
 
 # --- eta mapping ------------------------------------------------------------
 
 
 def test_eta_fixed_points():
-    assert eta_of_lambda(1.0).eta == 0.0
-    ev = eta_of_lambda(2.0)
-    assert ev.eta == pytest.approx(math.sqrt(2.0 * (1.0 - math.log(2.0))), rel=1e-14)
-    assert ev.lam == 2.0
+    assert _eta1(1.0) == 0.0
+    assert _eta1(2.0) == pytest.approx(math.sqrt(2.0 * (1.0 - math.log(2.0))), rel=1e-14)
 
 
 def test_eta_series_branch():
     lam = 1.0 + 1e-8
-    ev = eta_of_lambda(lam)
     x = 1e-8
-    assert ev.eta == pytest.approx(x * (1 - x / 3.0), rel=1e-12)
+    assert _eta1(lam) == pytest.approx(x * (1 - x / 3.0), rel=1e-12)
 
 
 def test_eta_sign_convention():
-    assert eta_of_lambda(0.5).eta < 0
-    assert eta_of_lambda(1.5).eta > 0
+    assert _eta1(0.5) < 0
+    assert _eta1(1.5) > 0
 
 
 def test_eta_defining_identity_sweep():
@@ -105,11 +118,9 @@ def test_eta_defining_identity_sweep():
     rng = random.Random(2)
     lams = [rng.uniform(0.05, 6.0) for _ in range(200)]
     lams += [1 + s * 10.0**e for s in (1, -1) for e in range(-12, -1)]
-    for lam in lams:
-        if lam <= 0:
-            continue
-        ev = eta_of_lambda(lam)
-        lhs = 0.5 * ev.eta * ev.eta
+    eta = _eta(np.array(lams))
+    for lam, ev in zip(lams, eta):
+        lhs = 0.5 * ev * ev
         rhs = lam - 1.0 - math.log(lam)
         if rhs == 0.0:
             assert lhs == 0.0
@@ -118,31 +129,37 @@ def test_eta_defining_identity_sweep():
 
 
 def test_eta_domain():
+    # lambda = z/a: z = 0 is the exact edge P = 0, a negative z is rejected
+    log_p, log_q = log_reg_gamma_pq(np.array([3.0 * A_TEMME]), 0.0)
+    assert log_p[0] == -np.inf and log_q[0] == 0.0
     with pytest.raises(ValueError):
-        eta_of_lambda(0.0)
-    with pytest.raises(ValueError):
-        eta_of_lambda(-1.0)
+        log_reg_gamma_pq(np.array([3.0 * A_TEMME]), -3.0 * A_TEMME)
 
 
-# --- temme_R ----------------------------------------------------------------
+# --- Temme correction R_a ---------------------------------------------------
 
 
-def test_temme_R_below_threshold_rejected():
-    with pytest.raises(ValueError):
-        temme_R(100.0, eta_of_lambda(1.0))
+def test_temme_R_below_threshold_rejected(monkeypatch):
+    # only shapes from A_TEMME up reach the uniform expansion
+    import mlcounts.specfun as specfun
+
+    seen = []
+    real = specfun._temme_log_pq
+    monkeypatch.setattr(specfun, "_temme_log_pq", lambda a, z: (seen.extend(a), real(a, z))[1])
+    log_reg_gamma_pq(np.array([100.0, np.nextafter(A_TEMME, 0.0), A_TEMME]), 100.0)
+    assert seen == [A_TEMME]
 
 
 def test_temme_R_center_value():
     # c0(0) = -1/3, c1(0) = -1/540 give R ~ (-1/3 - 1/(540 a))/sqrt(2 pi a)
     a = 2.0 * A_TEMME
-    got = temme_R(a, eta_of_lambda(1.0))
+    got = _temme_R(a, 1.0)
     want = (-1.0 / 3.0 - 1.0 / (540.0 * a)) / math.sqrt(2.0 * math.pi * a)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_temme_R_vanishes_far_out():
-    a = A_TEMME
-    assert temme_R(a, eta_of_lambda(10.0)) == 0.0
+    assert _temme_R(A_TEMME, 10.0) == 0.0
 
 
 def test_temme_R_matches_oracle_gap():
@@ -152,9 +169,8 @@ def test_temme_R_matches_oracle_gap():
     for lam in (0.9, 0.999, 1.0, 1.004, 1.3):
         a = 3.0 * A_TEMME
         z = lam * a
-        ev = eta_of_lambda(lam)
-        want = 0.5 * math.erfc(-ev.eta * math.sqrt(a / 2.0)) - reference_reg_lower_gamma(a, z)
-        assert temme_R(a, ev) == pytest.approx(want, abs=5e-14)
+        want = 0.5 * math.erfc(-_eta1(lam) * math.sqrt(a / 2.0)) - reference_reg_lower_gamma(a, z)
+        assert _temme_R(a, lam) == pytest.approx(want, abs=5e-14)
 
 
 # --- reg_lower_gamma --------------------------------------------------------
@@ -282,7 +298,7 @@ def test_barnes_recurrence_sweep():
     for _ in range(50):
         z = rng.uniform(0.05, 30.0)
         lhs = log_barnes_g(z + 1.0)
-        rhs = log_gamma(z) + log_barnes_g(z)
+        rhs = math.lgamma(z) + log_barnes_g(z)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -301,8 +317,3 @@ def test_barnes_domain():
     with pytest.raises(ValueError):
         log_barnes_g(0.0)
 
-
-def test_eta_value_fields():
-    ev = eta_of_lambda(1.7)
-    assert isinstance(ev, EtaValue)
-    assert ev.lam == 1.7
