@@ -3,7 +3,8 @@
 
 Writes tests/data/gammainc_grid.json: 40 log-spaced a in [1, 1e6] x 40
 linearly spaced lambda in [0.25, 4], each entry P(a, lambda*a) evaluated by a
-50-digit series/continued-fraction computation (mpmath).  mpmath's own
+50-digit series/continued-fraction computation (mpmath,
+``tests/oracles.py::reference_reg_lower_gamma``).  mpmath's own
 gammainc is not used because its hypergeometric route stalls for a >~ 1e4.
 
 Run from the repository root:  python3 scripts/make_gammainc_oracle.py
@@ -16,9 +17,10 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
 
-from mlcounts.oracle import reference_reg_lower_gamma  # noqa: E402
+from oracles import reference_reg_lower_gamma  # noqa: E402
 
 A_POINTS = 40
 LAM_POINTS = 40
@@ -39,7 +41,7 @@ def main() -> None:
         "p": values,
         "dps": 50,
     }
-    target = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+    target = ROOT / "tests" / "data"
     target.mkdir(parents=True, exist_ok=True)
     with open(target / "gammainc_grid.json", "w") as fh:
         json.dump(out, fh)

@@ -9,15 +9,12 @@ determinantal point process with weight |z|^(2 alpha) exp(-n |z|^(2b))
 from .asymptotics import (
     CumulantSeries,
     ExpansionCoefficients,
-    F_func,
-    G_func,
     ZnExpansion,
     bulk_cumulant_coeffs,
     edge_cumulant_coeffs,
     edge_mean_coeffs,
     edge_var_coeffs,
     outside_cumulant_coeffs,
-    predict_log_mgf,
     theorem_coefficients,
     zn_expansion,
 )

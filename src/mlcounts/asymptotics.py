@@ -47,15 +47,12 @@ __all__ = [
     "CumulantSeries",
     "DiskContribution",
     "ExpansionCoefficients",
-    "F_func",
-    "G_func",
     "ZnExpansion",
     "bulk_cumulant_coeffs",
     "edge_cumulant_coeffs",
     "edge_mean_coeffs",
     "edge_var_coeffs",
     "outside_cumulant_coeffs",
-    "predict_log_mgf",
     "theorem_coefficients",
     "zn_expansion",
 ]
@@ -127,20 +124,6 @@ def _value_kernel(u: float) -> _Kernel:
         return f_plus, f_minus, g, g * g
 
     return _Kernel(arrays, u, math.sqrt(TAIL_T**2 + abs(u)))
-
-
-def F_func(t: float, s: float) -> float:
-    """F(t, s) = log(1 + (s-1) erfc(t)/2) for s > 0."""
-    if not s > 0:
-        raise ValueError(f"F_func requires s > 0, got {s!r}")
-    return float(_value_kernel(math.log(s)).arrays(np.float64(t))[0])
-
-
-def G_func(t: float, s: float) -> float:
-    """G(t, s) = dF/dt = (1-s)/(1 + (s-1) erfc(t)/2) * e^{-t^2}/sqrt(pi)."""
-    if not s > 0:
-        raise ValueError(f"G_func requires s > 0, got {s!r}")
-    return float(_value_kernel(math.log(s)).arrays(np.float64(t))[2])
 
 
 def _derivative_kernel(j: int) -> _Kernel:
@@ -350,12 +333,6 @@ def theorem_coefficients(params: EnsembleParams, disks: DiskSystem) -> Expansion
         quad_error=error,
         per_disk=tuple(per_disk),
     )
-
-
-def predict_log_mgf(params: EnsembleParams, disks: DiskSystem) -> float:
-    """C1 n + C2 sqrt(n) + C3 + C4/sqrt(n) at n = params.n."""
-    disks.resolve(params)  # surfaces ordering/resolvability errors early
-    return theorem_coefficients(params, disks).evaluate(params.n)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ import argparse
 import csv
 import io
 import json
-import math
-import os
 import sys
 
 import numpy as np
@@ -32,8 +30,6 @@ from .exact import (
 from .sampler import mc_cumulants, sample_counts
 
 __all__ = ["build_parser", "main"]
-
-_THREADS_ENV = "ML_COUNTS_THREADS"
 
 
 def _jsonable(obj):
@@ -110,13 +106,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise ValueError(f"expected an integer >= 1, got {text!r}")
     return value
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(_THREADS_ENV)
-    return _positive_int(env) if env else 1
 
 
 def _describe_disks(params: EnsembleParams, disks: DiskSystem) -> list[dict]:
@@ -253,7 +242,7 @@ def _cmd_zn(args) -> int:
 def _cmd_sample(args) -> int:
     params = _params_from(args)
     disks = _disks_from(args)
-    batch = sample_counts(params, disks, args.num_samples, args.seed, threads=_threads(args))
+    batch = sample_counts(params, disks, args.num_samples, args.seed, threads=args.threads)
     if args.format == "csv":
         p = batch.counts.shape[1]
         header = ["sample"] + [f"count_{i + 1}" for i in range(p)]
@@ -311,7 +300,7 @@ def _cmd_verify_clt(args) -> int:
         args.n,
         args.num_samples,
         args.seed,
-        threads=_threads(args),
+        threads=args.threads,
     )
     ok = result.max_abs_deviation <= args.tol
     payload = {
@@ -335,16 +324,6 @@ def _cmd_verify_clt(args) -> int:
     return 0 if ok else 3
 
 
-def _cmd_specfun_test(args) -> int:
-    from .oracle import accuracy_map
-
-    a_values = np.logspace(math.log10(args.a_min), math.log10(args.a_max), args.a_points)
-    lam_values = np.linspace(args.lam_min, args.lam_max, args.lam_points)
-    rows = accuracy_map(a_values, lam_values, dps=args.dps)
-    _emit(args, csv_rows=rows, csv_header=("a", "lambda", "regime", "abs_err_vs_oracle"))
-    return 0
-
-
 def _add_common(sub, n=True, disks=True) -> None:
     sub.add_argument("--b", type=float, required=True, help="potential exponent b > 0")
     sub.add_argument("--alpha", type=float, default=0.0, help="charge at the origin (> -1)")
@@ -361,8 +340,8 @@ def _add_common(sub, n=True, disks=True) -> None:
 
 
 def _add_threads(sub) -> None:
-    sub.add_argument("--threads", type=_positive_int, default=None,
-                     help=f"worker cap for sampling (default: ${_THREADS_ENV} or 1)")
+    sub.add_argument("--threads", type=_positive_int, default=1,
+                     help="worker cap for sampling (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,19 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--tol", type=float, default=0.05)
     s.set_defaults(handler=_cmd_verify_clt)
-
-    # diagnostic: accuracy map of the incomplete gamma evaluator vs a
-    # high-precision oracle (needs mpmath); intentionally undocumented above
-    s = subs.add_parser("specfun-test")
-    s.add_argument("--a-min", type=float, default=1.0)
-    s.add_argument("--a-max", type=float, default=1e6)
-    s.add_argument("--a-points", type=int, default=12)
-    s.add_argument("--lam-min", type=float, default=0.25)
-    s.add_argument("--lam-max", type=float, default=4.0)
-    s.add_argument("--lam-points", type=int, default=9)
-    s.add_argument("--dps", type=int, default=50)
-    s.add_argument("--out")
-    s.set_defaults(handler=_cmd_specfun_test)
 
     return parser
 

@@ -86,11 +86,6 @@ class EnsembleParams:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         support_radius(self.b)  # raises where b^(-1/(2b)) leaves double range
 
-    @property
-    def support_radius(self) -> float:
-        """Edge of the equilibrium support, b^(-1/(2b))."""
-        return support_radius(self.b)
-
 
 @dataclass(frozen=True)
 class Disk:
@@ -132,7 +127,6 @@ class ResolvedDisks:
     radii: np.ndarray  # (p,), strictly increasing
     kinds: tuple[str, ...]  # each "bulk" | "edge" | "outside"
     u: np.ndarray  # (p,)
-    s_frak: float | None  # edge parameter if an edge disk is present
 
     @property
     def p(self) -> int:
@@ -181,7 +175,7 @@ class DiskSystem:
 
     def resolve(self, params: EnsembleParams) -> ResolvedDisks:
         """Resolve edge radii at params.n and validate strict ordering."""
-        kinds, s_frak = self.classify(params.b)
+        kinds, _ = self.classify(params.b)
         radii = []
         for d in self.disks:
             if d.is_edge:
@@ -191,7 +185,16 @@ class DiskSystem:
                         f"edge disk unresolvable at n={params.n}: "
                         f"1 + sqrt(2b) s/sqrt(n) = {factor!r} <= 0"
                     )
-                radii.append(params.support_radius * factor ** (1.0 / (2.0 * params.b)))
+                try:
+                    r = support_radius(params.b) * factor ** (1.0 / (2.0 * params.b))
+                except OverflowError:
+                    r = math.inf
+                if not math.isfinite(r):
+                    raise ValueError(
+                        f"edge disk s = {d.s!r} has no finite radius at "
+                        f"b = {params.b!r}, n = {params.n}"
+                    )
+                radii.append(r)
             else:
                 radii.append(d.r)
         radii = np.asarray(radii, dtype=float)
@@ -199,7 +202,7 @@ class DiskSystem:
             if r2 <= r1 or (r2 - r1) <= _RADII_DISTINCT_RTOL * r2:
                 raise ValueError(f"resolved radii must be strictly increasing, got {radii}")
         u = np.array([d.u for d in self.disks], dtype=float)
-        return ResolvedDisks(radii=radii, kinds=kinds, u=u, s_frak=s_frak)
+        return ResolvedDisks(radii=radii, kinds=kinds, u=u)
 
 
 def omega_weights(u: np.ndarray) -> np.ndarray:
@@ -367,9 +370,7 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
         direct = np.isfinite(scale) & (2.0 * (1.0 + x) >= 1.0 + scale)
     terms = np.log1p(x, where=direct, out=np.zeros_like(x))
     if not direct.all():
-        from scipy.special import logsumexp
-
-        terms[~direct] = logsumexp(profile.log_q[~direct] + U, axis=1)
+        terms[~direct] = np.logaddexp.reduce(profile.log_q[~direct] + U, axis=1)
     return math.fsum(terms.tolist() + (profile.saturated * U).tolist())
 
 

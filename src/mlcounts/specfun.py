@@ -16,7 +16,9 @@ The uniform regime keeps two correction terms, R_a(eta) ~
 exp(-a eta^2/2)/sqrt(2 pi a) * (c0(eta) + c1(eta)/a), which caps its accuracy
 at ~|c2|/(a^2 sqrt(2 pi a)); A_TEMME = 20000 keeps that below 3e-14 absolute.
 Also: ``reg_lower_gamma`` (one scalar P), ``gamma_regime`` (the classical
-regime of (a, z), for diagnostics) and log Barnes G.  All pure, thread-safe.
+regime of (a, z); kept only for the traced benchmark run of
+perfbench/spans.py, until that run reads a native trace) and log Barnes G.
+All pure, thread-safe.
 scipy.special is imported inside the evaluators that call it, so importing
 this module (and the sampler and partition-function paths built on it) does
 not load scipy.

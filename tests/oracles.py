@@ -4,9 +4,12 @@ Everything here deliberately avoids the production code paths it checks:
 the MGF oracle integrates the radial one-fold integrals with mpmath
 quadrature (no incomplete gamma), derivative oracles use complex-step,
 Cauchy-circle and 50-digit mpmath differentiation (never a
-moment-to-cumulant recursion), and the partition-function oracle evaluates
-both sides in 40-digit arithmetic.  The slow mpmath values are frozen in
-tests/data/mp_oracles.json by scripts/make_mp_oracles.py.
+moment-to-cumulant recursion), the partition-function oracle evaluates
+both sides in 40-digit arithmetic, and the incomplete-gamma oracles sum the
+lower series or the Legendre continued fraction in 40-50 digits.  The slow
+mpmath values are frozen in tests/data/mp_oracles.json by
+scripts/make_mp_oracles.py, and the incomplete-gamma grid in
+tests/data/gammainc_grid.json by scripts/make_gammainc_oracle.py.
 """
 
 from __future__ import annotations
@@ -326,3 +329,53 @@ def mp_log_gamma_pq(a, z, dps=40):
             i += 1
         small = log_pre + mplog(h)
         return float(mp.log1p(-mp.e**small)), float(small)
+
+
+def reference_reg_lower_gamma(a: float, z: float, dps: int = 50) -> float:
+    """P(a, z) summed in dps-digit arithmetic; returned as float.
+
+    The brute-force series/continued-fraction evaluation behind
+    tests/data/gammainc_grid.json (mpmath's own gammainc stalls for a >~ 1e4).
+    """
+    with mp.workdps(dps):
+        aa, zz = mpf(a), mpf(z)
+        if zz == 0:
+            return 0.0
+        tol = mpf(10) ** (-dps - 5)
+        if zz < aa + 1:
+            # lower series
+            term = 1 / aa
+            total = term
+            k = 1
+            while True:
+                term *= zz / (aa + k)
+                total += term
+                if term <= tol * total:
+                    break
+                k += 1
+            p = mp.e ** (aa * mp.log(zz) - zz - mp.loggamma(aa)) * total
+            return float(p)
+        # Legendre continued fraction for Q, modified Lentz
+        tiny = mpf(10) ** (-2 * dps - 50)
+        b_k = zz + 1 - aa
+        c_k = 1 / tiny
+        d_k = 1 / b_k if b_k != 0 else 1 / tiny
+        h = d_k
+        i = 1
+        while True:
+            a_k = -i * (i - aa)
+            b_k += 2
+            d_k = a_k * d_k + b_k
+            if d_k == 0:
+                d_k = tiny
+            c_k = b_k + a_k / c_k
+            if c_k == 0:
+                c_k = tiny
+            d_k = 1 / d_k
+            delta = d_k * c_k
+            h *= delta
+            if abs(delta - 1) < tol:
+                break
+            i += 1
+        logq = aa * mp.log(zz) - zz - mp.loggamma(aa) + mp.log(h)
+        return float(1 - mp.e**logq)

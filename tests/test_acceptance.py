@@ -124,7 +124,8 @@ def test_criterion_06_multi_disk_edge_joint_prediction():
     resid = {}
     for n in (1000, 4000):
         params = mlc.EnsembleParams(b=b, alpha=alpha, n=n)
-        resid[n] = abs(mlc.log_mgf_exact(params, disks) - mlc.predict_log_mgf(params, disks))
+        predicted = mlc.theorem_coefficients(params, disks).evaluate(n)
+        resid[n] = abs(mlc.log_mgf_exact(params, disks) - predicted)
     bound = 5.0 * resid[1000] * 0.25 * (math.log(4000) / math.log(1000)) ** 2
     ok = resid[4000] <= bound
     _report(6, ok, f"|resid(4000)| {resid[4000]:.2e} <= ratio bound {bound:.2e} "

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlcounts
 from mlcounts.cli import main
@@ -175,33 +179,14 @@ def test_verify_clt_small(capsys):
     assert len(cov) == 1 and len(cov[0]) == 1
 
 
-def test_specfun_test_csv(capsys):
-    code, out, _ = run(
-        capsys, "specfun-test", "--a-points", "3", "--lam-points", "3", "--dps", "30"
-    )
+def test_threads_flag_keeps_output(capsys):
+    # three blocks of samples, spread over two workers or run on one
+    argv = ["sample", "--b", "1", "--alpha", "0", "--n", "10", "--disk", "r=0.5",
+            "--num-samples", "600", "--seed", "1", "--format", "csv"]
+    code, out, _ = run(capsys, *argv, "--threads", "2")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "a,lambda,regime,abs_err_vs_oracle"
-    assert len(lines) == 10
-    worst = max(float(line.split(",")[3]) for line in lines[1:])
-    assert worst < 1e-13
-
-
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("ML_COUNTS_THREADS", "2")
-    code, out, _ = run(
-        capsys,
-        "sample", "--b", "1", "--alpha", "0", "--n", "10", "--disk", "r=0.5",
-        "--num-samples", "64", "--seed", "1", "--format", "csv",
-    )
-    assert code == 0
-    monkeypatch.setenv("ML_COUNTS_THREADS", "1")
-    code2, out2, _ = run(
-        capsys,
-        "sample", "--b", "1", "--alpha", "0", "--n", "10", "--disk", "r=0.5",
-        "--num-samples", "64", "--seed", "1", "--format", "csv",
-    )
-    assert out == out2
+    code2, out2, _ = run(capsys, *argv)
+    assert code2 == 0 and out2 == out
 
 
 def test_non_finite_parameters_exit_2(capsys):
@@ -225,6 +210,15 @@ def test_support_radius_overflow_exits_2(capsys):
     assert "b = 1e-05" in err
 
 
+@pytest.mark.parametrize("sub", ["mgf-exact", "cumulants"])
+def test_edge_radius_overflow_exits_2(capsys, sub):
+    # b^(-1/(2b)) is finite at b = 0.00395, but the radius of the edge disk
+    # at s = 3 is not: a ValueError naming the disk, not a JSON encoder error
+    code, out, err = run(capsys, sub, "--b", "0.00395", "--n", "10", "--disk", "s=3,u=1")
+    assert code == 2 and out == ""
+    assert "s = 3.0" in err and "b = 0.00395" in err
+
+
 @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
 def test_cumulant_orders_up_to_max_order(capsys, mode):
     from mlcounts.series import MAX_ORDER
@@ -240,15 +234,59 @@ def test_cumulant_orders_up_to_max_order(capsys, mode):
     assert str(MAX_ORDER) in err
 
 
-def test_non_positive_threads_exit_2(capsys, monkeypatch):
+def test_non_positive_threads_exit_2(capsys):
     argv = ["sample", "--b", "1", "--n", "10", "--disk", "r=0.5", "--num-samples", "4"]
     code, out, _ = run(capsys, *argv, "--threads", "-3")
     assert code == 2 and out == ""
     code, _, _ = run(capsys, *argv, "--threads", "0")
     assert code == 2
-    monkeypatch.setenv("ML_COUNTS_THREADS", "0")
-    code, out, _ = run(capsys, *argv)
-    assert code == 2 and out == ""
+
+
+@st.composite
+def _argv(draw):
+    """argv of one computing subcommand over the documented input ranges: 1-3
+    disks, increasing fixed radii and at most one edge disk, placed anywhere."""
+    sub = draw(st.sampled_from(["mgf-exact", "mgf-asymptotic", "coeffs", "cumulants", "zn",
+                                "sample"]))
+    # "--alpha=" keeps argparse from reading a value such as -1e-05 as an option
+    argv = [sub, f"--b={draw(st.floats(0.05, 5.0))!r}",
+            f"--alpha={draw(st.floats(-1.0, 3.0, exclude_min=True))!r}"]
+    if sub != "coeffs":
+        # small n often: there an edge disk's 1 + sqrt(2b) s/sqrt(n) can reach 0
+        argv.append(f"--n={draw(st.one_of(st.integers(1, 20), st.integers(1, 2000)))}")
+    if sub != "zn":
+        has_edge = draw(st.booleans())
+        radii = draw(st.lists(st.floats(1e-3, 3.0), min_size=1 - has_edge, max_size=3 - has_edge,
+                              unique=True))
+        disks = [f"r={r!r}" for r in sorted(radii)]
+        if has_edge:
+            disks.insert(draw(st.integers(0, len(disks))), f"s={draw(st.floats(-6.0, 6.0))!r}")
+        for where in disks:
+            argv.append(f"--disk={where},u={draw(st.floats(-60.0, 60.0))!r}")
+    if sub == "cumulants":
+        orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+        argv += [f"--orders={','.join(map(str, orders))}",
+                 f"--mode={draw(st.sampled_from(['exact', 'asymptotic']))}"]
+    if sub == "sample":
+        argv += [f"--num-samples={draw(st.integers(40, 300))}",
+                 f"--seed={draw(st.integers(0, 2**32))}"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_exit_code_property(argv):
+    # on any input in range a subcommand either succeeds with strict JSON on
+    # stdout or rejects the input (exit 2) with nothing on stdout; it never
+    # dies with a traceback or leaks a warning (warnings are errors here)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"non-finite {token}"))
+    else:
+        assert out.getvalue() == ""
 
 
 def test_unread_options_exit_2(capsys):

@@ -52,9 +52,7 @@ def test_params_validation():
         EnsembleParams(b=1.0, alpha=-1.0, n=10)
     with pytest.raises(ValueError):
         EnsembleParams(b=1.0, alpha=0.0, n=0)
-    assert EnsembleParams(b=2.0, alpha=0.0, n=3).support_radius == pytest.approx(
-        2.0 ** (-0.25)
-    )
+    assert support_radius(2.0) == pytest.approx(2.0 ** (-0.25))
 
 
 def test_support_radius_out_of_range_names_b():
@@ -63,6 +61,24 @@ def test_support_radius_out_of_range_names_b():
         with pytest.raises(ValueError, match=r"b = 1e-05"):
             make()
     assert support_radius(0.004) == pytest.approx(0.004 ** -125.0, rel=1e-12)
+
+
+def test_edge_radius_out_of_range_names_disk():
+    # just above the support-radius cutoff, b^(-1/(2b)) is finite but the
+    # edge radius b^(-1/(2b)) (1 + sqrt(2b) s/sqrt(n))^(1/(2b)) is not
+    params = EnsembleParams(b=0.00395, alpha=0.0, n=10)
+    for disks in (DiskSystem([Disk.edge(3.0, 1.0)]),
+                  DiskSystem([Disk.fixed(0.5), Disk.edge(3.0, 1.0)])):
+        with pytest.raises(ValueError, match=r"s = 3\.0 .* b = 0\.00395, n = 10"):
+            disks.resolve(params)
+        with pytest.raises(ValueError, match=r"s = 3\.0"):
+            log_mgf_exact(params, disks)
+    # the power itself overflowing is reported the same way
+    with pytest.raises(ValueError, match=r"s = 1e\+32 .* b = 0\.05, n = 10"):
+        DiskSystem([Disk.edge(1e32)]).resolve(EnsembleParams(b=0.05, alpha=0.0, n=10))
+    # the same disk at s = 0 resolves to the support radius itself
+    res = DiskSystem([Disk.edge(0.0)]).resolve(params)
+    assert res.radii[0] == support_radius(0.00395)
 
 
 def test_disk_validation():
@@ -83,7 +99,7 @@ def test_resolve_orders_and_classifies():
     assert res.kinds == ("bulk", "edge", "outside")
     assert res.radii[0] < res.radii[1] < res.radii[2]
     assert res.radii[1] == pytest.approx(1.0)
-    assert res.s_frak == 0.0
+    assert disks.classify(params.b) == (("bulk", "edge", "outside"), 0.0)
 
 
 def test_fixed_radius_at_support_edge_is_edge():
@@ -492,3 +508,13 @@ def test_mgf_property_finite_zero_monotone(config):
     bumped = list(us)
     bumped[l] += bump
     assert value(bumped) >= base
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mgf_configs())
+def test_annulus_probabilities_sum_to_one(config):
+    # each window row's annulus probabilities, taken from log P below 1/2 and
+    # from log Q above, add up to 1
+    params, radii, us, _, _ = config
+    profile = bernoulli_profile(params, DiskSystem([Disk.fixed(r, u) for r, u in zip(radii, us)]))
+    assert np.all(np.abs(np.exp(profile.log_q).sum(axis=1) - 1.0) <= 1e-13)
