@@ -3,14 +3,17 @@
 
 Prints, for pasting into specfun.py after review:
 
-* the eta(lambda) power series about lambda = 1 (series reversion of
-  eta^2/2 = x - log(1+x), x = lambda - 1), as exact rationals;
 * the Taylor coefficients about eta = 0 of the uniform-asymptotics
   correction functions c0(eta) = 1/(lambda-1) - 1/eta and
   c1(eta) = 1/eta^3 - 1/(lambda-1)^3 - 1/(lambda-1)^2 - 1/(12(lambda-1));
 * zeta'(-1), cross-checked against the Glaisher-Kinkelin relation
   log A = 1/12 - zeta'(-1);
 * the Barnes-G asymptotic tail coefficients B_{2k+2}/(4k(k+1)).
+
+The power series of eta(lambda) about lambda = 1 is no longer derived:
+specfun takes eta in closed form, sqrt(2 (x - log(1+x))) with x = lambda - 1,
+through a cancellation-free x - log(1+x).  Only its inverse, lambda - 1 as a
+series in eta, enters c0 and c1.
 """
 
 from fractions import Fraction
@@ -39,48 +42,14 @@ def series_inv(A):
     return B
 
 
-def series_compose(A, B):
-    C = [mpf(0)] * N
-    C[0] = A[0]
-    P = [mpf(0)] * N
-    P[0] = mpf(1)
-    for k in range(1, N):
-        P = series_mul(P, B)
-        for j in range(N):
-            if P[j]:
-                C[j] += A[k] * P[j]
-    return C
-
-
 def main() -> None:
-    # eta = x * H(x): H = sqrt(2 (x - log(1+x))/x^2)
-    g = [mpf(2) * (-1) ** k / k for k in range(2, 2 + N)]
-    h = [mpf(1)] + [mpf(0)] * (N - 1)
-    for n in range(1, N):
-        h[n] = (g[n] - sum(h[i] * h[n - i] for i in range(1, n))) / 2
-    print("eta series (coefficients of (lambda-1)^k inside the parentheses):")
-    for k in range(6):
-        print(f"  {k}: {Fraction(str(nstr(h[k], 40))).limit_denominator(10**9)}  = {nstr(h[k], 20)}")
-
-    # reversion: lambda - 1 = eta * B(eta)
-    E = [mpf(0)] * N
-    for k in range(N - 1):
-        E[k + 1] = h[k]
-    t = [mpf(0)] * N
-    t[1] = mpf(1)
-    X = [mpf(0)] * N
-    X[1] = mpf(1)
-    Ep = [mpf(0)] * N
-    for k in range(1, N):
-        Ep[k - 1] = k * E[k]
-    for _ in range(12):
-        EX = series_compose(E, X)
-        EpX = series_compose(Ep, X)
-        corr = series_mul([EX[i] - t[i] for i in range(N)], series_inv(EpX))
-        X = [X[i] - corr[i] for i in range(N)]
-    B = [mpf(0)] * N
-    for k in range(N - 1):
-        B[k] = X[k + 1]
+    # lambda - 1 = x(eta) = sum_k a_k eta^k: eta^2/2 = x - log(1+x) gives
+    # x x' = eta (1 + x), whose eta^n coefficient fixes a_n from a_1..a_(n-1):
+    # (n+1) a_n = a_(n-1) - sum_{i=2}^{n-1} (n+1-i) a_i a_(n+1-i), a_1 = 1
+    a = [mpf(0), mpf(1)]
+    for n in range(2, N + 1):
+        a.append((a[n - 1] - sum((n + 1 - i) * a[i] * a[n + 1 - i] for i in range(2, n))) / (n + 1))
+    B = a[1:N + 1]  # lambda - 1 = eta * B(eta)
 
     Binv = series_inv(B)
     B2inv = series_mul(Binv, Binv)

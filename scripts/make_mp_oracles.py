@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Freeze the slow mpmath oracle values that the test suite checks against.
 
-Writes tests/data/mp_oracles.json with two tables:
+Writes tests/data/mp_oracles.json with three tables:
 
 * ``bulk_coeffs``: (C2, C3, C4) of one bulk disk (b = 1, alpha = 0, r = 0.6)
   at large |u|, from the 30-digit whole-line quadrature
   ``tests/oracles.py::mp_bulk_coeffs``;
+* ``bulk_derivatives``: the cumulant coefficients (c_j, d_j, e_j) of the
+  same disk at j = 7, 9, 12, as u-derivatives at 0 of the whole bulk
+  formulas: ``tests/oracles.py::mp_bulk_coeff_derivatives``, a 50-digit
+  Cauchy integral over 64 points of |u| = 1.5, plus the formulas at one of
+  those points (``node``) for the live check;
 * ``exact_cumulants``: joint cumulants of orders 7-12 for two overlapping
   disks (b = 1, alpha = 0, n = 1000, r = 0.6, 0.63), 50-digit ``mp.diff``
   derivatives from ``tests/oracles.py::mp_joint_cumulants`` on the window
@@ -16,7 +21,9 @@ The tests keep one live spot check of each table, so a stale file fails.
 Run from the repository root:  python3 scripts/make_mp_oracles.py
 """
 
+import cmath
 import json
+import math
 import pathlib
 import sys
 import time
@@ -29,6 +36,7 @@ import oracles  # noqa: E402
 from mlcounts.exact import Disk, DiskSystem, EnsembleParams, bernoulli_profile  # noqa: E402
 
 BULK = {"b": 1.0, "alpha": 0.0, "r": 0.6, "u": [-30.0, -40.0, -50.0, 710.0, -710.0, 800.0, -800.0]}
+DERIVATIVES = {"b": 1.0, "alpha": 0.0, "r": 0.6, "orders": [7, 9, 12], "rho": 1.5, "points": 64}
 EXACT = {
     "b": 1.0,
     "alpha": 0.0,
@@ -49,6 +57,12 @@ def main() -> None:
     for u in BULK["u"]:
         bulk[repr(u)] = oracles.mp_bulk_coeffs(BULK["b"], BULK["alpha"], BULK["r"], u)
         print(f"bulk u = {u} done ({time.time() - t0:.1f}s)", flush=True)
+    d = DERIVATIVES
+    derivs = oracles.mp_bulk_coeff_derivatives(d["b"], d["alpha"], d["r"], d["orders"],
+                                               rho=d["rho"], points=d["points"], dps=50)
+    node = d["rho"] * cmath.exp(2j * math.pi / d["points"])
+    node_values = oracles.mp_bulk_node(d["b"], d["alpha"], d["r"], node, dps=50)
+    print(f"bulk derivatives done ({time.time() - t0:.1f}s)", flush=True)
     params = EnsembleParams(b=EXACT["b"], alpha=EXACT["alpha"], n=EXACT["n"])
     profile = bernoulli_profile(params, DiskSystem([Disk.fixed(r) for r in EXACT["radii"]]))
     exact = {}
@@ -57,6 +71,12 @@ def main() -> None:
         print(f"exact {k} done ({time.time() - t0:.1f}s)", flush=True)
     out = {
         "bulk_coeffs": {**{k: v for k, v in BULK.items() if k != "u"}, "dps": 30, "values": bulk},
+        "bulk_derivatives": {
+            **{k: v for k, v in d.items() if k != "orders"}, "dps": 50,
+            "values": {str(j): list(v) for j, v in derivs.items()},
+            "node": {"u": [node.real, node.imag],
+                     "values": [[v.real, v.imag] for v in node_values]},
+        },
         "exact_cumulants": {**{k: v for k, v in EXACT.items() if k != "orders"}, "dps": 50,
                             "values": exact},
     }

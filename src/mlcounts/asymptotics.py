@@ -270,13 +270,10 @@ def _edge(b: float, alpha: float, sf: float, kernel: _Kernel) -> tuple[tuple[flo
     """(C1, C2, C3, C4) of the edge disk at parameter sf and the quadrature error."""
     _flag_extreme_s(sf)
 
-    def f_minus_terms(t):
-        f_minus = kernel.arrays(t)[1]
-        return np.stack([f_minus, (2.0 * t - sf) * f_minus, (3.0 * t * t - 2.0 * sf * t) * f_minus])
-
-    def f_plus_terms(t):
-        f_plus = kernel.arrays(t)[0]
-        return np.stack([f_plus, (2.0 * t + sf) * f_plus, (3.0 * t * t + 2.0 * sf * t) * f_plus])
+    def f_terms(t, side: int, s: float):
+        # the F(t, e^-u) integrands at s = sf and the F(t, e^u) ones at s = -sf
+        f = kernel.arrays(t)[side]
+        return np.stack([f, (2.0 * t - s) * f, (3.0 * t * t - 2.0 * s * t) * f])
 
     def g_terms(t):
         _, _, g, g_sq = kernel.arrays(t)
@@ -290,8 +287,8 @@ def _edge(b: float, alpha: float, sf: float, kernel: _Kernel) -> tuple[tuple[flo
         ) / 18.0
         return np.stack([g * poly, g * poly_e, g_sq * poly**2])
 
-    (m0, m1, m2), m_err = quad(f_minus_terms, 0.0, kernel.tail)
-    (p0, p1, p2), p_err = quad(f_plus_terms, 0.0, -sf)
+    (m0, m1, m2), m_err = quad(lambda t: f_terms(t, 1, sf), 0.0, kernel.tail)
+    (p0, p1, p2), p_err = quad(lambda t: f_terms(t, 0, -sf), 0.0, -sf)
     (g_poly, g_e, g_sq), g_err = quad(g_terms, -(kernel.tail + abs(sf)), -sf)
     f_minus_at_s = kernel.arrays(np.array([sf]))[1][0]
     g_at_minus_s = kernel.arrays(np.array([-sf]))[2][0]
@@ -343,8 +340,6 @@ def theorem_coefficients(params: EnsembleParams, disks: DiskSystem) -> Expansion
 class CumulantSeries:
     """kappa_j ~ leading*n + c*sqrt(n) + d + e/sqrt(n) for one regime."""
 
-    regime: str
-    order: int
     leading: float
     c: float
     d: float
@@ -368,20 +363,20 @@ def bulk_cumulant_coeffs(j: int, b: float, alpha: float, r: float) -> CumulantSe
     if not 0 < r < rstar:
         raise ValueError(f"bulk radius must satisfy 0 < r < {rstar}, got {r!r}")
     coeffs, err = _bulk(b, alpha, r, _derivative_kernel(j))
-    return CumulantSeries("bulk", j, *coeffs, err)
+    return CumulantSeries(*coeffs, err)
 
 
 def edge_cumulant_coeffs(j: int, b: float, alpha: float, s_frak: float) -> CumulantSeries:
     """Coefficients (c_j, d_j, e_j) for the edge disk at parameter s."""
     _check_order(j)
     coeffs, err = _edge(b, alpha, s_frak, _derivative_kernel(j))
-    return CumulantSeries("edge", j, *coeffs, err)
+    return CumulantSeries(*coeffs, err)
 
 
 def outside_cumulant_coeffs(j: int) -> CumulantSeries:
     """Cumulants for a disk strictly outside the bulk: kappa_1 = n + o(1), rest o(1)."""
     _check_order(j)
-    return CumulantSeries("outside", j, 1.0 if j == 1 else 0.0, 0.0, 0.0, 0.0)
+    return CumulantSeries(1.0 if j == 1 else 0.0, 0.0, 0.0, 0.0)
 
 
 def edge_mean_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, float]:
@@ -448,13 +443,15 @@ class ZnExpansion:
     value: float
     includes_constant: bool
     constant: float | None
-    n1: int | None
-    n2: int | None
 
 
-def _rationalize(b: float, cap: int) -> tuple[int, int] | None:
-    frac = Fraction(b).limit_denominator(cap)
-    if frac.numerator < 1 or frac.numerator > cap:
+# the Barnes-G constant needs b = n1/n2 with n1, n2 at most this
+_MAX_DENOMINATOR = 64
+
+
+def _rationalize(b: float) -> tuple[int, int] | None:
+    frac = Fraction(b).limit_denominator(_MAX_DENOMINATOR)
+    if frac.numerator < 1 or frac.numerator > _MAX_DENOMINATOR:
         return None
     if abs(float(frac) - b) > 1e-9 * max(1.0, abs(b)):
         return None
@@ -476,13 +473,13 @@ def zn_constant(b: float, alpha: float, n1: int, n2: int) -> float:
     return total
 
 
-def zn_expansion(params: EnsembleParams, max_denominator: int = 64) -> ZnExpansion:
+def zn_expansion(params: EnsembleParams) -> ZnExpansion:
     """Asymptotic log Z_n through O(1/n).
 
     The 1/n coefficient (2a-b+1)(2a^2-2ab+2a-b)/(24b) comes from carrying the
     Euler-Maclaurin expansion of sum_j log Gamma((j+alpha)/b) one order past
     the constant; it vanishes at (b, alpha) = (1, 0).  For b not expressible
-    as n1/n2 with n1, n2 <= max_denominator the Barnes-G constant is omitted
+    as n1/n2 with n1, n2 <= _MAX_DENOMINATOR the Barnes-G constant is omitted
     and `includes_constant` is False.
     """
     b, alpha, n = params.b, params.alpha, params.n
@@ -506,9 +503,8 @@ def zn_expansion(params: EnsembleParams, max_denominator: int = 64) -> ZnExpansi
         / (24.0 * b)
         / n
     )
-    rat = _rationalize(b, max_denominator)
+    rat = _rationalize(b)
     if rat is None:
-        return ZnExpansion(value, False, None, None, None)
-    n1, n2 = rat
-    g = zn_constant(b, alpha, n1, n2)
-    return ZnExpansion(value + g, True, g, n1, n2)
+        return ZnExpansion(value, False, None)
+    g = zn_constant(b, alpha, *rat)
+    return ZnExpansion(value + g, True, g)

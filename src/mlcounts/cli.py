@@ -14,9 +14,8 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
-
-import numpy as np
 
 from . import asymptotics, verify
 from .exact import (
@@ -32,18 +31,6 @@ from .sampler import mc_cumulants, sample_counts
 __all__ = ["build_parser", "main"]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _emit(args, payload=None, csv_rows=None, csv_header=None) -> None:
     if csv_rows is not None:
         buf = io.StringIO()
@@ -52,7 +39,8 @@ def _emit(args, payload=None, csv_rows=None, csv_header=None) -> None:
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(_jsonable(payload), allow_nan=False) + "\n"
+        # ndarrays and numpy integers reach `default`: tolist gives Python numbers
+        text = json.dumps(payload, allow_nan=False, default=lambda o: o.tolist()) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -225,7 +213,7 @@ def _cmd_cumulants(args) -> int:
 
 def _cmd_zn(args) -> int:
     params = _params_from(args)
-    expansion = asymptotics.zn_expansion(params, max_denominator=args.max_denominator)
+    expansion = asymptotics.zn_expansion(params)
     exact = log_partition_exact(params)
     payload = {
         "params": _describe_params(params),
@@ -292,12 +280,11 @@ def _cmd_verify_residual(args) -> int:
 
 
 def _cmd_verify_clt(args) -> int:
-    params = _params_from(args, n=args.n)
+    params = _params_from(args)
     result = verify.clt_experiment(
         params,
         _float_list(args.bulk_r) if args.bulk_r else [],
         args.s,
-        args.n,
         args.num_samples,
         args.seed,
         threads=args.threads,
@@ -324,6 +311,19 @@ def _cmd_verify_clt(args) -> int:
     return 0 if ok else 3
 
 
+_NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads any negative float literal after an option as its value, where
+    argparse alone takes only -<digits> and -<digits>.<digits> ("--alpha -1e-05"
+    failed while "--alpha=-1e-05" worked).  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
+
 def _add_common(sub, n=True, disks=True) -> None:
     sub.add_argument("--b", type=float, required=True, help="potential exponent b > 0")
     sub.add_argument("--alpha", type=float, default=0.0, help="charge at the origin (> -1)")
@@ -345,7 +345,7 @@ def _add_threads(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlcounts",
         description="Disk counting statistics of the Mittag-Leffler ensemble",
     )
@@ -374,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("zn", help="partition function: exact vs expansion")
     _add_common(s, disks=False)
-    s.add_argument("--max-denominator", type=int, default=64,
-                   help="cap on n1, n2 when writing b = n1/n2 for the constant term")
     s.set_defaults(handler=_cmd_zn)
 
     s = subs.add_parser("sample", help="Monte Carlo disk counts")

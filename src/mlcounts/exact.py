@@ -233,7 +233,6 @@ class BernoulliProfile:
     """
 
     n: int
-    radii: np.ndarray  # (p,)
     rows: np.ndarray  # (w,) window rows
     log_P: np.ndarray  # (w, p) log P on the window rows
     log_Q: np.ndarray  # (w, p) log(1 - P) on the window rows, evaluated directly
@@ -349,8 +348,8 @@ def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliPro
     for col, (c, zl) in enumerate(zip(win.columns, win.z)):
         lo, hi = np.searchsorted(rows, [c.start, c.stop])
         log_P[lo:hi, col], log_Q[lo:hi, col] = log_reg_gamma_pq(shapes[lo:hi], float(zl))
-    return BernoulliProfile(n=params.n, radii=res.radii, rows=rows, log_P=log_P, log_Q=log_Q,
-                            Pw=np.exp(log_P), inside=inside, ones=win.ones)
+    return BernoulliProfile(n=params.n, rows=rows, log_P=log_P, log_Q=log_Q, Pw=np.exp(log_P),
+                            inside=inside, ones=win.ones)
 
 
 def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
@@ -409,8 +408,9 @@ def _mean(profile: BernoulliProfile, l: int) -> float:
 
 
 def _covariance(profile: BernoulliProfile, lo: int, hi: int) -> float:
-    """Cov(N_lo, N_hi) for lo <= hi: sum_j P[j,lo] (1 - P[j,hi]); saturated rows add 0."""
-    return math.fsum((profile.Pw[:, lo] * (1.0 - profile.Pw[:, hi])).tolist())
+    """Cov(N_lo, N_hi) for lo <= hi: sum_j P[j,lo] Q[j,hi], Q = 1 - P taken from
+    its own log, so a P near 1 keeps Q's relative accuracy; saturated rows add 0."""
+    return math.fsum(np.exp(profile.log_P[:, lo] + profile.log_Q[:, hi]).tolist())
 
 
 def joint_cumulants_exact(

@@ -44,8 +44,6 @@ class SampleBatch:
     counts: np.ndarray  # (num_samples, p) int64
     seed: int
     num_samples: int
-    n: int
-    radii: np.ndarray  # (p,)
 
 
 def sample_counts(
@@ -73,15 +71,9 @@ def sample_counts(
             counts[lo:hi, l] = win.ones[l] + np.count_nonzero(g < zl, axis=1)
 
     blocks = range(-(-num_samples // SAMPLE_BLOCK))
-    if threads <= 1 or len(blocks) < 2:
-        for k in blocks:
-            fill(k)
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-            list(pool.map(fill, blocks))
-    return SampleBatch(
-        counts=counts, seed=seed, num_samples=num_samples, n=params.n, radii=res.radii
-    )
+    with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+        list(pool.map(fill, blocks))
+    return SampleBatch(counts=counts, seed=seed, num_samples=num_samples)
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,6 @@ class McCumulants:
 
     values: np.ndarray  # (p, max_order)
     se: np.ndarray  # (p, max_order)
-    max_order: int
 
 
 def _kstats(m2: np.ndarray, m3: np.ndarray, m4: np.ndarray, s) -> tuple:
@@ -140,4 +131,4 @@ def mc_cumulants(batch: SampleBatch, max_order: int = 4) -> McCumulants:
             values[l, j] = full[j]
             theta = loo[j]
             se[l, j] = math.sqrt(max((S - 1) / S * np.sum((theta - theta.mean()) ** 2), 0.0))
-    return McCumulants(values=values, se=se, max_order=max_order)
+    return McCumulants(values=values, se=se)

@@ -46,10 +46,6 @@ __all__ = [
 # truncated two-term R_a meets the 1e-13 absolute budget (error ~ a^-2.5).
 A_TEMME = 20000.0
 
-# Below this |lambda - 1| the defining formula for eta loses ~half its digits
-# to cancellation; switch to the power series.
-_ETA_SERIES_CUTOFF = 1e-3
-
 # Below this |eta| the closed forms for c0, c1 cancel badly; switch to their
 # Taylor expansions about eta = 0.
 _C_TAYLOR_CUTOFF = 1e-2
@@ -68,18 +64,6 @@ _LOG_TINY = math.log(1e-300)
 
 # zeta'(-1); 30 digits, mpmath dps=60 (scripts/derive_frozen_constants.py).
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919066243
-
-# eta = x * (1 - x/3 + 7x^2/36 - ...), x = lambda - 1.  Exact rationals from
-# the series reversion of eta^2/2 = x - log(1+x)
-# (scripts/derive_frozen_constants.py); first three match the classical ones.
-_ETA_SERIES = (
-    1.0,
-    -1.0 / 3.0,
-    7.0 / 36.0,
-    -73.0 / 540.0,
-    1331.0 / 12960.0,
-    -22409.0 / 272160.0,
-)
 
 # Taylor coefficients about eta = 0 of c0(eta) = 1/(lambda-1) - 1/eta and
 # c1(eta) = 1/eta^3 - 1/(lambda-1)^3 - 1/(lambda-1)^2 - 1/(12(lambda-1)),
@@ -151,12 +135,10 @@ def _log1p_minus(x: np.ndarray) -> np.ndarray:
 
 @_QUIET
 def _eta(lam: np.ndarray) -> np.ndarray:
-    """eta with eta^2/2 = lambda - 1 - log(lambda), sign(eta) = sign(lambda - 1)."""
+    """eta with eta^2/2 = lambda - 1 - log(lambda), sign(eta) = sign(lambda - 1);
+    _log1p_minus keeps full relative accuracy as lambda -> 1."""
     x = lam - 1.0
-    eta = np.copysign(np.sqrt(2.0 * _log1p_minus(x)), x)
-    near = np.abs(x) < _ETA_SERIES_CUTOFF
-    eta[near] = x[near] * _horner(_ETA_SERIES, x[near])
-    return eta
+    return np.copysign(np.sqrt(2.0 * _log1p_minus(x)), x)
 
 
 def log_prefactor(a: float, z: float) -> float:

@@ -8,7 +8,7 @@ a JSON report with a pass flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,10 +52,6 @@ class ResidualScan:
     used: tuple[bool, ...]  # points above the noise floor that entered the fit
 
 
-def _template(params: EnsembleParams, n: int) -> EnsembleParams:
-    return EnsembleParams(b=params.b, alpha=params.alpha, n=n)
-
-
 def _validate_n_values(n_values, minimum_count: int, span: float | None) -> tuple[int, ...]:
     ns = tuple(int(n) for n in n_values)
     if len(ns) < minimum_count:
@@ -80,7 +76,7 @@ def residual_scan(params: EnsembleParams, disks: DiskSystem, n_values) -> Residu
     coeffs = theorem_coefficients(params, disks)  # n-independent
     residuals = []
     for n in ns:
-        pn = _template(params, n)
+        pn = replace(params, n=n)
         residuals.append(log_mgf_exact(pn, disks) - coeffs.evaluate(n))
     floor = 100.0 * coeffs.quad_error
     used = tuple(abs(r) > floor for r in residuals)
@@ -107,7 +103,6 @@ def residual_scan(params: EnsembleParams, disks: DiskSystem, n_values) -> Residu
 class CoefficientFit:
     """Least-squares (C1..C4) recovered from exact log-MGF values."""
 
-    n_values: tuple[int, ...]
     fitted: tuple[float, float, float, float]
     predicted: ExpansionCoefficients
     deviations: tuple[float, float, float, float]
@@ -116,7 +111,7 @@ class CoefficientFit:
 def coefficient_fit(params: EnsembleParams, disks: DiskSystem, n_values) -> CoefficientFit:
     """Fit exact log-MGF against the basis {n, sqrt(n), 1, 1/sqrt(n)}."""
     ns = _validate_n_values(n_values, minimum_count=6, span=None)
-    y = np.array([log_mgf_exact(_template(params, n), disks) for n in ns])
+    y = np.array([log_mgf_exact(replace(params, n=n), disks) for n in ns])
     narr = np.array(ns, dtype=float)
     basis = np.column_stack([narr, np.sqrt(narr), np.ones_like(narr), 1.0 / np.sqrt(narr)])
     scale = np.linalg.norm(basis, axis=0)
@@ -128,7 +123,6 @@ def coefficient_fit(params: EnsembleParams, disks: DiskSystem, n_values) -> Coef
     predicted = theorem_coefficients(params, disks)
     target = (predicted.C1, predicted.C2, predicted.C3, predicted.C4)
     return CoefficientFit(
-        n_values=ns,
         fitted=fitted,
         predicted=predicted,
         deviations=tuple(f - t for f, t in zip(fitted, target)),
@@ -142,14 +136,12 @@ class CltResult:
     covariance: np.ndarray
     max_abs_deviation: float
     means: np.ndarray
-    num_samples: int
 
 
 def clt_experiment(
     params: EnsembleParams,
     bulk_radii,
     s_frak: float | None,
-    n: int,
     num_samples: int,
     seed: int,
     threads: int = 1,
@@ -163,13 +155,12 @@ def clt_experiment(
     """
     if num_samples < 100:
         raise ValueError(f"need at least 100 samples, got {num_samples!r}")
-    b, alpha = params.b, params.alpha
-    pn = _template(params, n)
+    b, alpha, n = params.b, params.alpha, params.n
     disk_list = [Disk.fixed(r) for r in bulk_radii]
     if s_frak is not None:
         disk_list.append(Disk.edge(s_frak))
     disks = DiskSystem(disk_list)
-    batch = sample_counts(pn, disks, num_samples, seed, threads=threads)
+    batch = sample_counts(params, disks, num_samples, seed, threads=threads)
     cols = []
     nq = n**0.25
     for idx, r in enumerate(bulk_radii):
@@ -189,5 +180,4 @@ def clt_experiment(
         covariance=cov,
         max_abs_deviation=dev,
         means=stats.mean(axis=0),
-        num_samples=num_samples,
     )

@@ -187,7 +187,6 @@ def test_criterion_09_monte_carlo_consistency():
         mlc.EnsembleParams(b=1.0, alpha=0.0, n=4000),
         [0.6],
         0.0,
-        n=4000,
         num_samples=100_000,
         seed=7,
     )

@@ -17,6 +17,7 @@ from mlcounts.asymptotics import (
     edge_var_coeffs,
     outside_cumulant_coeffs,
     theorem_coefficients,
+    zn_constant,
     zn_expansion,
 )
 from mlcounts.exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact, log_partition_exact
@@ -345,6 +346,27 @@ def test_expansion_derivatives_match_cumulant_series():
         assert dc4 == pytest.approx(want.e, abs=1e-8)
 
 
+@pytest.mark.parametrize("j", [7, 9, 12])
+def test_high_order_bulk_coeffs_vs_mp_formula_derivatives(j):
+    # (c_j, d_j, e_j) against j-th u-derivatives at 0 of the whole bulk
+    # formulas (C2, C3, C4): a 50-digit Cauchy integral of the integrals
+    # themselves, not of the kernel the engine differentiates
+    # (tests/oracles.py::mp_bulk_coeff_derivatives, frozen by
+    # scripts/make_mp_oracles.py)
+    table = FROZEN["bulk_derivatives"]
+    assert (table["b"], table["alpha"], table["r"]) == (1.0, 0.0, 0.6)
+    s = bulk_cumulant_coeffs(j, 1.0, 0.0, 0.6)
+    for got, want in zip((s.c, s.d, s.e), table["values"][str(j)]):
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_frozen_bulk_derivative_oracle_is_current():
+    # one live evaluation of the formulas at a node of the Cauchy circle
+    node = FROZEN["bulk_derivatives"]["node"]
+    live = oracles.mp_bulk_node(1.0, 0.0, 0.6, complex(*node["u"]), dps=30)
+    assert live == pytest.approx([complex(*v) for v in node["values"]], rel=1e-14, abs=0.0)
+
+
 def test_edge_closed_forms_at_zero():
     # displayed mean/variance coefficients at s = 0
     b, alpha = 1.0, 0.0
@@ -415,7 +437,7 @@ def test_zn_constant_ginibre_is_zeta_prime():
 
     z = zn_expansion(EnsembleParams(b=1.0, alpha=0.0, n=100))
     assert z.includes_constant
-    assert (z.n1, z.n2) == (1, 1)
+    assert z.constant == zn_constant(1.0, 0.0, 1, 1)
     assert z.constant == pytest.approx(ZETA_PRIME_MINUS_ONE, rel=1e-12)
 
 
@@ -430,7 +452,7 @@ def test_zn_expansion_matches_mp_oracle():
     for b, alpha, n1, n2 in ((1.0, 0.0, 1, 1), (0.5, 0.0, 1, 2), (1.5, 0.25, 3, 2)):
         params = EnsembleParams(b=b, alpha=alpha, n=500)
         z = zn_expansion(params)
-        assert z.includes_constant and (z.n1, z.n2) == (n1, n2)
+        assert z.includes_constant and z.constant == zn_constant(b, alpha, n1, n2)
         truth = float(oracles.mp_zn_expansion(b, alpha, 500, n1, n2))
         # absolute tolerance scaled to the value's own float noise floor
         assert z.value == pytest.approx(truth, abs=1e-15 * abs(truth) + 1e-10)

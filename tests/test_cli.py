@@ -245,15 +245,21 @@ def test_non_positive_threads_exit_2(capsys):
 @st.composite
 def _argv(draw):
     """argv of one computing subcommand over the documented input ranges: 1-3
-    disks, increasing fixed radii and at most one edge disk, placed anywhere."""
+    disks, increasing fixed radii and at most one edge disk, placed anywhere.
+    Half the examples write each option as "--name=value", the other half as
+    two tokens, where a value such as -1e-05 must still be read as a value."""
     sub = draw(st.sampled_from(["mgf-exact", "mgf-asymptotic", "coeffs", "cumulants", "zn",
                                 "sample"]))
-    # "--alpha=" keeps argparse from reading a value such as -1e-05 as an option
-    argv = [sub, f"--b={draw(st.floats(0.05, 5.0))!r}",
-            f"--alpha={draw(st.floats(-1.0, 3.0, exclude_min=True))!r}"]
+    split = draw(st.booleans())
+
+    def opt(name, value):
+        return [f"--{name}", value] if split else [f"--{name}={value}"]
+
+    argv = [sub, *opt("b", repr(draw(st.floats(0.05, 5.0)))),
+            *opt("alpha", repr(draw(st.floats(-1.0, 3.0, exclude_min=True))))]
     if sub != "coeffs":
         # small n often: there an edge disk's 1 + sqrt(2b) s/sqrt(n) can reach 0
-        argv.append(f"--n={draw(st.one_of(st.integers(1, 20), st.integers(1, 2000)))}")
+        argv += opt("n", str(draw(st.one_of(st.integers(1, 20), st.integers(1, 2000)))))
     if sub != "zn":
         has_edge = draw(st.booleans())
         radii = draw(st.lists(st.floats(1e-3, 3.0), min_size=1 - has_edge, max_size=3 - has_edge,
@@ -262,14 +268,14 @@ def _argv(draw):
         if has_edge:
             disks.insert(draw(st.integers(0, len(disks))), f"s={draw(st.floats(-6.0, 6.0))!r}")
         for where in disks:
-            argv.append(f"--disk={where},u={draw(st.floats(-60.0, 60.0))!r}")
+            argv += opt("disk", f"{where},u={draw(st.floats(-60.0, 60.0))!r}")
     if sub == "cumulants":
         orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
-        argv += [f"--orders={','.join(map(str, orders))}",
-                 f"--mode={draw(st.sampled_from(['exact', 'asymptotic']))}"]
+        argv += opt("orders", ",".join(map(str, orders)))
+        argv += opt("mode", draw(st.sampled_from(["exact", "asymptotic"])))
     if sub == "sample":
-        argv += [f"--num-samples={draw(st.integers(40, 300))}",
-                 f"--seed={draw(st.integers(0, 2**32))}"]
+        argv += opt("num-samples", str(draw(st.integers(40, 300))))
+        argv += opt("seed", str(draw(st.integers(0, 2**32))))
     return argv
 
 
@@ -289,8 +295,32 @@ def test_exit_code_property(argv):
         assert out.getvalue() == ""
 
 
+_RESIDUAL = ["verify-residual", "--b", "1", "--disk", "r=0.6,u=1", "--n-values", "200,400,800,1600"]
+
+
+@pytest.mark.parametrize("argv, option, value, want_code", [
+    (["zn", "--b", "1", "--n", "10"], "--alpha", "-1e-05", 0),
+    (["zn", "--b", "1", "--n", "10"], "--alpha", "-.5E0", 0),
+    (["zn", "--b", "1", "--n", "10"], "--alpha", "-inf", 2),
+    (["zn", "--alpha", "0.5", "--n", "10"], "--b", "-2e+1", 2),
+    (["verify-clt", "--b", "1", "--n", "400", "--bulk-r", "0.6", "--num-samples", "300",
+      "--seed", "5", "--tol", "10"], "--s", "-5e-1", 0),
+    (_RESIDUAL, "--rate-lo", "-1.35e0", 0),
+    (_RESIDUAL, "--rate-hi", "-7.5e-1", 0),
+])
+def test_negative_float_as_separate_value(capsys, argv, option, value, want_code):
+    # argparse alone reads "-1e-05" after an option as an unknown option
+    # (exit 2, "expected one argument"); both spellings must mean the same
+    code1, out1, _ = run(capsys, *argv, option, value)
+    code2, out2, _ = run(capsys, *argv, f"{option}={value}")
+    assert code1 == code2 == want_code
+    assert out1 == out2 and bool(out1) == (want_code == 0)
+
+
 def test_unread_options_exit_2(capsys):
     code, out, _ = run(capsys, "coeffs", "--b", "1", "--n", "5", "--disk", "r=0.6,u=1")
+    assert code == 2 and out == ""
+    code, out, _ = run(capsys, "zn", "--b", "1", "--n", "10", "--max-denominator", "5")
     assert code == 2 and out == ""
     code, out, _ = run(
         capsys, "mgf-exact", "--b", "1", "--n", "10", "--disk", "r=0.5,u=1", "--threads", "2"

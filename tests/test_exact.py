@@ -198,9 +198,10 @@ def test_profile_matches_scalar_specfun():
     params = EnsembleParams(b=2.0, alpha=0.5, n=50)
     disks = DiskSystem([Disk.fixed(0.6), Disk.fixed(0.9)])
     prof = bernoulli_profile(params, disks)
+    radii = disks.resolve(params).radii
     for j in (0, 10, 24, 49):
         for l in (0, 1):
-            direct = reg_lower_gamma((j + 1 + 0.5) / 2.0, 50.0 * prof.radii[l] ** 4)
+            direct = reg_lower_gamma((j + 1 + 0.5) / 2.0, 50.0 * radii[l] ** 4)
             assert abs(prof.P[j, l] - direct) <= 1e-15
 
 
@@ -284,6 +285,28 @@ def test_first_two_cumulants_closed_forms():
     assert k1a == pytest.approx(prof.P[:, 0].sum(), rel=1e-13)
     assert k2a == pytest.approx((prof.P[:, 0] * (1 - prof.P[:, 0])).sum(), rel=1e-13)
     assert k11 == pytest.approx((prof.P[:, 0] * (1 - prof.P[:, 1])).sum(), rel=1e-12)
+
+
+def test_order_two_cumulants_near_p_one_vs_mp():
+    # outside the bulk (b = 1, n = 10, r = 1.5, 2) every P is near 1: a
+    # variance built from 1 - P lost 8 digits there (4.98223794e-09 against
+    # 4.9822379901193446e-09); Q from its own log keeps them
+    from mpmath import mp
+
+    params = EnsembleParams(b=1.0, alpha=0.0, n=10)
+    (var,) = joint_cumulants_exact(params, DiskSystem([Disk.fixed(2.0)]), [2])
+    (cov,) = joint_cumulants_exact(params, DiskSystem([Disk.fixed(1.5), Disk.fixed(2.0)]), [(1, 1)])
+    with mp.workdps(40):
+        z1, z2 = 10 * mp.mpf(1.5) ** 2, 10 * mp.mpf(2.0) ** 2
+
+        def pq_sum(zp, zq):
+            # sum_j P(j, zp) Q(j, zq), rows j = 1..n (shape j at b = 1, alpha = 0)
+            return mp.fsum(mp.gammainc(j, 0, zp, regularized=True)
+                           * mp.gammainc(j, zq, mp.inf, regularized=True) for j in range(1, 11))
+
+        want_var, want_cov = float(pq_sum(z2, z2)), float(pq_sum(z1, z2))
+    assert var == pytest.approx(want_var, rel=1e-13, abs=0.0)
+    assert cov == pytest.approx(want_cov, rel=1e-13, abs=0.0)
 
 
 def test_cumulants_order_cap():

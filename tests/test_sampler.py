@@ -98,7 +98,7 @@ def test_block_stream_contract():
     prof = bernoulli_profile(params, disks)  # at u = 0 its window is the sampler's
     assert prof.ones[0] > 0 and prof.rows[-1] < params.n - 1
     shapes = (prof.rows + 1 + params.alpha) / params.b
-    z = params.n * prof.radii ** (2.0 * params.b)
+    z = params.n * disks.resolve(params).radii ** (2.0 * params.b)
     for k in range(3):
         lo, hi = k * SAMPLE_BLOCK, min((k + 1) * SAMPLE_BLOCK, S)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))

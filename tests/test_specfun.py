@@ -102,10 +102,12 @@ def test_eta_fixed_points():
     assert _eta1(2.0) == pytest.approx(math.sqrt(2.0 * (1.0 - math.log(2.0))), rel=1e-14)
 
 
-def test_eta_series_branch():
+def test_eta_near_one():
+    # eta = x (1 - x/3 + ...), x = lambda - 1 (exact here): no cancellation
+    # left at x ~ 1e-8; abs=0, since approx's default abs=1e-12 is 1e-4 of eta
     lam = 1.0 + 1e-8
-    x = 1e-8
-    assert _eta1(lam) == pytest.approx(x * (1 - x / 3.0), rel=1e-12)
+    x = lam - 1.0
+    assert _eta1(lam) == pytest.approx(x * (1 - x / 3.0), rel=1e-15, abs=0.0)
 
 
 def test_eta_sign_convention():
@@ -114,18 +116,22 @@ def test_eta_sign_convention():
 
 
 def test_eta_defining_identity_sweep():
-    # eta^2/2 = lambda - 1 - log(lambda) to 1e-14 relative, all branches
+    # eta against eta^2/2 = lambda - 1 - log(lambda) taken in 50 digits at
+    # the same double lambda (in doubles the right side itself cancels near
+    # lambda = 1), to 1e-15 relative: a random sweep, lambda = 1 +- 10^-k and
+    # lambda = 1 +- 2^-k down to one ulp
+    from mpmath import mp, mpf
+
     rng = random.Random(2)
     lams = [rng.uniform(0.05, 6.0) for _ in range(200)]
     lams += [1 + s * 10.0**e for s in (1, -1) for e in range(-12, -1)]
+    lams += [1 + s * 2.0**-k for s in (1, -1) for k in range(10, 53)]
     eta = _eta(np.array(lams))
-    for lam, ev in zip(lams, eta):
-        lhs = 0.5 * ev * ev
-        rhs = lam - 1.0 - math.log(lam)
-        if rhs == 0.0:
-            assert lhs == 0.0
-        else:
-            assert lhs == pytest.approx(rhs, rel=1e-14)
+    with mp.workdps(50):
+        for lam, ev in zip(lams, eta):
+            x = mpf(lam) - 1
+            want = mp.sign(x) * mp.sqrt(2 * (x - mp.log(mpf(lam))))
+            assert abs(ev - want) <= 1e-15 * abs(want), lam
 
 
 def test_eta_domain():

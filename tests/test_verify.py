@@ -85,26 +85,26 @@ def test_coefficient_fit_validation():
 
 
 def test_clt_bulk_small():
-    res = clt_experiment(_params(), [0.6], None, n=500, num_samples=4000, seed=31)
+    res = clt_experiment(_params(n=500), [0.6], None, num_samples=4000, seed=31)
     assert res.covariance.shape == (1, 1)
     assert abs(res.covariance[0, 0] - 1.0) <= 0.15
     assert abs(res.means[0]) <= 0.15
 
 
 def test_clt_bulk_plus_edge_small():
-    res = clt_experiment(_params(), [0.6], 0.0, n=800, num_samples=5000, seed=32)
+    res = clt_experiment(_params(n=800), [0.6], 0.0, num_samples=5000, seed=32)
     assert res.covariance.shape == (2, 2)
     assert res.max_abs_deviation <= 0.2
 
 
 def test_clt_requires_samples():
     with pytest.raises(ValueError):
-        clt_experiment(_params(), [0.6], None, n=100, num_samples=50, seed=1)
+        clt_experiment(_params(n=100), [0.6], None, num_samples=50, seed=1)
 
 
 def test_clt_deterministic():
     # three blocks and a part, so that threads=3 runs blocks in parallel
     S = 3 * SAMPLE_BLOCK + 17
-    a = clt_experiment(_params(), [0.5], None, n=200, num_samples=S, seed=7)
-    b = clt_experiment(_params(), [0.5], None, n=200, num_samples=S, seed=7, threads=3)
+    a = clt_experiment(_params(n=200), [0.5], None, num_samples=S, seed=7)
+    b = clt_experiment(_params(n=200), [0.5], None, num_samples=S, seed=7, threads=3)
     np.testing.assert_allclose(a.covariance, b.covariance, rtol=0, atol=0)
