@@ -175,13 +175,14 @@ def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def quad(f, lo: float, hi: float) -> tuple[np.ndarray, float]:
+def quad(f, lo: float, hi: float) -> tuple[list, float]:
     """Integral from lo to hi (signed) of f, which maps a t-array to a stack
-    of integrands (..., t).
+    of integrands (k, t).
 
     Returns (value, error): the rule with QUAD_PANELS panels is doubled until
     two successive rules agree to QUAD_RTOL; error is the summed absolute
-    difference of the last two.
+    difference of the last two.  The k values are Python floats, so that
+    arithmetic on them overflows to inf without a numpy warning.
     """
     span = hi - lo
     panels = QUAD_PANELS
@@ -195,7 +196,7 @@ def quad(f, lo: float, hi: float) -> tuple[np.ndarray, float]:
         if np.all(diff <= QUAD_RTOL * np.maximum(1.0, np.abs(value))):
             break
         prev = value
-    return value, float(np.sum(diff))
+    return value.tolist(), float(np.sum(diff))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,14 @@ class ExpansionCoefficients:
         return self.C1 * n + self.C2 * rn + self.C3 + self.C4 / rn
 
 
+def _finite(what: str, values: tuple, **inputs) -> tuple:
+    """`values`, or a ValueError naming `inputs` where one is not finite."""
+    if not all(math.isfinite(v) for v in values):
+        named = ", ".join(f"{key} = {value!r}" for key, value in inputs.items())
+        raise ValueError(f"{what} not finite at {named}")
+    return values
+
+
 def _flag_extreme_s(s_frak: float) -> None:
     if abs(s_frak) > 6.0:
         warnings.warn(
@@ -241,6 +250,9 @@ def _flag_extreme_s(s_frak: float) -> None:
 
 def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
     """(C1, C2, C3, C4) of a bulk disk and the quadrature error."""
+    rb = r**b
+    if rb == 0.0:  # C4 divides by r^b
+        raise ValueError(f"r^b underflows to 0 at b = {b!r}, r = {r!r}")
 
     def f_terms(t):
         f_plus, f_minus, _, _ = kernel.arrays(t)
@@ -254,7 +266,6 @@ def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[floa
 
     (f_sum, f_odd, f_t2), f_err = quad(f_terms, 0.0, kernel.tail)
     (g_poly, g_e, g_sq), g_err = quad(g_terms, -kernel.tail, kernel.tail)
-    rb = r**b
     C1 = b * r ** (2.0 * b) * kernel.lin
     C2 = math.sqrt(2.0) * b * rb * f_sum
     C3 = -(0.5 + alpha) * kernel.lin + 4.0 * b * f_odd + b * g_poly
@@ -263,7 +274,7 @@ def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[floa
         - b / (math.sqrt(2.0) * rb) * g_e
         - b / (2.0 * math.sqrt(2.0) * rb) * g_sq
     )
-    return (C1, float(C2), float(C3), float(C4)), f_err + g_err
+    return _finite("bulk coefficients", (C1, C2, C3, C4), b=b, r=r), f_err + g_err
 
 
 def _edge(b: float, alpha: float, sf: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
@@ -385,7 +396,8 @@ def edge_mean_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, fl
     gaus = math.exp(-s * s)
     c1 = math.sqrt(b) * s / math.sqrt(2.0) * E - math.sqrt(b) / math.sqrt(2.0 * math.pi) * gaus
     d1 = -0.5 * (0.5 + alpha - b / 2.0) * E - b * s / (3.0 * _SQRT_PI) * gaus
-    e1 = (
+    # past |s| ~ 27.3 e^(-s^2) is 0, and so is its product with s^4 (which may overflow)
+    e1 = gaus and (
         gaus
         / math.sqrt(2.0 * math.pi)
         * (
@@ -394,7 +406,7 @@ def edge_mean_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, fl
             - 2.0 * s**4 / 9.0 * b**1.5
         )
     )
-    return c1, d1, e1
+    return _finite("edge mean coefficients", (c1, d1, e1), b=b, alpha=alpha, s=s)
 
 
 def edge_var_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, float]:
@@ -413,7 +425,7 @@ def edge_var_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, flo
         + b * s / (3.0 * _SQRT_PI) * gaus * (1.0 - E)
         + (b - 1.0 - 2.0 * alpha) / 4.0 * E * (0.5 * E - 1.0)
     )
-    e2 = (
+    e2_gaus = gaus and (  # 0 past |s| ~ 27.3, as in edge_mean_coeffs
         gaus
         / (12.0 * math.sqrt(2.0 * math.pi * b))
         * (
@@ -426,10 +438,13 @@ def edge_var_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, flo
             + 8.0 * b * b / 3.0 * s**4
         )
         * (1.0 - E)
+    )
+    e2 = (
+        e2_gaus
         - b**1.5 * s / (72.0 * math.sqrt(2.0) * math.pi) * gaus * gaus
         - b**1.5 * (1.0 + 4.0 * s * s) / (32.0 * _SQRT_PI) * E2
     )
-    return c2, d2, e2
+    return _finite("edge variance coefficients", (c2, d2, e2), b=b, alpha=alpha, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +519,7 @@ def zn_expansion(params: EnsembleParams) -> ZnExpansion:
         / n
     )
     rat = _rationalize(b)
-    if rat is None:
-        return ZnExpansion(value, False, None)
-    g = zn_constant(b, alpha, *rat)
-    return ZnExpansion(value + g, True, g)
+    g = None if rat is None else zn_constant(b, alpha, *rat)
+    total = value if g is None else value + g
+    _finite("log Z_n expansion", (total,), b=b, alpha=alpha)
+    return ZnExpansion(total, g is not None, g)

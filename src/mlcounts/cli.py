@@ -31,12 +31,13 @@ from .sampler import mc_cumulants, sample_counts
 __all__ = ["build_parser", "main"]
 
 
-def _emit(args, payload=None, csv_rows=None, csv_header=None) -> None:
-    if csv_rows is not None:
+def _emit(args, payload) -> None:
+    if isinstance(payload, tuple):  # (header, rows) of a CSV table
+        header, rows = payload
         buf = io.StringIO()
         writer = csv.writer(buf, delimiter=",", lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(header)
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
         # ndarrays and numpy integers reach `default`: tolist gives Python numbers
@@ -81,12 +82,8 @@ def _params_from(args, n: int | None = None) -> EnsembleParams:
     return EnsembleParams(b=args.b, alpha=args.alpha, n=args.n if n is None else n)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _list(text: str, kind=int) -> list:
+    return [kind(v) for v in text.split(",") if v.strip()]
 
 
 def _positive_int(text: str) -> int:
@@ -109,41 +106,23 @@ def _describe_params(params: EnsembleParams) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns the process exit code
+# subcommand handlers; each returns its output: a JSON payload (dict) or a
+# CSV table (header, rows)
 
 
-def _cmd_mgf_exact(args) -> int:
+def _cmd_mgf_exact(args) -> dict:
     params = _params_from(args)
     disks = _disks_from(args)
-    payload = {
+    return {
         "params": _describe_params(params),
         "disks": _describe_disks(params, disks),
         "log_mgf": log_mgf_exact(params, disks),
     }
-    _emit(args, payload)
-    return 0
 
 
-def _cmd_mgf_asymptotic(args) -> int:
-    params = _params_from(args)
-    disks = _disks_from(args)
-    coeffs = asymptotics.theorem_coefficients(params, disks)
-    payload = {
-        "params": _describe_params(params),
-        "disks": _describe_disks(params, disks),
-        "C1": coeffs.C1,
-        "C2": coeffs.C2,
-        "C3": coeffs.C3,
-        "C4": coeffs.C4,
-        "quad_error": coeffs.quad_error,
-        "log_mgf_predicted": coeffs.evaluate(params.n),
-    }
-    _emit(args, payload)
-    return 0
-
-
-def _cmd_coeffs(args) -> int:
-    params = _params_from(args, n=1)  # the coefficients do not depend on n
+def _cmd_coeffs(args) -> dict:
+    # the coefficients do not depend on n; --n adds the prediction at that n
+    params = _params_from(args, n=1 if args.n is None else args.n)
     disks = _disks_from(args)
     coeffs = asymptotics.theorem_coefficients(params, disks)
     payload = {
@@ -158,18 +137,19 @@ def _cmd_coeffs(args) -> int:
             for d in coeffs.per_disk
         ],
     }
-    _emit(args, payload)
-    return 0
+    if args.n is not None:
+        payload["log_mgf_predicted"] = coeffs.evaluate(params.n)
+    return payload
 
 
-def _cmd_cumulants(args) -> int:
+def _cmd_cumulants(args) -> dict | tuple:
     params = _params_from(args)
     disks = _disks_from(args)
-    orders = _int_list(args.orders)
+    orders = _list(args.orders)
     if args.mode == "exact":
         p = len(disks.disks)
         marginal = [(order, disk_idx) for order in orders for disk_idx in range(p)]
-        joint = [tuple(_int_list(j)) for j in args.joint or []]
+        joint = [tuple(_list(j)) for j in args.joint or []]
         multis = [tuple(order if i == disk_idx else 0 for i in range(p))
                   for order, disk_idx in marginal] + joint
         values = joint_cumulants_exact(params, disks, multis)
@@ -177,13 +157,11 @@ def _cmd_cumulants(args) -> int:
                    for (order, disk_idx), value in zip(marginal, values)]
         entries += [{"multi_index": list(multi), "value": value}
                     for multi, value in zip(joint, values[len(marginal):])]
-        payload = {
+        return {
             "params": _describe_params(params),
             "disks": _describe_disks(params, disks),
             "cumulants": entries,
         }
-        _emit(args, payload)
-        return 0
     # asymptotic coefficient tables, one row per (disk, order)
     kinds, s_frak = disks.classify(params.b)
     rows = []
@@ -204,18 +182,15 @@ def _cmd_cumulants(args) -> int:
             )
     header = ("b", "alpha", "r_or_s", "kind", "order", "leading", "c", "d", "e", "value_at_n")
     if args.format == "csv":
-        _emit(args, csv_rows=rows, csv_header=header)
-    else:
-        _emit(args, {"params": _describe_params(params),
-                     "series": [dict(zip(header, row)) for row in rows]})
-    return 0
+        return header, rows
+    return {"params": _describe_params(params), "series": [dict(zip(header, row)) for row in rows]}
 
 
-def _cmd_zn(args) -> int:
+def _cmd_zn(args) -> dict:
     params = _params_from(args)
     expansion = asymptotics.zn_expansion(params)
     exact = log_partition_exact(params)
-    payload = {
+    return {
         "params": _describe_params(params),
         "log_zn_exact": exact,
         "expansion": expansion.value,
@@ -223,22 +198,18 @@ def _cmd_zn(args) -> int:
         "constant": expansion.constant,
         "residual": exact - expansion.value,
     }
-    _emit(args, payload)
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> dict | tuple:
     params = _params_from(args)
     disks = _disks_from(args)
     batch = sample_counts(params, disks, args.num_samples, args.seed, threads=args.threads)
     if args.format == "csv":
         p = batch.counts.shape[1]
         header = ["sample"] + [f"count_{i + 1}" for i in range(p)]
-        rows = [[idx, *counts] for idx, counts in enumerate(batch.counts.tolist())]
-        _emit(args, csv_rows=rows, csv_header=header)
-        return 0
+        return header, [[idx, *counts] for idx, counts in enumerate(batch.counts.tolist())]
     stats = mc_cumulants(batch, max_order=4)
-    payload = {
+    return {
         "params": _describe_params(params),
         "disks": _describe_disks(params, disks),
         "seed": batch.seed,
@@ -248,18 +219,16 @@ def _cmd_sample(args) -> int:
         "cumulants": stats.values,
         "se": stats.se,
     }
-    _emit(args, payload)
-    return 0
 
 
-def _cmd_verify_residual(args) -> int:
-    params = _params_from(args, n=max(_int_list(args.n_values)))
+def _cmd_verify_residual(args) -> dict:
+    n_values = _list(args.n_values)
+    params = _params_from(args, n=max(n_values))
     disks = _disks_from(args)
-    scan = verify.residual_scan(params, disks, _int_list(args.n_values))
+    scan = verify.residual_scan(params, disks, n_values)
     magnitudes = [abs(r) for r in scan.residuals]
     monotone = all(m2 < m1 for m1, m2 in zip(magnitudes, magnitudes[1:]))
-    ok = args.rate_lo <= scan.fitted_rate <= args.rate_hi and monotone
-    payload = {
+    return {
         "experiment": "residual_scan",
         "inputs": {
             "params": _describe_params(params),
@@ -273,28 +242,21 @@ def _cmd_verify_residual(args) -> int:
             "monotone_decreasing": monotone,
         },
         "tolerances": {"rate_lo": args.rate_lo, "rate_hi": args.rate_hi},
-        "pass": ok,
+        "pass": args.rate_lo <= scan.fitted_rate <= args.rate_hi and monotone,
     }
-    _emit(args, payload)
-    return 0 if ok else 3
 
 
-def _cmd_verify_clt(args) -> int:
+def _cmd_verify_clt(args) -> dict:
     params = _params_from(args)
+    bulk_r = _list(args.bulk_r, float)
     result = verify.clt_experiment(
-        params,
-        _float_list(args.bulk_r) if args.bulk_r else [],
-        args.s,
-        args.num_samples,
-        args.seed,
-        threads=args.threads,
+        params, bulk_r, args.s, args.num_samples, args.seed, threads=args.threads
     )
-    ok = result.max_abs_deviation <= args.tol
-    payload = {
+    return {
         "experiment": "clt",
         "inputs": {
             "params": _describe_params(params),
-            "bulk_r": _float_list(args.bulk_r) if args.bulk_r else [],
+            "bulk_r": bulk_r,
             "s": args.s,
             "num_samples": args.num_samples,
             "seed": args.seed,
@@ -305,10 +267,8 @@ def _cmd_verify_clt(args) -> int:
             "means": result.means,
         },
         "tolerances": {"max_abs_deviation": args.tol},
-        "pass": ok,
+        "pass": result.max_abs_deviation <= args.tol,
     }
-    _emit(args, payload)
-    return 0 if ok else 3
 
 
 _NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
@@ -355,12 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.set_defaults(handler=_cmd_mgf_exact)
 
-    s = subs.add_parser("mgf-asymptotic", help="asymptotic log-MGF prediction")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_mgf_asymptotic)
-
-    s = subs.add_parser("coeffs", help="expansion coefficients C1..C4")
+    # mgf-asymptotic, the old name, stays while perfbench's cli-session calls it
+    # and goes once cli-session calls `coeffs --n`
+    s = subs.add_parser("coeffs", aliases=["mgf-asymptotic"],
+                        help="expansion coefficients C1..C4, with --n the predicted log-MGF")
     _add_common(s, n=False)
+    s.add_argument("--n", type=int, help="also predict the log-MGF at this particle count")
     s.set_defaults(handler=_cmd_coeffs)
 
     s = subs.add_parser("cumulants", help="disk count cumulants")
@@ -412,10 +372,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        payload = args.handler(args)
+        _emit(args, payload)
     except (ValueError, ArithmeticError, verify.BelowNoiseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 3 if isinstance(payload, dict) and payload.get("pass") is False else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .asymptotics import (
     edge_var_coeffs,
     theorem_coefficients,
 )
-from .exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact
+from .exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact, support_radius
 from .sampler import sample_counts
 
 __all__ = [
@@ -151,29 +151,35 @@ def clt_experiment(
     Bulk count j is centered at b r^(2b) n and scaled by sqrt(b r^b) n^(1/4)
     / pi^(1/4); the edge count is centered at n + c1 sqrt(n) and scaled by
     sqrt(c2) n^(1/4) with (c1, c2) the closed-form edge coefficients.  The
-    limit is a standard multivariate normal.
+    limit is a standard multivariate normal.  Raises ValueError where a
+    normalization is meaningless: a bulk radius outside (0, r*), a bulk scale
+    that underflows to 0, or an edge c2 that is not positive.
     """
     if num_samples < 100:
         raise ValueError(f"need at least 100 samples, got {num_samples!r}")
     b, alpha, n = params.b, params.alpha, params.n
-    disk_list = [Disk.fixed(r) for r in bulk_radii]
-    if s_frak is not None:
-        disk_list.append(Disk.edge(s_frak))
-    disks = DiskSystem(disk_list)
-    batch = sample_counts(params, disks, num_samples, seed, threads=threads)
-    cols = []
+    rstar = support_radius(b)
     nq = n**0.25
-    for idx, r in enumerate(bulk_radii):
-        center = b * r ** (2.0 * b) * n
+    norms = []  # (center, scale) of each count, bulk disks first
+    for r in bulk_radii:
+        if not 0 < r < rstar:
+            raise ValueError(f"bulk radius must satisfy 0 < r < {rstar}, got {r!r}")
         scale = math.sqrt(b * r**b) * nq / math.pi**0.25
-        cols.append((batch.counts[:, idx] - center) / scale)
+        if scale == 0.0:
+            raise ValueError(f"bulk scale sqrt(b r^b) underflows to 0 at b = {b!r}, r = {r!r}")
+        norms.append((b * r ** (2.0 * b) * n, scale))
+    disk_list = [Disk.fixed(r) for r in bulk_radii]
     if s_frak is not None:
         c1, _, _ = edge_mean_coeffs(b, alpha, s_frak)
         c2, _, _ = edge_var_coeffs(b, alpha, s_frak)
-        center = n + c1 * math.sqrt(n)
-        scale = math.sqrt(c2) * nq
-        cols.append((batch.counts[:, -1] - center) / scale)
-    stats = np.column_stack(cols)
+        if not c2 > 0.0:
+            raise ValueError(f"edge variance coefficient c2 = {c2!r} is not positive at "
+                             f"b = {b!r}, alpha = {alpha!r}, s = {s_frak!r}")
+        norms.append((n + c1 * math.sqrt(n), math.sqrt(c2) * nq))
+        disk_list.append(Disk.edge(s_frak))
+    batch = sample_counts(params, DiskSystem(disk_list), num_samples, seed, threads=threads)
+    stats = np.column_stack([(batch.counts[:, idx] - center) / scale
+                             for idx, (center, scale) in enumerate(norms)])
     cov = np.atleast_2d(np.cov(stats, rowvar=False))
     dev = float(np.max(np.abs(cov - np.eye(cov.shape[0]))))
     return CltResult(

@@ -307,6 +307,12 @@ def test_bulk_rejects_bad_inputs():
         bulk_cumulant_coeffs(1, 1.0, 0.0, 1.2)  # outside the bulk
     with pytest.raises(ValueError, match=r"b = 1e-05"):
         bulk_cumulant_coeffs(2, 1e-5, 0.0, 0.5)  # support radius past double range
+    # 0.7^2000 is subnormal, so C4 ~ b / r^b overflows; 0.3^700 is 0
+    with pytest.raises(ValueError, match=r"b = 2000, r = 0\.7"):
+        bulk_cumulant_coeffs(2, 2000, 0.0, 0.7)
+    params = EnsembleParams(b=700.0, alpha=0.0, n=1)
+    with pytest.raises(ValueError, match=r"b = 700\.0, r = 0\.3"):
+        theorem_coefficients(params, DiskSystem([Disk.fixed(0.3, 1.0)]))
 
 
 @st.composite
@@ -388,6 +394,16 @@ def test_edge_c1_negative_c2_positive():
         assert c2 > 0.0
 
 
+def test_edge_closed_forms_far_tail():
+    # e^(-s^2) is 0 here: e1 and e2 take their limit where s^4 overflowed
+    c1, d1, e1 = edge_mean_coeffs(1.0, 0.0, -1e200)
+    assert (c1, d1, e1) == (pytest.approx(-math.sqrt(2.0) * 1e200, rel=1e-15), 0.0, 0.0)
+    assert edge_var_coeffs(1.0, 0.0, 40.0) == (0.0, 0.0, 0.0)
+    # s^2 overflows, so e2 holds inf * erfc(sqrt(2) s) = inf * 0: a ValueError naming s
+    with pytest.raises(ValueError, match=r"s = 1e\+200"):
+        edge_var_coeffs(1.0, 0.0, 1e200)
+
+
 def test_edge_quadrature_matches_closed_forms():
     for s in (-1.0, 0.0, 0.7):
         for b, alpha in ((1.0, 0.0), (2.0, 0.5)):
@@ -456,6 +472,12 @@ def test_zn_expansion_matches_mp_oracle():
         truth = float(oracles.mp_zn_expansion(b, alpha, 500, n1, n2))
         # absolute tolerance scaled to the value's own float noise floor
         assert z.value == pytest.approx(truth, abs=1e-15 * abs(truth) + 1e-10)
+
+
+@pytest.mark.parametrize("b", [3.0, math.pi / 3.0], ids=["rational", "irrational"])
+def test_zn_expansion_past_double_range_raises(b):
+    with pytest.raises(ValueError, match=r"alpha = 1e\+300"):
+        zn_expansion(EnsembleParams(b=b, alpha=1e300, n=10))
 
 
 def test_zn_irrational_b_flag():

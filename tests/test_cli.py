@@ -77,12 +77,29 @@ def test_cumulants_joint_and_asymptotic(capsys):
 
 
 def test_json_output_byte_identical(capsys):
-    argv = ["mgf-asymptotic", "--b", "2", "--alpha", "0.5", "--n", "4000",
+    # mgf-asymptotic is an alias of coeffs: the same bytes
+    args = ["--b", "2", "--alpha", "0.5", "--n", "4000",
             "--disk", "r=0.45,u=0.3", "--disk", "s=0.3,u=0.3"]
-    code1, out1, _ = run(capsys, *argv)
-    code2, out2, _ = run(capsys, *argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
+    code1, out1, _ = run(capsys, "coeffs", *args)
+    code2, out2, _ = run(capsys, "coeffs", *args)
+    code3, out3, _ = run(capsys, "mgf-asymptotic", *args)
+    assert code1 == code2 == code3 == 0
+    assert out1 == out2 == out3
+
+
+def test_coeffs_n_adds_prediction(capsys):
+    args = ["coeffs", "--b", "1", "--alpha", "0", "--disk", "r=0.6,u=1"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    bare = json.loads(out)
+    code, out, _ = run(capsys, *args, "--n", "4000")
+    assert code == 0
+    with_n = json.loads(out)
+    predicted = with_n.pop("log_mgf_predicted")
+    assert with_n.pop("params") == {**bare.pop("params"), "n": 4000}
+    assert with_n == bare
+    rn = math.sqrt(4000)
+    assert predicted == bare["C1"] * 4000 + bare["C2"] * rn + bare["C3"] + bare["C4"] / rn
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -244,23 +261,35 @@ def test_non_positive_threads_exit_2(capsys):
 
 @st.composite
 def _argv(draw):
-    """argv of one computing subcommand over the documented input ranges: 1-3
-    disks, increasing fixed radii and at most one edge disk, placed anywhere.
-    Half the examples write each option as "--name=value", the other half as
-    two tokens, where a value such as -1e-05 must still be read as a value."""
+    """argv of one computing subcommand over the documented input ranges: b in
+    [0.05, 5] half the time and in [5, 1e4] otherwise, where r^b and the
+    e^(-s^2) factors leave double range; 1-3 disks, increasing fixed radii
+    and at most one edge disk, placed anywhere.  Half the examples write each
+    option as "--name=value", the other half as two tokens, where a value
+    such as -1e-05 must still be read as a value."""
     sub = draw(st.sampled_from(["mgf-exact", "mgf-asymptotic", "coeffs", "cumulants", "zn",
-                                "sample"]))
+                                "sample", "verify-residual", "verify-clt"]))
     split = draw(st.booleans())
 
     def opt(name, value):
         return [f"--{name}", value] if split else [f"--{name}={value}"]
 
-    argv = [sub, *opt("b", repr(draw(st.floats(0.05, 5.0)))),
+    b = draw(st.floats(5.0, 1e4) if draw(st.booleans()) else st.floats(0.05, 5.0))
+    argv = [sub, *opt("b", repr(b)),
             *opt("alpha", repr(draw(st.floats(-1.0, 3.0, exclude_min=True))))]
-    if sub != "coeffs":
+    if sub == "verify-residual":
+        n0 = draw(st.integers(50, 250))
+        argv += opt("n-values", ",".join(str(n0 * k) for k in (1, 2, 4, 8)))
+    elif sub != "coeffs" or draw(st.booleans()):
         # small n often: there an edge disk's 1 + sqrt(2b) s/sqrt(n) can reach 0
         argv += opt("n", str(draw(st.one_of(st.integers(1, 20), st.integers(1, 2000)))))
-    if sub != "zn":
+    if sub == "verify-clt":
+        radii = draw(st.lists(st.floats(1e-3, 3.0), max_size=2, unique=True))
+        if radii:
+            argv += opt("bulk-r", ",".join(map(repr, sorted(radii))))
+        if draw(st.booleans()):
+            argv += opt("s", repr(draw(st.floats(-30.0, 30.0))))
+    elif sub != "zn":
         has_edge = draw(st.booleans())
         radii = draw(st.lists(st.floats(1e-3, 3.0), min_size=1 - has_edge, max_size=3 - has_edge,
                               unique=True))
@@ -273,8 +302,8 @@ def _argv(draw):
         orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
         argv += opt("orders", ",".join(map(str, orders)))
         argv += opt("mode", draw(st.sampled_from(["exact", "asymptotic"])))
-    if sub == "sample":
-        argv += opt("num-samples", str(draw(st.integers(40, 300))))
+    if sub in ("sample", "verify-clt"):
+        argv += opt("num-samples", str(draw(st.integers(100 if sub == "verify-clt" else 40, 300))))
         argv += opt("seed", str(draw(st.integers(0, 2**32))))
     return argv
 
@@ -282,17 +311,23 @@ def _argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(_argv())
 def test_exit_code_property(argv):
-    # on any input in range a subcommand either succeeds with strict JSON on
-    # stdout or rejects the input (exit 2) with nothing on stdout; it never
-    # dies with a traceback or leaks a warning (warnings are errors here)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    # on any input in range a subcommand either prints strict JSON on stdout,
+    # exiting 3 exactly when it reports a failed verification, or rejects the
+    # input (exit 2) with nothing on stdout and a message that names it, not
+    # a bare arithmetic or encoder error; it never dies with a traceback or
+    # leaks a warning (warnings are errors here)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3)
-    if code == 0:
-        json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"non-finite {token}"))
-    else:
+    if code == 2:
         assert out.getvalue() == ""
+        for bare in ("division by zero", "JSON compliant", "math domain error"):
+            assert bare not in err.getvalue()
+    else:
+        payload = json.loads(out.getvalue(),
+                             parse_constant=lambda token: pytest.fail(f"non-finite {token}"))
+        assert payload.get("pass", True) is (code == 0)
 
 
 _RESIDUAL = ["verify-residual", "--b", "1", "--disk", "r=0.6,u=1", "--n-values", "200,400,800,1600"]
@@ -318,7 +353,8 @@ def test_negative_float_as_separate_value(capsys, argv, option, value, want_code
 
 
 def test_unread_options_exit_2(capsys):
-    code, out, _ = run(capsys, "coeffs", "--b", "1", "--n", "5", "--disk", "r=0.6,u=1")
+    # coeffs reads --n for its prediction; n = 0 is no particle count
+    code, out, _ = run(capsys, "coeffs", "--b", "1", "--n", "0", "--disk", "r=0.6,u=1")
     assert code == 2 and out == ""
     code, out, _ = run(capsys, "zn", "--b", "1", "--n", "10", "--max-denominator", "5")
     assert code == 2 and out == ""

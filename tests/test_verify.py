@@ -108,3 +108,14 @@ def test_clt_deterministic():
     a = clt_experiment(_params(n=200), [0.5], None, num_samples=S, seed=7)
     b = clt_experiment(_params(n=200), [0.5], None, num_samples=S, seed=7, threads=3)
     np.testing.assert_allclose(a.covariance, b.covariance, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("b, bulk_r, s, match", [
+    (1.0, [2.0], None, r"0 < r < 1\.0, got 2\.0"),  # centering b r^(2b) n is meaningless
+    (6000.0, [0.5], None, r"sqrt\(b r\^b\) underflows"),
+    (1.0, [], 27.13, r"c2 = -2e-323"),  # cancellation in the closed form
+    (1.0, [], 100.0, r"c2 = 0\.0"),
+], ids=["radius", "scale", "c2-negative", "c2-zero"])
+def test_clt_rejects_meaningless_normalization(b, bulk_r, s, match):
+    with pytest.raises(ValueError, match=match):
+        clt_experiment(_params(n=400, b=b), bulk_r, s, num_samples=300, seed=1)
