@@ -3,70 +3,101 @@
 
 Prints, for pasting into specfun.py after review:
 
-* the Taylor coefficients about eta = 0 of the uniform-asymptotics
-  correction functions c0(eta) = 1/(lambda-1) - 1/eta and
-  c1(eta) = 1/eta^3 - 1/(lambda-1)^3 - 1/(lambda-1)^2 - 1/(12(lambda-1));
+* ``_TEMME_TAYLOR``: the Taylor coefficients about eta = 0 of the
+  uniform-asymptotics coefficient functions c_k(eta) of
+  Q(a, z) = erfc(eta sqrt(a/2))/2 + e^(-a eta^2/2)/sqrt(2 pi a) sum_k c_k(eta) a^-k
+  (Temme 1979), each row cut where its terms drop below TOL on the
+  uniform branch |eta| <= ETA_UNIFORM, a >= A_UNIFORM;
 * zeta'(-1), cross-checked against the Glaisher-Kinkelin relation
   log A = 1/12 - zeta'(-1);
 * the Barnes-G asymptotic tail coefficients B_{2k+2}/(4k(k+1)).
 
-The power series of eta(lambda) about lambda = 1 is no longer derived:
-specfun takes eta in closed form, sqrt(2 (x - log(1+x))) with x = lambda - 1,
-through a cancellation-free x - log(1+x).  Only its inverse, lambda - 1 as a
-series in eta, enters c0 and c1.
+The c_k follow from c_0 = 1/(lambda-1) - 1/eta and
+c_k = c_(k-1)'(eta)/eta + (-1)^k g_k/(lambda-1), with g_k the Stirling
+coefficients of Gamma (DLMF 8.12.7-8), as power series in eta through the
+series of lambda - 1 in eta; the 1/eta poles cancel at every step, which
+``temme_taylor`` asserts.  ``tests/test_specfun.py`` calls it to check that
+the table in specfun.py is current.
+
+Run from the repository root:  python3 scripts/derive_frozen_constants.py
 """
 
+import pathlib
+import sys
 from fractions import Fraction
 
 from mpmath import bernoulli, exp, glaisher, mp, mpf, nstr, zeta
 
-mp.dps = 60
-N = 18
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from mlcounts.specfun import A_UNIFORM, ETA_UNIFORM  # noqa: E402
 
-def series_mul(A, B):
-    C = [mpf(0)] * N
-    for i in range(N):
-        if A[i] == 0:
-            continue
-        for j in range(N - i):
-            C[i + j] += A[i] * B[j]
-    return C
+DPS = 60
+N = 80  # terms of the series of lambda - 1 in eta: c_k keeps N - 2k of them
+K_MAX = 20
+TOL = 1e-18  # a table entry is kept while |c_km| ETA_UNIFORM^m A_UNIFORM^-k >= TOL
 
 
 def series_inv(A):
-    B = [mpf(0)] * N
+    B = [mpf(0)] * len(A)
     B[0] = 1 / A[0]
-    for n in range(1, N):
+    for n in range(1, len(A)):
         B[n] = -sum(A[i] * B[n - i] for i in range(1, n + 1)) / A[0]
     return B
 
 
-def main() -> None:
-    # lambda - 1 = x(eta) = sum_k a_k eta^k: eta^2/2 = x - log(1+x) gives
-    # x x' = eta (1 + x), whose eta^n coefficient fixes a_n from a_1..a_(n-1):
-    # (n+1) a_n = a_(n-1) - sum_{i=2}^{n-1} (n+1-i) a_i a_(n+1-i), a_1 = 1
-    a = [mpf(0), mpf(1)]
-    for n in range(2, N + 1):
-        a.append((a[n - 1] - sum((n + 1 - i) * a[i] * a[n + 1 - i] for i in range(2, n))) / (n + 1))
-    B = a[1:N + 1]  # lambda - 1 = eta * B(eta)
+def stirling(k_max):
+    """g_0..g_kmax of Gamma(a) ~ sqrt(2 pi/a) (a/e)^a sum_k g_k a^-k, as the
+    exponential of log Gamma's series sum_m B_2m/(2m(2m-1)) a^(1-2m)."""
+    log_series = [mpf(0)] * (k_max + 1)
+    for m in range(1, k_max // 2 + 2):
+        if 2 * m - 1 <= k_max:
+            log_series[2 * m - 1] = bernoulli(2 * m) / (2 * m * (2 * m - 1))
+    g = [mpf(1)] + [mpf(0)] * k_max
+    for n in range(1, k_max + 1):  # g' = (log series)' g
+        g[n] = sum(k * log_series[k] * g[n - k] for k in range(1, n + 1)) / n
+    return g
 
-    Binv = series_inv(B)
-    B2inv = series_mul(Binv, Binv)
-    B3inv = series_mul(B2inv, Binv)
-    c0 = [Binv[k + 1] for k in range(N - 1)] + [mpf(0)]
-    one_minus_B3inv = [(mpf(1) if k == 0 else mpf(0)) - B3inv[k] for k in range(N)]
-    c1 = [mpf(0)] * N
-    for m in range(N - 3):
-        c1[m] = one_minus_B3inv[m + 3] - B2inv[m + 2] - Binv[m + 1] / 12
-    assert abs(one_minus_B3inv[1] - B2inv[0]) < mpf(10) ** -50
-    assert abs(one_minus_B3inv[2] - B2inv[1] - Binv[0] / 12) < mpf(10) ** -50
-    print("\nc0 Taylor coefficients about eta=0:")
-    for k in range(12):
-        print(f"  {nstr(c0[k], 20)}")
-    print("c1 Taylor coefficients about eta=0:")
-    for k in range(12):
-        print(f"  {nstr(c1[k], 20)}")
+
+def temme_taylor():
+    """Rows k = 0, 1, ... of Taylor coefficients of c_k(eta) about 0 (mpf),
+    each cut after its last entry >= TOL on the uniform branch; the rows
+    stop at the first k with no such entry."""
+    with mp.workdps(DPS):
+        # lambda - 1 = x(eta) = sum_n a_n eta^n: eta^2/2 = x - log(1+x) gives
+        # x x' = eta (1 + x), whose eta^n coefficient fixes a_n from a_1..a_(n-1):
+        # (n+1) a_n = a_(n-1) - sum_{i=2}^{n-1} (n+1-i) a_i a_(n+1-i), a_1 = 1
+        a = [mpf(0), mpf(1)]
+        for n in range(2, N + 1):
+            a.append((a[n - 1] - sum((n + 1 - i) * a[i] * a[n + 1 - i] for i in range(2, n))) / (n + 1))
+        inv = series_inv(a[1:])  # eta/(lambda - 1) = sum_n inv_n eta^n
+        g = stirling(K_MAX)
+        c = [inv[1:]]  # c_0 = (eta/(lambda-1) - 1)/eta
+        for k in range(1, K_MAX):
+            prev, sign_g = c[-1], (-1) ** k * g[k]
+            assert abs(prev[1] + sign_g * inv[0]) < mpf(10) ** (10 - DPS), k  # no 1/eta pole
+            c.append([(m + 2) * prev[m + 2] + sign_g * inv[m + 1] for m in range(len(prev) - 2)])
+        rows = []
+        for k, coeffs in enumerate(c):
+            kept = [m for m, v in enumerate(coeffs)
+                    if abs(v) * mpf(ETA_UNIFORM) ** m / mpf(A_UNIFORM) ** k >= TOL]
+            if not kept:
+                break
+            assert kept[-1] < len(coeffs) - 8, k  # the cut falls well inside the derived series
+            rows.append(coeffs[: kept[-1] + 1])
+        assert len(rows) < K_MAX - 1
+        return rows
+
+
+def main() -> None:
+    mp.dps = DPS
+    print("_TEMME_TAYLOR = (")
+    for row in temme_taylor():
+        print("    (")
+        for i in range(0, len(row), 3):
+            print("        " + " ".join(f"{float(v)!r}," for v in row[i:i + 3]))
+        print("    ),")
+    print(")")
 
     zp = zeta(-1, derivative=1)
     print("\nzeta'(-1) =", nstr(zp, 35))

@@ -14,11 +14,15 @@ Writes tests/data/mp_oracles.json with three tables:
 * ``exact_cumulants``: joint cumulants of orders 7-12 for two overlapping
   disks (b = 1, alpha = 0, n = 1000, r = 0.6, 0.63), 50-digit ``mp.diff``
   derivatives from ``tests/oracles.py::mp_joint_cumulants`` on the window
-  rows of the exact engine's profile.
+  rows of the exact engine's profile;
+* ``erfcx``: e^(t^2) erfc(t) at 50 digits for t from 0 to 1e4
+  (``tests/oracles.py::mp_erfcx``).
 
-The tests keep one live spot check of each table, so a stale file fails.
+The tests keep one live spot check of each slow table, so a stale file fails.
 
-Run from the repository root:  python3 scripts/make_mp_oracles.py
+Run from the repository root:  python3 scripts/make_mp_oracles.py [TABLE ...]
+With table names, only those are recomputed and the others are kept as they
+are in the file.
 """
 
 import cmath
@@ -47,40 +51,67 @@ EXACT = {
 }
 
 
+ERFCX_T = [0.0, 0.1, 0.25, 0.46875, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.99, 4.0, 4.01,
+           5.0, 6.0, 8.0, 10.0, 12.5, 15.0, 20.0, 26.0, 27.5, 30.0, 50.0, 100.0, 300.0, 1e3, 3e3,
+           1e4]
+
+
 def _key(values) -> str:
     return ",".join(repr(v) for v in values)
 
 
-def main() -> None:
-    t0 = time.time()
+def _bulk_coeffs(t0):
     bulk = {}
     for u in BULK["u"]:
         bulk[repr(u)] = oracles.mp_bulk_coeffs(BULK["b"], BULK["alpha"], BULK["r"], u)
         print(f"bulk u = {u} done ({time.time() - t0:.1f}s)", flush=True)
+    return {**{k: v for k, v in BULK.items() if k != "u"}, "dps": 30, "values": bulk}
+
+
+def _bulk_derivatives(t0):
     d = DERIVATIVES
     derivs = oracles.mp_bulk_coeff_derivatives(d["b"], d["alpha"], d["r"], d["orders"],
                                                rho=d["rho"], points=d["points"], dps=50)
     node = d["rho"] * cmath.exp(2j * math.pi / d["points"])
     node_values = oracles.mp_bulk_node(d["b"], d["alpha"], d["r"], node, dps=50)
     print(f"bulk derivatives done ({time.time() - t0:.1f}s)", flush=True)
+    return {
+        **{k: v for k, v in d.items() if k != "orders"}, "dps": 50,
+        "values": {str(j): list(v) for j, v in derivs.items()},
+        "node": {"u": [node.real, node.imag],
+                 "values": [[v.real, v.imag] for v in node_values]},
+    }
+
+
+def _exact_cumulants(t0):
     params = EnsembleParams(b=EXACT["b"], alpha=EXACT["alpha"], n=EXACT["n"])
     profile = bernoulli_profile(params, DiskSystem([Disk.fixed(r) for r in EXACT["radii"]]))
     exact = {}
     for k in EXACT["orders"]:
         exact[_key(k)] = oracles.mp_joint_cumulants(profile.Pw, [k])[0]
         print(f"exact {k} done ({time.time() - t0:.1f}s)", flush=True)
-    out = {
-        "bulk_coeffs": {**{k: v for k, v in BULK.items() if k != "u"}, "dps": 30, "values": bulk},
-        "bulk_derivatives": {
-            **{k: v for k, v in d.items() if k != "orders"}, "dps": 50,
-            "values": {str(j): list(v) for j, v in derivs.items()},
-            "node": {"u": [node.real, node.imag],
-                     "values": [[v.real, v.imag] for v in node_values]},
-        },
-        "exact_cumulants": {**{k: v for k, v in EXACT.items() if k != "orders"}, "dps": 50,
-                            "values": exact},
-    }
+    return {**{k: v for k, v in EXACT.items() if k != "orders"}, "dps": 50, "values": exact}
+
+
+def _erfcx(t0):
+    return {"dps": 50, "t": ERFCX_T, "values": [oracles.mp_erfcx(t, dps=50) for t in ERFCX_T]}
+
+
+TABLES = {"bulk_coeffs": _bulk_coeffs, "bulk_derivatives": _bulk_derivatives,
+          "exact_cumulants": _exact_cumulants, "erfcx": _erfcx}
+
+
+def main() -> None:
+    only = sys.argv[1:] or list(TABLES)
+    unknown = set(only) - set(TABLES)
+    if unknown:
+        raise SystemExit(f"unknown tables {sorted(unknown)}; known: {list(TABLES)}")
     target = ROOT / "tests" / "data" / "mp_oracles.json"
+    out = json.loads(target.read_text()) if target.exists() else {}
+    t0 = time.time()
+    for name in only:
+        out[name] = TABLES[name](t0)
+    out = {name: out[name] for name in TABLES if name in out}
     target.write_text(json.dumps(out, indent=1) + "\n")
     print("wrote", target)
 

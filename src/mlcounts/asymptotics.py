@@ -10,13 +10,13 @@ equilibrium support), one optional edge disk (radius pinned to the support
 edge at scale s/sqrt(n)), and outside disks each contribute their own terms.
 
 Each regime's (C1, C2, C3, C4) is written once and runs over a kernel that
-returns F(t, e^u), F(t, e^-u), G(t, e^u) and G(t, e^u)^2 on a t-array,
-either as values at u (the log-MGF) or as exact j-th u-derivatives at u = 0
-(the cumulant coefficients, any order up to series.MAX_ORDER).  The
-derivatives need no numerical differentiation: F(t, e^u) is the cumulant
-generating function of a Bernoulli(erfc(t)/2) variable and G(t, e^u) a
-quotient of series in e^u - 1, both taken from the power-series engine in
-``series``.
+returns F(t, e^u) and F(t, e^-u) (its `f`), or G(t, e^u) and G(t, e^u)^2
+(its `g`), on a t-array, either as values at u (the log-MGF) or as exact
+j-th u-derivatives at u = 0 (the cumulant coefficients, any order up to
+series.MAX_ORDER).  The derivatives need no numerical differentiation:
+F(t, e^u) is the cumulant generating function of a Bernoulli(erfc(t)/2)
+variable and G(t, e^u) a quotient of series in e^u - 1, both taken from the
+power-series engine in ``series``.
 
 Every integral goes through `quad`: Gauss-Legendre on equal panels, with the
 panel count doubled until two successive rules agree to QUAD_RTOL; the
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import series
 from .exact import DiskSystem, EnsembleParams, support_radius
-from .specfun import ZETA_PRIME_MINUS_ONE, log_barnes_g
+from .specfun import ZETA_PRIME_MINUS_ONE, erfc, erfcx, log_barnes_g
 
 __all__ = [
     "CumulantSeries",
@@ -77,13 +77,14 @@ _LOG_FORM_U = 600.0
 class _Kernel(NamedTuple):
     """What a regime's formula integrates.
 
-    `arrays(t)` returns F(t, e^u), F(t, e^-u), G(t, e^u) and G(t, e^u)^2 on a
-    t-array, as values at u or as exact j-th u-derivatives at u = 0; `lin`
-    is u in the same form; past |t| = `tail` every integrand has dropped
-    below e^(-TAIL_T^2) of its scale.
+    `f(t)` returns F(t, e^u) and F(t, e^-u), and `g(t)` returns G(t, e^u) and
+    G(t, e^u)^2, on a t-array, as values at u or as exact j-th u-derivatives
+    at u = 0; `lin` is u in the same form; past |t| = `tail` every integrand
+    has dropped below e^(-TAIL_T^2) of its scale.
     """
 
-    arrays: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    g: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     lin: float
     tail: float
 
@@ -102,7 +103,6 @@ def _value_kernel(u: float) -> _Kernel:
     log(1 + (e^v - 1) c) = v + log(c + (1-c) e^-v), summed in log space with
     log c = log(erfcx(|t|)/2) - t^2, and log(e^u - 1) = u + log1p(-e^-u) in G.
     """
-    from scipy.special import erfc, erfcx
 
     def log1p_expm1(v, c, t):
         # log(1 + (e^v - 1) c)
@@ -111,19 +111,21 @@ def _value_kernel(u: float) -> _Kernel:
         log_c = np.log(erfcx(np.abs(t)) / 2.0) - t * t
         return v + np.logaddexp(log_c, np.log1p(-c) - v)
 
-    def arrays(t):
+    def f(t):
         c = erfc(np.abs(t)) / 2.0
         neg = t < 0.0
         lp, lm = log1p_expm1(u, c, t), log1p_expm1(-u, c, t)
-        f_plus = np.where(neg, u + lm, lp)
-        f_minus = np.where(neg, -u + lp, lm)
+        return np.where(neg, u + lm, lp), np.where(neg, -u + lp, lm)
+
+    def g(t):
+        f_plus = f(t)[0]
         if u > _LOG_FORM_U:
             g = -np.exp(u + math.log1p(-math.exp(-u)) - t * t - f_plus) / _SQRT_PI
         else:
             g = -math.expm1(u) * np.exp(-t * t - f_plus) / _SQRT_PI
-        return f_plus, f_minus, g, g * g
+        return g, g * g
 
-    return _Kernel(arrays, u, math.sqrt(TAIL_T**2 + abs(u)))
+    return _Kernel(f, g, u, math.sqrt(TAIL_T**2 + abs(u)))
 
 
 def _derivative_kernel(j: int) -> _Kernel:
@@ -137,25 +139,27 @@ def _derivative_kernel(j: int) -> _Kernel:
     reflected (c -> 1 - c): F_j(-t) = [j = 1] + (-1)^j F_j(t),
     G_j(-t) = (-1)^(j+1) G_j(t), (G^2)_j(-t) = (-1)^j (G^2)_j(t).
     """
-    from scipy.special import erfc
-
     expm1 = series.inverse_factorials(j)
     expm1[0] = 0.0  # e^u - 1
     fact = math.factorial(j)
 
-    def arrays(t):
+    def f(t):
         c = erfc(np.abs(t)) / 2.0
         kappa = series.cumulants((j,), lambda a: c) if j else np.zeros_like(c)
+        flip = t < 0.0
+        f_plus = np.where(flip, float(j == 1), 0.0) + np.where(flip, (-1.0) ** j, 1.0) * kappa
+        return f_plus, (-1) ** j * f_plus
+
+    def g(t):
+        c = erfc(np.abs(t)) / 2.0
         g0 = np.exp(-t * t) / _SQRT_PI
         gs = [g0 * r for r in series.quotient(-expm1, [1.0, *(c * e for e in expm1[1:])])]
         g_sq = sum(gs[i] * gs[j - i] for i in range(j + 1))
         flip = t < 0.0
         sign = np.where(flip, (-1.0) ** j, 1.0)
-        f_plus = np.where(flip, float(j == 1), 0.0) + sign * kappa
-        g = np.where(flip, -sign, 1.0) * gs[j]
-        return f_plus, (-1) ** j * f_plus, g * fact, sign * g_sq * fact
+        return np.where(flip, -sign, 1.0) * gs[j] * fact, sign * g_sq * fact
 
-    return _Kernel(arrays, float(j == 1), TAIL_T)
+    return _Kernel(f, g, float(j == 1), TAIL_T)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +259,12 @@ def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[floa
         raise ValueError(f"r^b underflows to 0 at b = {b!r}, r = {r!r}")
 
     def f_terms(t):
-        f_plus, f_minus, _, _ = kernel.arrays(t)
+        f_plus, f_minus = kernel.f(t)
         f_sum = f_plus + f_minus
         return np.stack([f_sum, t * (f_plus - f_minus), t * t * f_sum])
 
     def g_terms(t):
-        _, _, g, g_sq = kernel.arrays(t)
+        g, g_sq = kernel.g(t)
         poly = (5.0 * t * t - 1.0) / 3.0
         return np.stack([g * poly, g * (21.0 * t - 193.0 * t**3 + 50.0 * t**5) / 18.0, g_sq * poly**2])
 
@@ -283,11 +287,11 @@ def _edge(b: float, alpha: float, sf: float, kernel: _Kernel) -> tuple[tuple[flo
 
     def f_terms(t, side: int, s: float):
         # the F(t, e^-u) integrands at s = sf and the F(t, e^u) ones at s = -sf
-        f = kernel.arrays(t)[side]
+        f = kernel.f(t)[side]
         return np.stack([f, (2.0 * t - s) * f, (3.0 * t * t - 2.0 * s * t) * f])
 
     def g_terms(t):
-        _, _, g, g_sq = kernel.arrays(t)
+        g, g_sq = kernel.g(t)
         poly = (5.0 * t * t + 3.0 * sf * t - 1.0) / 3.0
         poly_e = (
             21.0 * t
@@ -301,21 +305,25 @@ def _edge(b: float, alpha: float, sf: float, kernel: _Kernel) -> tuple[tuple[flo
     (m0, m1, m2), m_err = quad(lambda t: f_terms(t, 1, sf), 0.0, kernel.tail)
     (p0, p1, p2), p_err = quad(lambda t: f_terms(t, 0, -sf), 0.0, -sf)
     (g_poly, g_e, g_sq), g_err = quad(g_terms, -(kernel.tail + abs(sf)), -sf)
-    f_minus_at_s = kernel.arrays(np.array([sf]))[1][0]
-    g_at_minus_s = kernel.arrays(np.array([-sf]))[2][0]
+    f_minus_at_s = kernel.f(np.array([sf]))[1][0]
+    g_at_minus_s = kernel.g(np.array([-sf]))[0][0]
     C2 = math.sqrt(2.0 * b) * (m0 + sf * kernel.lin + p0)
     C3 = (0.5 + alpha) * f_minus_at_s - 2.0 * b * m1 + 2.0 * b * p1 + b * g_poly
-    C4 = (
-        (2.0 * b) ** 1.5 * (m2 + p2)
-        - b**1.5 / math.sqrt(2.0) * g_e
-        - b**1.5 / (2.0 * math.sqrt(2.0)) * g_sq
-        + (
-            (0.5 + alpha) * (2.0 * sf * sf - 1.0) / (3.0 * math.sqrt(2.0)) * math.sqrt(b)
-            + (1.0 + 6.0 * alpha + 6.0 * alpha * alpha) / (12.0 * math.sqrt(2.0 * b))
+    try:
+        C4 = (
+            (2.0 * b) ** 1.5 * (m2 + p2)
+            - b**1.5 / math.sqrt(2.0) * g_e
+            - b**1.5 / (2.0 * math.sqrt(2.0)) * g_sq
+            + (
+                (0.5 + alpha) * (2.0 * sf * sf - 1.0) / (3.0 * math.sqrt(2.0)) * math.sqrt(b)
+                + (1.0 + 6.0 * alpha + 6.0 * alpha * alpha) / (12.0 * math.sqrt(2.0 * b))
+            )
+            * g_at_minus_s
         )
-        * g_at_minus_s
-    )
-    return (kernel.lin, float(C2), float(C3), float(C4)), m_err + p_err + g_err
+    except OverflowError:  # b^1.5 leaves double range
+        C4 = math.inf
+    coeffs = (kernel.lin, float(C2), float(C3), float(C4))
+    return _finite("edge coefficients", coeffs, b=b, s=sf), m_err + p_err + g_err
 
 
 def theorem_coefficients(params: EnsembleParams, disks: DiskSystem) -> ExpansionCoefficients:

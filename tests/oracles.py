@@ -368,6 +368,13 @@ def mp_log_gamma_pq(a, z, dps=40):
         return float(mp.log1p(-mp.e**small)), float(small)
 
 
+def mp_erfcx(t: float, dps: int = 50) -> float:
+    """e^(t^2) erfc(t) in dps-digit arithmetic."""
+    with mp.workdps(dps):
+        tt = mpf(t)
+        return float(mp.erfc(tt) * mp.exp(tt * tt))
+
+
 def reference_reg_lower_gamma(a: float, z: float, dps: int = 50) -> float:
     """P(a, z) summed in dps-digit arithmetic; returned as float.
 

@@ -18,7 +18,7 @@ import random
 import numpy as np
 
 import mlcounts as mlc
-from mlcounts.specfun import A_TEMME, log_reg_gamma_pq
+from mlcounts.specfun import A_UNIFORM, log_reg_gamma_pq
 
 import oracles
 
@@ -31,17 +31,18 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_special_function_accuracy():
-    data = json.loads((DATA / "gammainc_grid.json").read_text())
     worst = 0.0
-    for i, a in enumerate(data["a"]):
-        for j, lam in enumerate(data["lambda"]):
-            worst = max(worst, abs(mlc.reg_lower_gamma(a, lam * a) - data["p"][i][j]))
-    # the evaluator switches from scipy to the uniform expansion at A_TEMME:
-    # P just below and at the switch must agree
-    shapes = np.array([np.nextafter(A_TEMME, 0.0), A_TEMME])
+    for grid in json.loads((DATA / "gammainc_grid.json").read_text())["grids"]:
+        for a, row in zip(grid["a"], grid["p"]):
+            for lam, want in zip(grid["lambda"], row):
+                worst = max(worst, abs(mlc.reg_lower_gamma(a, lam * a) - want))
+    # below A_UNIFORM the series or the continued fraction takes the shapes
+    # the uniform expansion takes from A_UNIFORM up: P just below and at the
+    # switch must agree
+    shapes = np.array([np.nextafter(A_UNIFORM, 0.0), A_UNIFORM])
     boundary = 0.0
-    for lam in (0.6, 0.9, 0.98, 1.0, 1.01, 1.4, 2.5):
-        log_p, _ = log_reg_gamma_pq(shapes, lam * A_TEMME)
+    for lam in (0.6, 0.9, 0.98, 1.0, 1.01, 1.4, 2.2):
+        log_p, _ = log_reg_gamma_pq(shapes, lam * A_UNIFORM)
         boundary = max(boundary, abs(math.exp(log_p[0]) - math.exp(log_p[1])))
     ok = worst <= 1e-13 and boundary <= 1e-12
     _report(1, ok, f"grid worst abs err {worst:.2e} (<=1e-13), "

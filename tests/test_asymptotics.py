@@ -41,11 +41,11 @@ def _frozen_bulk(u):
 
 
 def _F(t, s):
-    return asym._value_kernel(math.log(s)).arrays(np.array([t]))[0][0]
+    return asym._value_kernel(math.log(s)).f(np.array([t]))[0][0]
 
 
 def _G(t, s):
-    return asym._value_kernel(math.log(s)).arrays(np.array([t]))[2][0]
+    return asym._value_kernel(math.log(s)).g(np.array([t]))[0][0]
 
 
 def test_F_trivia():
@@ -76,10 +76,10 @@ def test_u_parity_of_symmetrized_F():
     rng = random.Random(4)
     t = np.array([rng.uniform(-4, 4) for _ in range(50)])
     for j in range(1, MAX_ORDER + 1, 2):
-        f_plus, f_minus, _, _ = asym._derivative_kernel(j).arrays(t)
+        f_plus, f_minus = asym._derivative_kernel(j).f(t)
         assert np.all(f_plus + f_minus == 0.0)
     for j in range(2, MAX_ORDER + 1, 2):
-        f_plus, f_minus, _, _ = asym._derivative_kernel(j).arrays(t)
+        f_plus, f_minus = asym._derivative_kernel(j).f(t)
         assert np.all(f_plus - f_minus == 0.0)
 
 
@@ -87,8 +87,8 @@ def test_u_derivative_series_vs_complex_step():
     # order-1 derivative of F(t, e^u) via complex step
     h = 1e-20
     ts = np.array([-2.0, 0.0, 0.8, 3.0])
-    f_plus = asym._derivative_kernel(1).arrays(ts)[0]
-    g = asym._derivative_kernel(0).arrays(ts)[2]
+    f_plus = asym._derivative_kernel(1).f(ts)[0]
+    g = asym._derivative_kernel(0).g(ts)[0]
     for i, t in enumerate(ts):
         cs = complex(np.log(1 + (np.exp(1j * h) - 1) * math.erfc(t) / 2)).imag / h
         assert f_plus[i] == pytest.approx(cs, rel=1e-12, abs=1e-15)
@@ -102,7 +102,8 @@ def test_derivative_kernel_vs_mp_taylor():
     ts = np.array([-6.0, -3.1, -1.2, -0.3, 0.0, 0.45, 1.7, 3.3, 5.2, 7.9])
     want = np.array([oracles.mp_kernel_derivatives(t, MAX_ORDER) for t in ts])  # (t, 4, j)
     for j in range(MAX_ORDER + 1):
-        got = np.array(asym._derivative_kernel(j).arrays(ts))
+        kernel = asym._derivative_kernel(j)
+        got = np.array([*kernel.f(ts), *kernel.g(ts)])
         ref = want[:, :, j].T
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-14 * scale), j
@@ -402,6 +403,16 @@ def test_edge_closed_forms_far_tail():
     # s^2 overflows, so e2 holds inf * erfc(sqrt(2) s) = inf * 0: a ValueError naming s
     with pytest.raises(ValueError, match=r"s = 1e\+200"):
         edge_var_coeffs(1.0, 0.0, 1e200)
+
+
+def test_edge_coefficients_past_double_range_raise():
+    # (2b)^1.5 overflows at b = 1e300: a ValueError naming b and s, for the
+    # log-MGF coefficients and the cumulant coefficients alike
+    params = EnsembleParams(b=1e300, alpha=0.0, n=10)
+    with pytest.raises(ValueError, match=r"b = 1e\+300, s = 0\.0"):
+        theorem_coefficients(params, DiskSystem([Disk.edge(0.0, 1.0)]))
+    with pytest.raises(ValueError, match=r"b = 1e\+300, s = 0\.5"):
+        edge_cumulant_coeffs(2, 1e300, 0.0, 0.5)
 
 
 def test_edge_quadrature_matches_closed_forms():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import pathlib
@@ -7,10 +8,14 @@ import numpy as np
 import pytest
 
 from mlcounts.specfun import (
-    A_TEMME,
+    A_UNIFORM,
+    ETA_UNIFORM,
     GammaRegime,
+    _TEMME_TAYLOR,
     _eta,
-    _temme_corr,
+    _temme_sum,
+    erfc,
+    erfcx,
     gamma_regime,
     log_barnes_g,
     log_reg_gamma_pq,
@@ -18,16 +23,29 @@ from mlcounts.specfun import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _eta1(lam):
-    return float(_eta(np.array([lam]))[0])
+    return float(_eta(np.array([lam]) - 1.0)[0])
+
+
+def _lam_at(eta):
+    """The lambda whose eta is `eta`, by bisection to the last bit."""
+    lo, hi = (1e-300, 1.0) if eta < 0 else (1.0, 1e300)
+    while True:
+        mid = math.sqrt(lo * hi) if hi / lo > 4.0 else 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        lo, hi = (mid, hi) if _eta1(mid) < eta else (lo, mid)
 
 
 def _temme_R(a, lam):
-    """R_a(eta) = exp(-a eta^2/2) (c0 + c1/a)/sqrt(2 pi a), from the evaluator's pieces."""
-    eta = _eta(np.array([lam]))
-    return math.exp(-0.5 * a * eta[0] ** 2) * float(_temme_corr(np.float64(a), eta, np.array([lam]))[0])
+    """R_a(eta) = exp(-a eta^2/2) sum_k c_k(eta) a^-k / sqrt(2 pi a), from the
+    evaluator's pieces."""
+    eta = _eta(np.array([lam]) - 1.0)
+    corr = float(_temme_sum(np.array([float(a)]), eta)[0])
+    return math.exp(-0.5 * a * eta[0] ** 2) * corr / math.sqrt(2.0 * math.pi * a)
 
 
 # --- erfc, as P and Q at shape 1/2 --------------------------------------------
@@ -77,6 +95,27 @@ def test_erfc_rejects_nan():
         _erfc(float("nan"))
 
 
+# --- erfc and erfcx (Cody) --------------------------------------------------
+
+
+def test_numpy_erfc_matches_math_sweep():
+    # every few ulp of math.erfc on [-30, 30], across Cody's switches at
+    # 0.46875 and 4; past ~26.5 both leave the normal range
+    ts = np.concatenate([np.linspace(-30.0, 30.0, 6001), np.linspace(-4.1, 4.1, 821),
+                         [0.46875, np.nextafter(0.46875, 1.0), 4.0, np.nextafter(4.0, 5.0)]])
+    want = [math.erfc(t) for t in ts]
+    np.testing.assert_allclose(erfc(ts), want, rtol=2e-15, atol=1e-300)
+    assert erfc(np.array([0.0]))[0] == 1.0
+
+
+def test_numpy_erfcx_frozen_oracle():
+    # against 50-digit mpmath values up to t = 1e4 (scripts/make_mp_oracles.py)
+    table = json.loads((DATA / "mp_oracles.json").read_text())["erfcx"]
+    ts = np.array(table["t"])
+    assert ts.max() >= 1e4
+    np.testing.assert_allclose(erfcx(ts), table["values"], rtol=2e-15, atol=0.0)
+
+
 # --- log-gamma --------------------------------------------------------------
 
 
@@ -116,9 +155,9 @@ def test_eta_sign_convention():
 
 
 def test_eta_defining_identity_sweep():
-    # eta against eta^2/2 = lambda - 1 - log(lambda) taken in 50 digits at
-    # the same double lambda (in doubles the right side itself cancels near
-    # lambda = 1), to 1e-15 relative: a random sweep, lambda = 1 +- 10^-k and
+    # eta against eta^2/2 = x - log(1+x) taken in 50 digits at the same double
+    # x = lambda - 1 (in doubles the right side itself cancels near x = 0),
+    # to 1e-15 relative: a random sweep, lambda = 1 +- 10^-k and
     # lambda = 1 +- 2^-k down to one ulp
     from mpmath import mp, mpf
 
@@ -126,57 +165,75 @@ def test_eta_defining_identity_sweep():
     lams = [rng.uniform(0.05, 6.0) for _ in range(200)]
     lams += [1 + s * 10.0**e for s in (1, -1) for e in range(-12, -1)]
     lams += [1 + s * 2.0**-k for s in (1, -1) for k in range(10, 53)]
-    eta = _eta(np.array(lams))
+    xs = np.array(lams) - 1.0
+    eta = _eta(xs)
     with mp.workdps(50):
-        for lam, ev in zip(lams, eta):
-            x = mpf(lam) - 1
-            want = mp.sign(x) * mp.sqrt(2 * (x - mp.log(mpf(lam))))
-            assert abs(ev - want) <= 1e-15 * abs(want), lam
+        for x, ev in zip(xs.tolist(), eta):
+            want = mp.sign(x) * mp.sqrt(2 * (mpf(x) - mp.log1p(mpf(x))))
+            assert abs(ev - want) <= 1e-15 * abs(want), x
 
 
 def test_eta_domain():
     # lambda = z/a: z = 0 is the exact edge P = 0, a negative z is rejected
-    log_p, log_q = log_reg_gamma_pq(np.array([3.0 * A_TEMME]), 0.0)
+    log_p, log_q = log_reg_gamma_pq(np.array([3.0 * A_UNIFORM]), 0.0)
     assert log_p[0] == -np.inf and log_q[0] == 0.0
     with pytest.raises(ValueError):
-        log_reg_gamma_pq(np.array([3.0 * A_TEMME]), -3.0 * A_TEMME)
+        log_reg_gamma_pq(np.array([3.0 * A_UNIFORM]), -3.0 * A_UNIFORM)
 
 
 # --- Temme correction R_a ---------------------------------------------------
 
 
 def test_temme_R_below_threshold_rejected(monkeypatch):
-    # only shapes from A_TEMME up reach the uniform expansion
+    # only shapes from A_UNIFORM up, with |eta| <= ETA_UNIFORM, reach the
+    # uniform expansion
     import mlcounts.specfun as specfun
 
     seen = []
-    real = specfun._temme_log_pq
-    monkeypatch.setattr(specfun, "_temme_log_pq", lambda a, z: (seen.extend(a), real(a, z))[1])
-    log_reg_gamma_pq(np.array([100.0, np.nextafter(A_TEMME, 0.0), A_TEMME]), 100.0)
-    assert seen == [A_TEMME]
+    real = specfun._uniform_log_pq
+    monkeypatch.setattr(specfun, "_uniform_log_pq",
+                        lambda a, eta: (seen.extend(a), real(a, eta))[1])
+    shapes = np.array([10.0, np.nextafter(A_UNIFORM, 0.0), A_UNIFORM, 1e4])
+    log_reg_gamma_pq(shapes, 1.2 * A_UNIFORM)
+    assert seen == [A_UNIFORM]
 
 
 def test_temme_R_center_value():
-    # c0(0) = -1/3, c1(0) = -1/540 give R ~ (-1/3 - 1/(540 a))/sqrt(2 pi a)
-    a = 2.0 * A_TEMME
-    got = _temme_R(a, 1.0)
-    want = (-1.0 / 3.0 - 1.0 / (540.0 * a)) / math.sqrt(2.0 * math.pi * a)
-    assert got == pytest.approx(want, rel=1e-12)
+    # c_k(0) = -1/3, -1/540, 25/6048, 101/155520, -3184811/3695155200 (Temme
+    # 1979); the next term is below 1e-18 of the sum at a = 1000
+    a = 1000.0
+    c0 = (-1.0 / 3.0, -1.0 / 540.0, 25.0 / 6048.0, 101.0 / 155520.0, -3184811.0 / 3695155200.0)
+    want = sum(c / a**k for k, c in enumerate(c0)) / math.sqrt(2.0 * math.pi * a)
+    assert _temme_R(a, 1.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_temme_R_vanishes_far_out():
-    assert _temme_R(A_TEMME, 10.0) == 0.0
+    # at the branch's edge |eta| = ETA_UNIFORM, e^(-a eta^2/2) has underflowed
+    # for large a
+    assert _temme_R(1e4, _lam_at(ETA_UNIFORM)) == 0.0
+    assert _temme_R(1e4, _lam_at(-ETA_UNIFORM)) == 0.0
 
 
 def test_temme_R_matches_oracle_gap():
     # R = erfc-term minus the true P, checked against the 50-digit oracle
     from oracles import reference_reg_lower_gamma
 
-    for lam in (0.9, 0.999, 1.0, 1.004, 1.3):
-        a = 3.0 * A_TEMME
-        z = lam * a
-        want = 0.5 * math.erfc(-_eta1(lam) * math.sqrt(a / 2.0)) - reference_reg_lower_gamma(a, z)
-        assert _temme_R(a, lam) == pytest.approx(want, abs=5e-14)
+    for a in (A_UNIFORM, 3.0 * A_UNIFORM, 6e4):
+        for lam in (0.9, 0.999, 1.0, 1.004, 1.3):
+            z = lam * a
+            erfc_term = 0.5 * math.erfc(-_eta1(lam) * math.sqrt(a / 2.0))
+            want = erfc_term - reference_reg_lower_gamma(a, z)
+            assert _temme_R(a, lam) == pytest.approx(want, abs=5e-14), (a, lam)
+
+
+def test_temme_taylor_table_is_current():
+    # one live 60-digit derivation of the c_k Taylor table behind the frozen one
+    spec = importlib.util.spec_from_file_location(
+        "derive_frozen_constants", ROOT / "scripts" / "derive_frozen_constants.py")
+    derive = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(derive)
+    live = [[float(v) for v in row] for row in derive.temme_taylor()]
+    assert live == [list(row) for row in _TEMME_TAYLOR]
 
 
 # --- reg_lower_gamma --------------------------------------------------------
@@ -196,40 +253,76 @@ def test_p_domain():
 
 
 def test_regime_selection_deterministic():
-    assert gamma_regime(25000.0, 100.0) is GammaRegime.TEMME_UNIFORM
+    assert gamma_regime(25000.0, 25100.0) is GammaRegime.TEMME_UNIFORM
+    assert gamma_regime(A_UNIFORM, A_UNIFORM) is GammaRegime.TEMME_UNIFORM
+    assert gamma_regime(25000.0, 100.0) is GammaRegime.SERIES_SMALL_Z
     assert gamma_regime(10.0, 5.0) is GammaRegime.SERIES_SMALL_Z
     assert gamma_regime(10.0, 20.0) is GammaRegime.CONTINUED_FRACTION
+    assert gamma_regime(30.0, 100.0) is GammaRegime.CONTINUED_FRACTION
     assert gamma_regime(2.0, 300.0) is GammaRegime.FIXED_A_LARGE_Z
 
 
 def test_p_against_frozen_grid():
-    data = json.loads((DATA / "gammainc_grid.json").read_text())
+    # every grid: the original [1, 1e6] x [0.25, 4], shapes below 1, the band
+    # around A_UNIFORM and lambda in 1 +- 0.05 (scripts/make_gammainc_oracle.py)
+    grids = json.loads((DATA / "gammainc_grid.json").read_text())["grids"]
+    assert min(min(g["a"]) for g in grids) <= 1e-3
     worst = 0.0
-    for i, a in enumerate(data["a"]):
-        for j, lam in enumerate(data["lambda"]):
-            err = abs(reg_lower_gamma(a, lam * a) - data["p"][i][j])
-            worst = max(worst, err)
+    for grid in grids:
+        for a, row in zip(grid["a"], grid["p"]):
+            for lam, want in zip(grid["lambda"], row):
+                worst = max(worst, abs(reg_lower_gamma(a, lam * a) - want))
     assert worst <= 1e-13
 
 
+def _switches():
+    """(a_lo, a_hi, z): adjacent shapes on both sides of a branch switch of
+    one column.  At A_UNIFORM: a_lo takes the series (lambda < 1) or the
+    continued fraction, a_hi the uniform expansion.  At |eta| = ETA_UNIFORM
+    (a moves eta at fixed z): one takes the uniform expansion, the other the
+    series (lambda < 1) or the continued fraction (lambda > 1)."""
+    out = [(np.nextafter(A_UNIFORM, 0.0), A_UNIFORM, lam * A_UNIFORM)
+           for lam in (0.6, 0.9, 0.98, 1.0, 1.01, 1.4, 2.2)]
+    for a in (25.0, 60.0, 300.0, 2000.0):
+        for eta in (-ETA_UNIFORM, ETA_UNIFORM):
+            z = _lam_at(eta) * a
+            lo, hi = a / 1.2, a * 1.2
+            regime_lo = gamma_regime(lo, z)
+            assert regime_lo != gamma_regime(hi, z)
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                lo, hi = (mid, hi) if gamma_regime(mid, z) is regime_lo else (lo, mid)
+            out.append((lo, hi, z))
+    return out
+
+
 def test_regime_boundary_continuity():
-    # scipy just below A_TEMME and the uniform expansion at A_TEMME agree to
-    # <= 1e-12 absolute, in P and in Q
-    shapes = np.array([np.nextafter(A_TEMME, 0.0), A_TEMME])
-    for lam in (0.6, 0.9, 0.98, 1.0, 1.01, 1.4, 2.5):
-        for logs in log_reg_gamma_pq(shapes, lam * A_TEMME):
-            assert abs(math.exp(logs[0]) - math.exp(logs[1])) <= 1e-12
+    # at every switch between the uniform expansion and the series or the
+    # continued fraction, adjacent shapes agree to <= 1e-12 absolute, in P
+    # and in Q
+    seen = set()
+    for a_lo, a_hi, z in _switches():
+        regimes = {gamma_regime(a_lo, z), gamma_regime(a_hi, z)}
+        assert GammaRegime.TEMME_UNIFORM in regimes and len(regimes) == 2
+        seen |= regimes
+        for logs in log_reg_gamma_pq(np.array([a_lo, a_hi]), z):
+            assert abs(math.exp(logs[0]) - math.exp(logs[1])) <= 1e-12, (a_lo, a_hi, z)
+    assert {GammaRegime.SERIES_SMALL_Z, GammaRegime.CONTINUED_FRACTION} <= seen
 
 
 @pytest.mark.parametrize(
     "a, z",
     [
-        (7.3, 6.0),  # bulk
-        (6300.0, 3600.0),  # P below 1e-300: Kummer's function
-        (2.0, 1e-200),
+        (7.3, 6.0),  # bulk, series
+        (2.0, 1e-200),  # P below 1e-300: series
+        (2000.0, 100.0),
         (0.5, 800.0),  # Q below 1e-300: continued fraction
+        (50.0, 2000.0),
+        (6300.0, 3600.0),  # uniform expansion, both tails
         (1e4, 1.5e4),
-        (3e4, 2.2e4),  # uniform expansion, both tails
+        (3e4, 2.2e4),
         (3e4, 4e4),
     ],
 )
