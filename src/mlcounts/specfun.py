@@ -193,26 +193,26 @@ _TEMME_TOL = 1e-18  # the cut of the table, applied again per column
 # coefficients in ascending powers, (numerator, denominator):
 # erf(x) = x R(x^2) for x <= 0.46875, erfcx(x) = R(x) for x <= 4, and
 # erfcx(x) = (1/sqrt(pi) - R(1/x^2)/x^2)/x beyond.
-_CODY_SMALL = (
+_CODY_SMALL = np.array((
     (3.20937758913846947e03, 3.77485237685302021e02, 1.13864154151050156e02,
      3.16112374387056560e00, 1.85777706184603153e-1),
     (2.84423683343917062e03, 1.28261652607737228e03, 2.44024637934444173e02,
      2.36012909523441209e01, 1.0),
-)
-_CODY_MID = (
+))
+_CODY_MID = np.array((
     (1.23033935479799725e03, 2.05107837782607147e03, 1.71204761263407058e03,
      8.81952221241769090e02, 2.98635138197400131e02, 6.61191906371416295e01,
      8.88314979438837594e00, 5.64188496988670089e-1, 2.15311535474403846e-8),
     (1.23033935480374942e03, 3.43936767414372164e03, 4.36261909014324716e03,
      3.29079923573345963e03, 1.62138957456669019e03, 5.37181101862009858e02,
      1.17693950891312499e02, 1.57449261107098347e01, 1.0),
-)
-_CODY_LARGE = (
+))
+_CODY_LARGE = np.array((
     (6.58749161529837803e-4, 1.60837851487422766e-2, 1.25781726111229246e-1,
      3.60344899949804439e-1, 3.05326634961232344e-1, 1.63153871373020978e-2),
     (2.33520497626869185e-3, 6.05183413124413191e-2, 5.27905102951428412e-1,
      1.87295284992346725e00, 2.56852019228982242e00, 1.0),
-)
+))
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
@@ -235,9 +235,23 @@ def _horner(coeffs, x):
     return acc
 
 
-def _rational(table, x):
-    num, den = table
-    return _horner(num, x) / _horner(den, x)
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """x^1, ..., x^count as the rows of a (count, len(x)) array (a row at a
+    time: numpy's cumprod along the first axis is ~10x slower)."""
+    out = np.empty((count, x.size))
+    if count:
+        out[0] = x
+    for i in range(1, count):
+        np.multiply(out[i - 1], x, out=out[i])
+    return out
+
+
+def _rational(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """num(x)/den(x) for x >= 0, the rows of `table` holding their coefficients
+    in ascending powers.  Every coefficient is positive, so the power sums do
+    not cancel, and they take far fewer array passes than two Horner loops."""
+    sums = table[:, :1] + table[:, 1:] @ _powers(x, table.shape[1] - 1)
+    return sums[0] / sums[1]
 
 
 # Decorator for the array helpers below: they evaluate closed forms on every
@@ -310,17 +324,6 @@ def log_prefactor(a: float, z: float) -> float:
     from {0, 1} by at most a modest multiple of this prefactor.  Cancellation
     costs ~1e-9 absolute at a = 1e6, irrelevant for a saturation test."""
     return a * math.log(z) - z - math.lgamma(a)
-
-
-def _powers(x: np.ndarray, count: int) -> np.ndarray:
-    """x^1, ..., x^count as the rows of a (count, len(x)) array (a row at a
-    time: numpy's cumprod along the first axis is ~10x slower)."""
-    out = np.empty((count, x.size))
-    if count:
-        out[0] = x
-    for i in range(1, count):
-        np.multiply(out[i - 1], x, out=out[i])
-    return out
 
 
 def _temme_sum(a: np.ndarray, eta: np.ndarray) -> np.ndarray:
