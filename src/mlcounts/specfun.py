@@ -60,7 +60,7 @@ SATURATED_LOG_PREFACTOR = -60.0
 
 # 1/(2k+3), k = 0..17: the atanh series of x - log(1+x) in t^2 = (x/(2+x))^2
 # <= 1/9, truncated below 1e-17 relative.
-_LOG1P_MINUS_SERIES = tuple(1.0 / (2.0 * k + 3.0) for k in range(18))
+_LOG1P_MINUS_SERIES = 1.0 / (2.0 * np.arange(18) + 3.0)
 
 # zeta'(-1); 30 digits, mpmath dps=60 (scripts/derive_frozen_constants.py).
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919066243
@@ -227,14 +227,6 @@ class GammaRegime(enum.Enum):
     FIXED_A_LARGE_Z = "fixed_a_large_z"
 
 
-def _horner(coeffs, x):
-    """sum_k coeffs[k] x^k, elementwise."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
 def _powers(x: np.ndarray, count: int) -> np.ndarray:
     """x^1, ..., x^count as the rows of a (count, len(x)) array (a row at a
     time: numpy's cumprod along the first axis is ~10x slower)."""
@@ -249,7 +241,7 @@ def _powers(x: np.ndarray, count: int) -> np.ndarray:
 def _rational(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """num(x)/den(x) for x >= 0, the rows of `table` holding their coefficients
     in ascending powers.  Every coefficient is positive, so the power sums do
-    not cancel, and they take far fewer array passes than two Horner loops."""
+    not cancel, and they take fewer array passes than Horner's rule."""
     sums = table[:, :1] + table[:, 1:] @ _powers(x, table.shape[1] - 1)
     return sums[0] / sums[1]
 
@@ -298,7 +290,8 @@ def _log1p_minus(x: np.ndarray) -> np.ndarray:
     t2 = t * t
     top = t2.max(initial=0.0)
     terms = 1 + int(math.log(1e-17) / math.log(top)) if top > 0.0 else 1
-    out[small] = xs * t - 2.0 * t * t2 * _horner(_LOG1P_MINUS_SERIES[:terms], t2)
+    series = _LOG1P_MINUS_SERIES[0] + _LOG1P_MINUS_SERIES[1:terms] @ _powers(t2, terms - 1)
+    out[small] = xs * t - 2.0 * t * t2 * series
     return out
 
 
