@@ -8,6 +8,8 @@ Prints, for pasting into specfun.py after review:
   Q(a, z) = erfc(eta sqrt(a/2))/2 + e^(-a eta^2/2)/sqrt(2 pi a) sum_k c_k(eta) a^-k
   (Temme 1979), each row cut where its terms drop below TOL on the
   uniform branch |eta| <= ETA_UNIFORM, a >= A_UNIFORM;
+* ``_RGAMMA1P_TAYLOR``: the Taylor coefficients d_1, d_2, ... of
+  1/Gamma(1+a) - 1 = sum_k d_k a^k, cut after the last |d_k| >= TOL (a <= 1);
 * zeta'(-1), cross-checked against the Glaisher-Kinkelin relation
   log A = 1/12 - zeta'(-1);
 * the Barnes-G asymptotic tail coefficients B_{2k+2}/(4k(k+1)).
@@ -26,7 +28,7 @@ import pathlib
 import sys
 from fractions import Fraction
 
-from mpmath import bernoulli, exp, glaisher, mp, mpf, nstr, zeta
+from mpmath import bernoulli, exp, glaisher, mp, mpf, nstr, rgamma, taylor, zeta
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -89,6 +91,16 @@ def temme_taylor():
         return rows
 
 
+def rgamma1p_taylor():
+    """d_1, d_2, ... of 1/Gamma(1+a) - 1 = sum_k d_k a^k (mpf), cut after the
+    last |d_k| >= TOL: the small-shape branch takes a < 1."""
+    with mp.workdps(DPS):
+        d = taylor(lambda x: rgamma(1 + x), 0, 40)[1:]
+        kept = [k for k, v in enumerate(d) if abs(v) >= TOL]
+        assert kept[-1] < len(d) - 8  # the cut falls well inside the derived series
+        return d[: kept[-1] + 1]
+
+
 def main() -> None:
     mp.dps = DPS
     print("_TEMME_TAYLOR = (")
@@ -98,6 +110,12 @@ def main() -> None:
             print("        " + " ".join(f"{float(v)!r}," for v in row[i:i + 3]))
         print("    ),")
     print(")")
+
+    d = rgamma1p_taylor()
+    print("\n_RGAMMA1P_TAYLOR = np.array((")
+    for i in range(0, len(d), 3):
+        print("    " + " ".join(f"{float(v)!r}," for v in d[i:i + 3]))
+    print("))")
 
     zp = zeta(-1, derivative=1)
     print("\nzeta'(-1) =", nstr(zp, 35))

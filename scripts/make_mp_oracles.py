@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Freeze the slow mpmath oracle values that the test suite checks against.
 
-Writes tests/data/mp_oracles.json with three tables:
+Writes tests/data/mp_oracles.json with four tables:
 
 * ``bulk_coeffs``: (C2, C3, C4) of one bulk disk (b = 1, alpha = 0, r = 0.6)
   at large |u|, from the 30-digit whole-line quadrature
@@ -20,9 +20,7 @@ Writes tests/data/mp_oracles.json with three tables:
 
 The tests keep one live spot check of each slow table, so a stale file fails.
 
-Run from the repository root:  python3 scripts/make_mp_oracles.py [TABLE ...]
-With table names, only those are recomputed and the others are kept as they
-are in the file.
+Run from the repository root:  python3 scripts/make_mp_oracles.py
 """
 
 import cmath
@@ -93,25 +91,19 @@ def _exact_cumulants(t0):
     return {**{k: v for k, v in EXACT.items() if k != "orders"}, "dps": 50, "values": exact}
 
 
-def _erfcx(t0):
+def _erfcx():
     return {"dps": 50, "t": ERFCX_T, "values": [oracles.mp_erfcx(t, dps=50) for t in ERFCX_T]}
 
 
-TABLES = {"bulk_coeffs": _bulk_coeffs, "bulk_derivatives": _bulk_derivatives,
-          "exact_cumulants": _exact_cumulants, "erfcx": _erfcx}
-
-
 def main() -> None:
-    only = sys.argv[1:] or list(TABLES)
-    unknown = set(only) - set(TABLES)
-    if unknown:
-        raise SystemExit(f"unknown tables {sorted(unknown)}; known: {list(TABLES)}")
-    target = ROOT / "tests" / "data" / "mp_oracles.json"
-    out = json.loads(target.read_text()) if target.exists() else {}
     t0 = time.time()
-    for name in only:
-        out[name] = TABLES[name](t0)
-    out = {name: out[name] for name in TABLES if name in out}
+    out = {
+        "bulk_coeffs": _bulk_coeffs(t0),
+        "bulk_derivatives": _bulk_derivatives(t0),
+        "exact_cumulants": _exact_cumulants(t0),
+        "erfcx": _erfcx(),
+    }
+    target = ROOT / "tests" / "data" / "mp_oracles.json"
     target.write_text(json.dumps(out, indent=1) + "\n")
     print("wrote", target)
 

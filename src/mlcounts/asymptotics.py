@@ -34,7 +34,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -185,21 +184,25 @@ def quad(f, lo: float, hi: float) -> tuple[list, float]:
 
     Returns (value, error): the rule with QUAD_PANELS panels is doubled until
     two successive rules agree to QUAD_RTOL; error is the summed absolute
-    difference of the last two.  The k values are Python floats, so that
+    difference of the last two.  The first two rules always run, so f takes
+    their nodes in one call.  The k values are Python floats, so that
     arithmetic on them overflows to inf without a numpy warning.
     """
     span = hi - lo
-    panels = QUAD_PANELS
+    panels = 2 * QUAD_PANELS
+    x0, w0 = _unit_rule(QUAD_PANELS)
     x, w = _unit_rule(panels)
-    prev = f(lo + span * x) @ (span * w)
-    for _ in range(_QUAD_DOUBLINGS):
-        panels *= 2
-        x, w = _unit_rule(panels)
-        value = f(lo + span * x) @ (span * w)
+    both = f(lo + span * np.concatenate((x0, x)))
+    prev, value = both[:, : x0.size] @ (span * w0), both[:, x0.size :] @ (span * w)
+    while True:
         diff = np.abs(value - prev)
         if np.all(diff <= QUAD_RTOL * np.maximum(1.0, np.abs(value))):
             break
-        prev = value
+        if panels == QUAD_PANELS << _QUAD_DOUBLINGS:
+            break
+        panels *= 2
+        x, w = _unit_rule(panels)
+        prev, value = value, f(lo + span * x) @ (span * w)
     return value.tolist(), float(np.sum(diff))
 
 
@@ -264,9 +267,12 @@ def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[floa
         return np.stack([f_sum, t * (f_plus - f_minus), t * t * f_sum])
 
     def g_terms(t):
+        # polynomials in t^2: numpy's t**k for k >= 3 calls pow() per entry
         g, g_sq = kernel.g(t)
-        poly = (5.0 * t * t - 1.0) / 3.0
-        return np.stack([g * poly, g * (21.0 * t - 193.0 * t**3 + 50.0 * t**5) / 18.0, g_sq * poly**2])
+        t2 = t * t
+        poly = (5.0 * t2 - 1.0) / 3.0
+        poly_e = t * (21.0 + t2 * (50.0 * t2 - 193.0)) / 18.0
+        return np.stack([g * poly, g * poly_e, g_sq * poly**2])
 
     (f_sum, f_odd, f_t2), f_err = quad(f_terms, 0.0, kernel.tail)
     (g_poly, g_e, g_sq), g_err = quad(g_terms, -kernel.tail, kernel.tail)
@@ -292,13 +298,12 @@ def _edge(b: float, alpha: float, sf: float, kernel: _Kernel) -> tuple[tuple[flo
 
     def g_terms(t):
         g, g_sq = kernel.g(t)
-        poly = (5.0 * t * t + 3.0 * sf * t - 1.0) / 3.0
+        t2 = t * t
+        poly = (5.0 * t2 + 3.0 * sf * t - 1.0) / 3.0
         poly_e = (
-            21.0 * t
-            - 193.0 * t**3
-            + 50.0 * t**5
-            + 6.0 * sf * (1.0 - 29.0 * t * t + 10.0 * t**4)
-            - 9.0 * sf * sf * (3.0 * t - 2.0 * t**3)
+            t * (21.0 + t2 * (50.0 * t2 - 193.0))
+            + 6.0 * sf * (1.0 + t2 * (10.0 * t2 - 29.0))
+            - 9.0 * sf * sf * t * (3.0 - 2.0 * t2)
         ) / 18.0
         return np.stack([g * poly, g * poly_e, g_sq * poly**2])
 
@@ -473,6 +478,8 @@ _MAX_DENOMINATOR = 64
 
 
 def _rationalize(b: float) -> tuple[int, int] | None:
+    from fractions import Fraction  # with decimal, ~4 ms of import only zn needs
+
     frac = Fraction(b).limit_denominator(_MAX_DENOMINATOR)
     if frac.numerator < 1 or frac.numerator > _MAX_DENOMINATOR:
         return None

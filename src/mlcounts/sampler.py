@@ -23,7 +23,6 @@ spreads the blocks over workers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +68,10 @@ def sample_counts(
         )
         for l, zl in enumerate(win.z):
             counts[lo:hi, l] = win.ones[l] + np.count_nonzero(g < zl, axis=1)
+
+    # imported here: concurrent.futures (and logging with it) is ~10 ms of
+    # every process's import that only sampling needs
+    from concurrent.futures import ThreadPoolExecutor
 
     blocks = range(-(-num_samples // SAMPLE_BLOCK))
     with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:

@@ -12,14 +12,17 @@ root of eta^2/2 = lambda - 1 - log(lambda), each shape takes one branch:
   c_k summed from their Taylor tables about eta = 0 and cut to the terms
   the column needs.  Its tail side is taken in log form;
 * series, elsewhere with z < a + 1: log P from Kummer's series
-  P = z^a e^-z / Gamma(a+1) sum_k z^k / ((a+1)...(a+k));
+  P = z^a e^-z / Gamma(a+1) sum_k z^k / ((a+1)...(a+k)), and for a < 1,
+  where Q ~ a E1(z) is small, log Q from the small-shape series
+  Q = 1 - z^a/Gamma(1+a) (1 + a sum_n (-z)^n / (n! (a+n)));
 * continued fraction, elsewhere: log Q from the Legendre continued fraction.
 
-The other log follows from log(1 - e^x).  Every branch keeps P and Q within
-1e-13 absolute (the frozen 50-digit grid), and its tail side keeps its
-relative accuracy far below double range.  The uniform branch covers every
-shape of a saturation window from a = 20 up; the series and the continued
-fraction run on the few rows with small a or far from lambda = 1.
+Where a branch gives one log, the other is log(1 - e^x) of it.  Every
+branch keeps P and Q within 1e-13 absolute (the frozen 50-digit grid), and
+its tail side keeps its relative accuracy far below double range.  The
+uniform branch covers every shape of a saturation window from a = 20 up;
+the series and the continued fraction run on the few rows with small a or
+far from lambda = 1.
 
 Also: ``erfc`` and ``erfcx`` (W. J. Cody's rational approximations, Math.
 Comp. 23, 1969), ``reg_lower_gamma`` (one scalar P), ``gamma_regime`` (the
@@ -61,6 +64,20 @@ SATURATED_LOG_PREFACTOR = -60.0
 # 1/(2k+3), k = 0..17: the atanh series of x - log(1+x) in t^2 = (x/(2+x))^2
 # <= 1/9, truncated below 1e-17 relative.
 _LOG1P_MINUS_SERIES = 1.0 / (2.0 * np.arange(18) + 3.0)
+
+# d_k, k = 1..27: 1/Gamma(1+a) - 1 = sum_k d_k a^k, cut after the last
+# |d_k| >= 1e-18 (a <= 1).  60 digits, scripts/derive_frozen_constants.py.
+_RGAMMA1P_TAYLOR = np.array((
+    0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+    -2.0583260535665066e-14, -5.348122539423018e-15, 1.2267786282382608e-15,
+    -1.1812593016974588e-16, 1.1866922547516004e-18, 1.4123806553180319e-18,
+))
 
 # zeta'(-1); 30 digits, mpmath dps=60 (scripts/derive_frozen_constants.py).
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919066243
@@ -251,20 +268,30 @@ def _rational(table: np.ndarray, x: np.ndarray) -> np.ndarray:
 _QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
+def _cody(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For x >= 0: erfc(x) where x <= 0.46875 (the mask returned) and
+    erfcx(x) elsewhere, each from its own rational approximation (Cody)."""
+    out = np.empty_like(x)
+    small, large = x <= 0.46875, x > 4.0
+    mid = ~(small | large)
+    if small.any():
+        xs = x[small]
+        out[small] = 1.0 - xs * _rational(_CODY_SMALL, xs * xs)
+    if mid.any():
+        out[mid] = _rational(_CODY_MID, x[mid])
+    if large.any():
+        xl = x[large]
+        inv2 = np.square(1.0 / xl)  # (1/x)^2: x^2 would overflow past 1e154
+        out[large] = (_INV_SQRT_PI - inv2 * _rational(_CODY_LARGE, inv2)) / xl
+    return out, small
+
+
 def erfcx(x) -> np.ndarray:
     """The scaled complementary error function e^(x^2) erfc(x), elementwise
     for x >= 0, to a few ulp (Cody)."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x <= 0.46875
-    large = x > 4.0
-    mid = ~(small | large)
-    xs = x[small]
-    out[small] = np.exp(xs * xs) * (1.0 - xs * _rational(_CODY_SMALL, xs * xs))
-    out[mid] = _rational(_CODY_MID, x[mid])
-    xl = x[large]
-    inv2 = np.square(1.0 / xl)  # (1/x)^2: x^2 would overflow past 1e154
-    out[large] = (_INV_SQRT_PI - inv2 * _rational(_CODY_LARGE, inv2)) / xl
+    out, small = _cody(x)
+    out[small] *= np.exp(np.square(x[small]))
     return out
 
 
@@ -272,10 +299,11 @@ def erfc(x) -> np.ndarray:
     """The complementary error function, elementwise for real x, to a few ulp."""
     x = np.asarray(x, dtype=float)
     ax = np.minimum(np.abs(x), 30.0)  # erfc(27.3) already underflows to 0
+    out, small = _cody(ax)
     # e^(-x^2) = e^(-h^2) e^(-(x-h)(x+h)) with h = x rounded down to a 16th:
     # h^2 is exact, so the rounding of x^2 costs nothing at large x
     h = np.floor(16.0 * ax) / 16.0
-    out = np.exp(-h * h) * np.exp(-(ax - h) * (ax + h)) * erfcx(ax)
+    out = np.where(small, out, np.exp(-h * h) * np.exp((h - ax) * (ax + h)) * out)
     return np.where(x < 0.0, 2.0 - out, out)
 
 
@@ -283,14 +311,11 @@ def _log1p_minus(x: np.ndarray) -> np.ndarray:
     """x - log(1+x) for x > -1, accurate through the cancellation region."""
     out = x - np.log1p(x)
     small = np.abs(x) < 0.5
-    # with t = x/(2+x): x - log(1+x) = x t - 2 t^3 sum_{k>=0} t^(2k)/(2k+3), |t| <= 1/3,
-    # summed up to the first term below 1e-17 at the largest t^2
+    # with t = x/(2+x): x - log(1+x) = x t - 2 t^3 sum_{k>=0} t^(2k)/(2k+3), |t| <= 1/3
     xs = x[small]
     t = xs / (2.0 + xs)
     t2 = t * t
-    top = t2.max(initial=0.0)
-    terms = 1 + int(math.log(1e-17) / math.log(top)) if top > 0.0 else 1
-    series = _LOG1P_MINUS_SERIES[0] + _LOG1P_MINUS_SERIES[1:terms] @ _powers(t2, terms - 1)
+    series = _LOG1P_MINUS_SERIES[0] + _LOG1P_MINUS_SERIES[1:] @ _powers(t2, 17)
     out[small] = xs * t - 2.0 * t * t2 * series
     return out
 
@@ -366,6 +391,22 @@ def _log_p_series(a: np.ndarray, z: float) -> np.ndarray:
             return a * math.log(z) - z - _lgamma(a + 1.0) + np.log(total)
 
 
+_SMALL_SHAPE_TERMS = 25  # of the series in z below: z < 2, and 2^25/25! < 1e-17
+
+
+def _log_q_small_shape(a: np.ndarray, z: float) -> np.ndarray:
+    """log Q(a, z) for a < 1 and z < a + 1, without the cancellation of 1 - P
+    as a -> 0, where Q ~ a E1(z) (DiDonato & Morris 1986).  With
+    g = 1/Gamma(1+a) - 1 and S = sum_{n>=1} (-z)^n / (n! (a+n)),
+    P = z^a (1+g) (1 + a S), so Q = -expm1(a log z) - g z^a - a z^a (1+g) S."""
+    n = np.arange(1.0, _SMALL_SHAPE_TERMS + 1.0)
+    s = (1.0 / (a[:, None] + n)) @ np.cumprod(-z / n)
+    g = _RGAMMA1P_TAYLOR @ _powers(a, _RGAMMA1P_TAYLOR.size)
+    a_log_z = a * math.log(z)
+    z_a = np.exp(a_log_z)
+    return np.log(-np.expm1(a_log_z) - g * z_a - a * z_a * (1.0 + g) * s)
+
+
 def _log_q_contfrac(a: np.ndarray, z: float) -> np.ndarray:
     """log Q(a, z) for z >= a + 1: the Legendre continued fraction
     Q = z^a e^-z / Gamma(a) / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(z+5-a - ...))),
@@ -437,6 +478,8 @@ def log_reg_gamma_pq(a, z: float) -> tuple[np.ndarray, np.ndarray]:
     frac = ~(uniform | series)
     log_p[series] = _log_p_series(a[series], z)
     log_q[series] = _log1mexp(log_p[series])
+    small = series & (a < 1.0)
+    log_q[small] = _log_q_small_shape(a[small], z)
     log_q[frac] = _log_q_contfrac(a[frac], z)
     log_p[frac] = _log1mexp(log_q[frac])
     return log_p, log_q

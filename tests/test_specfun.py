@@ -11,6 +11,7 @@ from mlcounts.specfun import (
     A_UNIFORM,
     ETA_UNIFORM,
     GammaRegime,
+    _RGAMMA1P_TAYLOR,
     _TEMME_TAYLOR,
     _eta,
     _temme_sum,
@@ -226,14 +227,24 @@ def test_temme_R_matches_oracle_gap():
             assert _temme_R(a, lam) == pytest.approx(want, abs=5e-14), (a, lam)
 
 
-def test_temme_taylor_table_is_current():
-    # one live 60-digit derivation of the c_k Taylor table behind the frozen one
+def _derive_frozen_constants():
     spec = importlib.util.spec_from_file_location(
         "derive_frozen_constants", ROOT / "scripts" / "derive_frozen_constants.py")
     derive = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(derive)
-    live = [[float(v) for v in row] for row in derive.temme_taylor()]
+    return derive
+
+
+def test_temme_taylor_table_is_current():
+    # one live 60-digit derivation of the c_k Taylor table behind the frozen one
+    live = [[float(v) for v in row] for row in _derive_frozen_constants().temme_taylor()]
     assert live == [list(row) for row in _TEMME_TAYLOR]
+
+
+def test_rgamma1p_table_is_current():
+    # the same for the Taylor table of 1/Gamma(1+a) - 1 of the small-shape branch
+    live = [float(v) for v in _derive_frozen_constants().rgamma1p_taylor()]
+    assert live == _RGAMMA1P_TAYLOR.tolist()
 
 
 # --- reg_lower_gamma --------------------------------------------------------
@@ -312,11 +323,23 @@ def test_regime_boundary_continuity():
     assert {GammaRegime.SERIES_SMALL_Z, GammaRegime.CONTINUED_FRACTION} <= seen
 
 
+@pytest.mark.parametrize("z", [1e-8, 0.01, 0.5, 1.0, 1.5, 1.999])
+def test_small_shape_switch_continuity(z):
+    # series rows take log Q from the small-shape series below a = 1 and from
+    # log(1 - P) from a = 1 on: adjacent shapes agree to <= 1e-12 in P and Q
+    a = np.array([np.nextafter(1.0, 0.0), 1.0])
+    assert {gamma_regime(x, z) for x in a} == {GammaRegime.SERIES_SMALL_Z}
+    for logs in log_reg_gamma_pq(a, z):
+        assert abs(math.exp(logs[0]) - math.exp(logs[1])) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "a, z",
     [
         (7.3, 6.0),  # bulk, series
         (2.0, 1e-200),  # P below 1e-300: series
+        (1e-10, 0.5),  # Q ~ a E1(z) small: small-shape series
+        (1e-6, 0.9),
         (2000.0, 100.0),
         (0.5, 800.0),  # Q below 1e-300: continued fraction
         (50.0, 2000.0),
