@@ -28,7 +28,7 @@ import pathlib
 import sys
 from fractions import Fraction
 
-from mpmath import bernoulli, exp, glaisher, mp, mpf, nstr, rgamma, taylor, zeta
+from mpmath import bernoulli, euler, exp, glaisher, mp, mpf, nstr, zeta
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -93,9 +93,17 @@ def temme_taylor():
 
 def rgamma1p_taylor():
     """d_1, d_2, ... of 1/Gamma(1+a) - 1 = sum_k d_k a^k (mpf), cut after the
-    last |d_k| >= TOL: the small-shape branch takes a < 1."""
+    last |d_k| >= TOL: the small-shape branch takes a < 1.
+
+    The d_k are the coefficients of the exponential of
+    log(1/Gamma(1+x)) = euler x + sum_{k>=2} (-1)^(k+1) zeta(k) x^k/k,
+    by the recurrence E_m = (1/m) sum_{k=1}^m k L_k E_(m-k) (Wrench 1968)."""
     with mp.workdps(DPS):
-        d = taylor(lambda x: rgamma(1 + x), 0, 40)[1:]
+        L = [mpf(0), +euler] + [(-1) ** (k + 1) * zeta(k) / k for k in range(2, 41)]
+        E = [mpf(1)]
+        for m in range(1, len(L)):
+            E.append(sum(k * L[k] * E[m - k] for k in range(1, m + 1)) / m)
+        d = E[1:]
         kept = [k for k, v in enumerate(d) if abs(v) >= TOL]
         assert kept[-1] < len(d) - 8  # the cut falls well inside the derived series
         return d[: kept[-1] + 1]

@@ -374,7 +374,8 @@ def main(argv=None) -> int:
     try:
         payload = args.handler(args)
         _emit(args, payload)
-    except (ValueError, ArithmeticError, verify.BelowNoiseError) as exc:
+    # a Warning is raised only where warnings are errors (python -W error)
+    except (ValueError, ArithmeticError, Warning, verify.BelowNoiseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 3 if isinstance(payload, dict) and payload.get("pass") is False else 0

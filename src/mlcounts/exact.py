@@ -11,10 +11,11 @@ counts N(D_r1), ..., N(D_rp) is
 where P_jl = P((j+alpha)/b, n r_l^(2b)) is the regularized lower incomplete
 gamma function and omega_l are exponential jump weights built from the u's.
 Equivalently each particle j lands in annulus l with probability
-q_jl = P_jl - P_j,l-1, independently of all others; that categorical
-representation drives the sampler, and the exact cumulants (any total order
-up to series.MAX_ORDER) sum the per-row cumulants that ``series.cumulants``
-builds from its moments, which are columns of P.
+q_jl = P_jl - P_j,l-1, independently of all others.  The exact cumulants (any
+total order up to series.MAX_ORDER) sum the per-row cumulants that
+``series.cumulants`` builds from its moments, which are columns of P, and the
+sampler draws one uniform U_j per window row and counts particle j in disk l
+when U_j < P_jl, on the profile at u = 0.
 
 Only an O(sqrt n) window of rows around j ~ b n r_l^(2b) has P_jl away from
 0 and 1.  The profile evaluates that window; every other row is saturated
@@ -28,7 +29,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,14 +42,12 @@ __all__ = [
     "DiskSystem",
     "EnsembleParams",
     "ResolvedDisks",
-    "SaturationWindow",
     "bernoulli_profile",
     "joint_cumulants_exact",
     "log_mgf_exact",
     "log_partition_exact",
     "mean_var_exact",
     "omega_weights",
-    "saturation_window",
     "support_radius",
 ]
 
@@ -300,56 +299,33 @@ def _column_window(params: EnsembleParams, z: float, threshold: float) -> tuple[
     return range(start, stop), inside
 
 
-class SaturationWindow(NamedTuple):
-    """The rows of a disk system that are not saturated in some column.
-
-    Row j (particle j+1, shape a_j = (j+1+alpha)/b) is saturated in column l
-    when its prefactor z_l^a e^-z_l / Gamma(a) is below e^threshold: then
-    P(a_j, z_l) is within about that much of 1 if j < inside[l] and of 0
-    otherwise.  ``rows`` is the union of the columns' runs of unsaturated
-    rows; ``ones[l]`` counts the rows outside it that lie inside disk l.
-    """
-
-    z: np.ndarray  # (p,) n r_l^(2b)
-    columns: tuple[range, ...]  # each column's own run of unsaturated rows
-    rows: np.ndarray  # (w,) their union, increasing
-    inside: np.ndarray  # (p,) rows j < inside[l] have shape below z_l
-    ones: np.ndarray  # (p,) saturated rows inside disk l
-
-
-def saturation_window(
-    params: EnsembleParams, radii: np.ndarray, threshold: float
-) -> SaturationWindow:
-    """The window of ``radii`` at log-prefactor ``threshold``."""
-    # a z that overflows to inf puts every row inside, with an empty window
-    with np.errstate(over="ignore"):
-        z = params.n * np.asarray(radii, dtype=float) ** (2.0 * params.b)
-    columns, inside = zip(*(_column_window(params, float(zl), threshold) for zl in z))
-    rows = np.sort(np.concatenate([np.arange(c.start, c.stop) for c in columns]))
-    rows = rows[np.diff(rows, prepend=-1) != 0]
-    inside = np.array(inside)
-    return SaturationWindow(z, columns, rows, inside, inside - np.searchsorted(rows, inside))
-
-
 def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliProfile:
     """Evaluate the incomplete-gamma profile for (params, disks) on its window.
 
     A row is saturated when its prefactor stays below e^-60 after scaling by
     the largest ratio of the disks' MGF weights e^(U_l), U_l = u_l + ... + u_p,
-    so the window also serves ``log_mgf_exact`` at these weights."""
+    so the window also serves ``log_mgf_exact`` at these weights; at u = 0 it
+    is the window the sampler draws on.  Each disk's column is evaluated on
+    its own run of unsaturated rows (``_column_window``), and the window is
+    the union of those runs."""
     res = disks.resolve(params)
     U = _tails(res.u)
-    win = saturation_window(params, res.radii, SATURATED_LOG_PREFACTOR - (U.max() - U.min()))
-    rows, inside = win.rows, win.inside
+    threshold = SATURATED_LOG_PREFACTOR - (U.max() - U.min())
+    # a z that overflows to inf puts every row inside, with an empty window
+    with np.errstate(over="ignore"):
+        z = params.n * res.radii ** (2.0 * params.b)
+    columns, inside = zip(*(_column_window(params, float(zl), threshold) for zl in z))
+    rows = np.unique(np.concatenate([np.arange(c.start, c.stop) for c in columns]))
+    inside = np.array(inside)
     shapes = (rows + 1 + params.alpha) / params.b
     # entries outside their own column's window are saturated: P = 0 or 1
     log_P = np.where(rows[:, None] < inside, 0.0, -np.inf)
     log_Q = np.where(rows[:, None] < inside, -np.inf, 0.0)
-    for col, (c, zl) in enumerate(zip(win.columns, win.z)):
+    for col, (c, zl) in enumerate(zip(columns, z)):
         lo, hi = np.searchsorted(rows, [c.start, c.stop])
         log_P[lo:hi, col], log_Q[lo:hi, col] = log_reg_gamma_pq(shapes[lo:hi], float(zl))
     return BernoulliProfile(n=params.n, rows=rows, log_P=log_P, log_Q=log_Q, Pw=np.exp(log_P),
-                            inside=inside, ones=win.ones)
+                            inside=inside, ones=inside - np.searchsorted(rows, inside))
 
 
 def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:

@@ -395,6 +395,21 @@ def test_edge_coefficients_out_of_range_exit_2(capsys):
     assert "edge coefficients not finite at b = 1e+300, s = 0.0" in err
 
 
+def test_warning_as_error_exits_2(capsys):
+    # under warnings-as-errors (python -W error, and this suite) the extreme-s
+    # RuntimeWarning is raised; it used to escape main as a traceback (exit 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "coeffs", "--b", "1", "--alpha", "0", "--disk", "s=40,u=1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: edge parameter s = 40.0 ")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "coeffs", "--b", "1", "--alpha", "0", "--disk", "s=40,u=1")
+    assert code == 0 and json.loads(out)
+    assert [w.category for w in caught] == [RuntimeWarning]
+
+
 def test_arithmetic_errors_exit_2(capsys, monkeypatch):
     import mlcounts.cli as cli
 

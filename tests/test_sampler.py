@@ -88,22 +88,23 @@ def test_empirical_mgf_matches_exact():
 
 def test_block_stream_contract():
     # the documented stream contract: block k (samples k*SAMPLE_BLOCK onward)
-    # draws its (block, w) gammas on the w window rows of the exact engine
-    # from one Philox stream keyed (seed, k); rows below the window count as
-    # inside, rows above as outside
+    # draws its (block, w) uniforms on the w window rows of the exact engine
+    # from one Philox stream keyed (seed, k), and counts particle j in disk l
+    # when its uniform lies below the profile entry P_jl at u = 0, whatever
+    # the disks' weights; rows below the window count as inside, rows above
+    # as outside
     params = EnsembleParams(b=1.5, alpha=0.3, n=2000)
     disks = _disks(0.5, 0.6)
     seed, S = 77, 2 * SAMPLE_BLOCK + 100
-    batch = sample_counts(params, disks, S, seed=seed)
-    prof = bernoulli_profile(params, disks)  # at u = 0 its window is the sampler's
+    weighted = DiskSystem([Disk.fixed(0.5, 3.0), Disk.fixed(0.6, -2.0)])
+    batch = sample_counts(params, weighted, S, seed=seed)
+    prof = bernoulli_profile(params, disks)
     assert prof.ones[0] > 0 and prof.rows[-1] < params.n - 1
-    shapes = (prof.rows + 1 + params.alpha) / params.b
-    z = params.n * disks.resolve(params).radii ** (2.0 * params.b)
     for k in range(3):
         lo, hi = k * SAMPLE_BLOCK, min((k + 1) * SAMPLE_BLOCK, S)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
-        g = rng.standard_gamma(shapes, size=(hi - lo, len(shapes)))
-        want = prof.ones + np.count_nonzero(g[:, :, None] < z, axis=1)
+        U = rng.random((hi - lo, len(prof.rows)))
+        want = prof.ones + np.count_nonzero(U[:, :, None] < prof.Pw, axis=1)
         np.testing.assert_array_equal(batch.counts[lo:hi], want)
 
 
