@@ -315,7 +315,9 @@ def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliPro
     with np.errstate(over="ignore"):
         z = params.n * res.radii ** (2.0 * params.b)
     columns, inside = zip(*(_column_window(params, float(zl), threshold) for zl in z))
-    rows = np.unique(np.concatenate([np.arange(c.start, c.stop) for c in columns]))
+    # sort and drop repeats: np.unique hashes, ~0.2 us a row
+    rows = np.sort(np.concatenate([np.arange(c.start, c.stop) for c in columns]))
+    rows = rows[np.diff(rows, prepend=-1) != 0]
     inside = np.array(inside)
     shapes = (rows + 1 + params.alpha) / params.b
     # entries outside their own column's window are saturated: P = 0 or 1
