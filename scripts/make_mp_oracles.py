@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Freeze the slow mpmath oracle values that the test suite checks against.
 
-Writes tests/data/mp_oracles.json with four tables:
+Writes tests/data/mp_oracles.json with five tables:
 
 * ``bulk_coeffs``: (C2, C3, C4) of one bulk disk (b = 1, alpha = 0, r = 0.6)
   at large |u|, from the 30-digit whole-line quadrature
@@ -11,6 +11,11 @@ Writes tests/data/mp_oracles.json with four tables:
   formulas: ``tests/oracles.py::mp_bulk_coeff_derivatives``, a 50-digit
   Cauchy integral over 64 points of |u| = 1.5, plus the formulas at one of
   those points (``node``) for the live check;
+* ``edge_derivatives``: the edge cumulant coefficients (c_j, d_j, e_j) at
+  b = 1.5, alpha = 0.5, j = 7, 9, 12 and s = -1, 0.7, the same Cauchy
+  integral of the whole edge formulas written in their literal two-interval
+  form (``tests/oracles.py::mp_edge_coeff_derivatives``), plus the formulas
+  at one node at s = -1;
 * ``exact_cumulants``: joint cumulants of orders 7-12 for two overlapping
   disks (b = 1, alpha = 0, n = 1000, r = 0.6, 0.63), 50-digit ``mp.diff``
   derivatives from ``tests/oracles.py::mp_joint_cumulants`` on the window
@@ -39,6 +44,8 @@ from mlcounts.exact import Disk, DiskSystem, EnsembleParams, bernoulli_profile  
 
 BULK = {"b": 1.0, "alpha": 0.0, "r": 0.6, "u": [-30.0, -40.0, -50.0, 710.0, -710.0, 800.0, -800.0]}
 DERIVATIVES = {"b": 1.0, "alpha": 0.0, "r": 0.6, "orders": [7, 9, 12], "rho": 1.5, "points": 64}
+EDGE = {"b": 1.5, "alpha": 0.5, "s": [-1.0, 0.7], "orders": [7, 9, 12], "rho": 1.5,
+        "points": 64}
 EXACT = {
     "b": 1.0,
     "alpha": 0.0,
@@ -81,6 +88,23 @@ def _bulk_derivatives(t0):
     }
 
 
+def _edge_derivatives(t0):
+    d = EDGE
+    values = {}
+    for sf in d["s"]:
+        derivs = oracles.mp_edge_coeff_derivatives(d["b"], d["alpha"], sf, d["orders"],
+                                                   rho=d["rho"], points=d["points"], dps=50)
+        values[repr(sf)] = {str(j): list(v) for j, v in derivs.items()}
+        print(f"edge derivatives s = {sf} done ({time.time() - t0:.1f}s)", flush=True)
+    node = d["rho"] * cmath.exp(2j * math.pi / d["points"])
+    node_values = oracles.mp_edge_node(d["b"], d["alpha"], d["s"][0], node, dps=50)
+    return {
+        **{k: v for k, v in d.items() if k not in ("s", "orders")}, "dps": 50, "values": values,
+        "node": {"s": d["s"][0], "u": [node.real, node.imag],
+                 "values": [[v.real, v.imag] for v in node_values]},
+    }
+
+
 def _exact_cumulants(t0):
     params = EnsembleParams(b=EXACT["b"], alpha=EXACT["alpha"], n=EXACT["n"])
     profile = bernoulli_profile(params, DiskSystem([Disk.fixed(r) for r in EXACT["radii"]]))
@@ -100,6 +124,7 @@ def main() -> None:
     out = {
         "bulk_coeffs": _bulk_coeffs(t0),
         "bulk_derivatives": _bulk_derivatives(t0),
+        "edge_derivatives": _edge_derivatives(t0),
         "exact_cumulants": _exact_cumulants(t0),
         "erfcx": _erfcx(),
     }

@@ -1,31 +1,29 @@
 """Large-n predictions for the disk counting statistics.
 
-The log-MGF expands as C1 n + C2 sqrt(n) + C3 + C4/sqrt(n) + o(1).  All four
-coefficients are built from the two kernel functions
+The log-MGF expands as C1 n + C2 sqrt(n) + C3 + C4/sqrt(n) + o(1).  Bulk
+disks (r inside the equilibrium support), one optional edge disk (radius at
+the support edge plus s/sqrt(n)) and outside disks each contribute terms
+built from F(t, s) = log(1 + (s-1) erfc(t)/2) and G = dF/dt, integrated
+against low-degree polynomials.  Both obey one reflection, from
+erfc(-t) = 2 - erfc(t): F(-t, e^u) = u + F(t, e^-u), G(-t, e^u) = -G(t, e^-u).
 
-    F(t, s) = log(1 + (s-1) erfc(t)/2),      G(t, s) = dF/dt,
+Each regime's (C1, C2, C3, C4) is written once, as one `quad` of a stack of
+integrands over one interval: [0, T] for a bulk disk, onto which the
+reflection folds the whole-line G integrals, and [s, T + |s|] of the e^-u
+side for the edge disk, onto which it moves the G integral over t <= -s and
+the F pieces (these taken by parts into G integrals).  The kernel gives F, G
+and G^2 at e^u and e^-u from one erfc call: as values at u (the log-MGF), or
+as exact j-th u-derivatives at u = 0 (the cumulant coefficients, up to
+series.MAX_ORDER) from the power-series engine in ``series``: F(t, e^u) is
+the cumulant generating function of a Bernoulli(erfc(t)/2) variable and
+G(t, e^u) a quotient of series in e^u - 1.
 
-integrated against low-degree polynomials.  Bulk disks (r inside the
-equilibrium support), one optional edge disk (radius pinned to the support
-edge at scale s/sqrt(n)), and outside disks each contribute their own terms.
-
-Each regime's (C1, C2, C3, C4) is written once and runs over a kernel that
-returns F(t, e^u) and F(t, e^-u) (its `f`), or G(t, e^u) and G(t, e^u)^2
-(its `g`), on a t-array, either as values at u (the log-MGF) or as exact
-j-th u-derivatives at u = 0 (the cumulant coefficients, any order up to
-series.MAX_ORDER).  The derivatives need no numerical differentiation:
-F(t, e^u) is the cumulant generating function of a Bernoulli(erfc(t)/2)
-variable and G(t, e^u) a quotient of series in e^u - 1, both taken from the
-power-series engine in ``series``.
-
-Every integral goes through `quad`: Gauss-Legendre on equal panels, with the
-panel count doubled until two successive rules agree to QUAD_RTOL; the
-difference of the last two rules is the reported `quad_error`.
-Semi-infinite integrals are truncated at sqrt(T^2 + |u|), T = sqrt(-log tol) + 2
-with tol = 1e-16: every integrand here is O(e^{|u| - t^2}) (F decays like
-erfc, G carries an explicit Gaussian, each scaled by at most e^|u|), so the
-discarded tail is below poly(T) e^{-T^2} ~ 1e-24 of the integrand's scale,
-far under QUAD_RTOL.
+`quad` is Gauss-Legendre on equal panels, doubled until two successive rules
+agree to QUAD_RTOL; their difference is the reported `quad_error`, and a
+last rule that misses is a ValueError.  Semi-infinite integrals stop at
+sqrt(T^2 + |u|), T = sqrt(-log 1e-16) + 2: every integrand is
+O(e^{|u| - t^2}), so the discarded tail is below poly(T) e^{-T^2} ~ 1e-24 of
+the integrand's scale, far under QUAD_RTOL.
 """
 
 from __future__ import annotations
@@ -59,10 +57,12 @@ __all__ = [
 TAIL_T = math.sqrt(-math.log(1e-16)) + 2.0  # ~8.07
 QUAD_PANELS = 8  # panels of the first rule on every interval
 QUAD_RTOL = 1e-13  # successive rules agree to this, relative to max(1, |value|)
+QUAD_NOISE = 1e-14  # or, at the last rule, to this times the integral of |f|: its rounding
 _QUAD_DOUBLINGS = 6
 _GL_ORDER = 40  # nodes per panel
 
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT2 = math.sqrt(2.0)
 # past this |u| the e^|u| side of the value kernel is taken in log form: erfc
 # flushes to 0 below ~e^-708, and from |u| ~ 670 on, e^|u| times what it drops
 # is no longer negligible (e^|u| itself overflows past log(DBL_MAX) ~ 709.78)
@@ -76,89 +76,87 @@ _LOG_FORM_U = 600.0
 class _Kernel(NamedTuple):
     """What a regime's formula integrates.
 
-    `f(t)` returns F(t, e^u) and F(t, e^-u), and `g(t)` returns G(t, e^u) and
-    G(t, e^u)^2, on a t-array, as values at u or as exact j-th u-derivatives
-    at u = 0; `lin` is u in the same form; past |t| = `tail` every integrand
-    has dropped below e^(-TAIL_T^2) of its scale.
+    Called on a t-array, the kernel returns the rows F(t, e^u), F(t, e^-u),
+    G(t, e^u), G(t, e^-u), G(t, e^u)^2, G(t, e^-u)^2, as values at u or as
+    exact j-th u-derivatives at u = 0.  `half` computes them at t = |t| only,
+    where c = erfc(t)/2 <= 1/2 and nothing cancels; the reflection gives
+    t < 0: F(-t, e^+-u) = +-u + F(t, e^-+u), G(-t, e^+-u) = -G(t, e^-+u).
+    `lin` is u in the same form; past |t| = `tail` every integrand has
+    dropped below e^(-TAIL_T^2) of its scale.
     """
 
-    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    g: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    half: Callable[[np.ndarray], np.ndarray]
     lin: float
     tail: float
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is reported by name
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        rows = self.half(np.abs(t))
+        neg = t < 0.0
+        if not neg.any():
+            return rows
+        flipped = rows[[1, 0, 3, 2, 5, 4]]
+        flipped[0] += self.lin
+        flipped[1] -= self.lin
+        flipped[2:4] *= -1.0
+        return np.where(neg, flipped, rows)
+
 
 def _value_kernel(u: float) -> _Kernel:
-    """The kernel at u.
+    """The kernel at u: both sides from one helper, `side(v)` at v = +-u.
 
-    With c = erfc(|t|)/2 <= 1/2, F(t, e^u) = log1p((e^u - 1) c) for t >= 0
-    and u + log1p((e^-u - 1) c) for t < 0, so the log1p argument never falls
-    below -1/2: nothing cancels as e^u -> 0 or oo, and F is exactly 0 at
-    u = 0.  G = -(e^u - 1) e^(-t^2 - F)/sqrt(pi).  The integrands decay like
-    e^(|u| - t^2), hence the tail sqrt(TAIL_T^2 + |u|).
-
-    Past |u| = _LOG_FORM_U the e^|u| side is taken in log form, so that
-    neither e^|u| overflowing nor erfc underflowing breaks it:
-    log(1 + (e^v - 1) c) = v + log(c + (1-c) e^-v), summed in log space with
-    log c = log(erfcx(|t|)/2) - t^2, and log(e^u - 1) = u + log1p(-e^-u) in G.
+    With c = erfc(t)/2 <= 1/2 at t >= 0, F(t, e^v) = log1p((e^v - 1) c): the
+    argument never falls below -1/2, so nothing cancels as e^v -> 0 or oo,
+    and F is exactly 0 at u = 0.  G(t, e^v) = -(e^v - 1) e^(-t^2)/(sqrt(pi)
+    (1 + (e^v - 1) c)), a quotient (exp(-t^2 - F) would carry F's absolute
+    rounding, ~|u| eps, as relative error).  The integrands decay like
+    e^(|u| - t^2), hence the tail sqrt(TAIL_T^2 + |u|).  Past v = _LOG_FORM_U,
+    where e^v overflows and erfc underflows, F = v + log(c + (1-c) e^-v) in
+    log space with log c = log(erfcx(t)/2) - t^2, and
+    G = -1/(sqrt(pi) (erfcx(t)/2 + e^(t^2)/(e^v - 1))).
     """
 
-    def log1p_expm1(v, c, t):
-        # log(1 + (e^v - 1) c)
+    def side(v, t, t2, c):  # F(t, e^v) and G(t, e^v)
         if v <= _LOG_FORM_U:
-            return np.log1p(math.expm1(v) * c)
-        log_c = np.log(erfcx(np.abs(t)) / 2.0) - t * t
-        return v + np.logaddexp(log_c, np.log1p(-c) - v)
+            a = math.expm1(v) * c
+            return np.log1p(a), -math.expm1(v) * np.exp(-t2) / (_SQRT_PI * (1.0 + a))
+        half_x = erfcx(t) / 2.0
+        f = v + np.logaddexp(np.log(half_x) - t2, np.log1p(-c) - v)
+        return f, -1.0 / (_SQRT_PI * (half_x + np.exp(t2 - v - math.log1p(-math.exp(-v)))))
 
-    def f(t):
-        c = erfc(np.abs(t)) / 2.0
-        neg = t < 0.0
-        lp, lm = log1p_expm1(u, c, t), log1p_expm1(-u, c, t)
-        return np.where(neg, u + lm, lp), np.where(neg, -u + lp, lm)
+    def half(t):
+        t2 = t * t
+        c = erfc(t) / 2.0
+        (f_plus, g_plus), (f_minus, g_minus) = side(u, t, t2, c), side(-u, t, t2, c)
+        return np.stack([f_plus, f_minus, g_plus, g_minus, g_plus * g_plus, g_minus * g_minus])
 
-    def g(t):
-        f_plus = f(t)[0]
-        if u > _LOG_FORM_U:
-            g = -np.exp(u + math.log1p(-math.exp(-u)) - t * t - f_plus) / _SQRT_PI
-        else:
-            g = -math.expm1(u) * np.exp(-t * t - f_plus) / _SQRT_PI
-        return g, g * g
-
-    return _Kernel(f, g, u, math.sqrt(TAIL_T**2 + abs(u)))
+    return _Kernel(half, u, math.sqrt(TAIL_T**2 + abs(u)))
 
 
 def _derivative_kernel(j: int) -> _Kernel:
     """The kernel as exact j-th u-derivatives at u = 0 (j <= MAX_ORDER).
 
-    With c = erfc(t)/2, the j-th derivative F_j of
-    F(t, e^u) = log(1 + c(e^u - 1)) is the Bernoulli cumulant kappa_j(c);
-    F(t, e^-u) gives (-1)^j F_j, so the parity zeros of F(t, e^u) +- F(t, e^-u)
-    are exact.  G(t, e^u) = -g0 (e^u - 1)/(1 + c(e^u - 1)),
-    g0 = e^(-t^2)/sqrt(pi), is a quotient of series.  All are built at |t|, where c <= 1/2 and nothing cancels, and
-    reflected (c -> 1 - c): F_j(-t) = [j = 1] + (-1)^j F_j(t),
-    G_j(-t) = (-1)^(j+1) G_j(t), (G^2)_j(-t) = (-1)^j (G^2)_j(t).
+    With c = erfc(t)/2, the j-th derivative of F(t, e^u) = log(1 + c(e^u - 1))
+    is the Bernoulli cumulant kappa_j(c), and G(t, e^u) = -g0 (e^u - 1)/(1 +
+    c(e^u - 1)), g0 = e^(-t^2)/sqrt(pi), is a quotient of series.  The e^-u
+    side is (-1)^j times the e^u side, so the parity zeros of the bulk
+    integrands are exact.
     """
     expm1 = series.inverse_factorials(j)
     expm1[0] = 0.0  # e^u - 1
     fact = math.factorial(j)
+    sign = (-1.0) ** j
 
-    def f(t):
-        c = erfc(np.abs(t)) / 2.0
+    def half(t):
+        c = erfc(t) / 2.0
         kappa = series.cumulants((j,), lambda a: c) if j else np.zeros_like(c)
-        flip = t < 0.0
-        f_plus = np.where(flip, float(j == 1), 0.0) + np.where(flip, (-1.0) ** j, 1.0) * kappa
-        return f_plus, (-1) ** j * f_plus
-
-    def g(t):
-        c = erfc(np.abs(t)) / 2.0
         g0 = np.exp(-t * t) / _SQRT_PI
         gs = [g0 * r for r in series.quotient(-expm1, [1.0, *(c * e for e in expm1[1:])])]
-        g_sq = sum(gs[i] * gs[j - i] for i in range(j + 1))
-        flip = t < 0.0
-        sign = np.where(flip, (-1.0) ** j, 1.0)
-        return np.where(flip, -sign, 1.0) * gs[j] * fact, sign * g_sq * fact
+        g = gs[j] * fact
+        g_sq = sum(gs[i] * gs[j - i] for i in range(j + 1)) * fact
+        return np.stack([kappa, sign * kappa, g, sign * g, g_sq, sign * g_sq])
 
-    return _Kernel(f, g, float(j == 1), TAIL_T)
+    return _Kernel(half, float(j == 1), TAIL_T)
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +176,22 @@ def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def quad(f, lo: float, hi: float) -> tuple[list, float]:
-    """Integral from lo to hi (signed) of f, which maps a t-array to a stack
-    of integrands (k, t).
+def _named(inputs: dict) -> str:
+    return ", ".join(f"{key} = {value!r}" for key, value in inputs.items())
 
-    Returns (value, error): the rule with QUAD_PANELS panels is doubled until
-    two successive rules agree to QUAD_RTOL; error is the summed absolute
-    difference of the last two.  The first two rules always run, so f takes
-    their nodes in one call.  The k values are Python floats, so that
+
+# overflow in an integrand shows as a non-finite value, for the caller to report
+@np.errstate(over="ignore", invalid="ignore")
+def quad(f, lo: float, hi: float, what: str, **inputs) -> tuple[list, float]:
+    """Integral from lo to hi (signed) of f, which maps a t-array to a stack
+    of integrands (k, t), and the summed difference of the last two rules.
+
+    The rule with QUAD_PANELS panels is doubled until two successive rules
+    agree to QUAD_RTOL; the first two always run, so f takes their nodes in
+    one call.  If the last rule still misses it by more than the rounding of
+    the sum (QUAD_NOISE), that is a ValueError naming `what` and `inputs`.
+    A non-finite value is returned as it is, without a numpy warning, for
+    the caller to report.  The k values are Python floats, so that
     arithmetic on them overflows to inf without a numpy warning.
     """
     span = hi - lo
@@ -193,16 +199,20 @@ def quad(f, lo: float, hi: float) -> tuple[list, float]:
     x0, w0 = _unit_rule(QUAD_PANELS)
     x, w = _unit_rule(panels)
     both = f(lo + span * np.concatenate((x0, x)))
-    prev, value = both[:, : x0.size] @ (span * w0), both[:, x0.size :] @ (span * w)
+    prev, rows = both[:, : x0.size] @ (span * w0), both[:, x0.size :]
     while True:
+        value = rows @ (span * w)
         diff = np.abs(value - prev)
-        if np.all(diff <= QUAD_RTOL * np.maximum(1.0, np.abs(value))):
+        converged = diff <= QUAD_RTOL * np.maximum(1.0, np.abs(value))
+        if np.all(converged) or not np.all(np.isfinite(value)):
             break
         if panels == QUAD_PANELS << _QUAD_DOUBLINGS:
-            break
+            if np.all(diff <= QUAD_NOISE * (np.abs(rows) @ (abs(span) * w))):
+                break
+            raise ValueError(f"{what}: quadrature not converged at {_named(inputs)}")
         panels *= 2
         x, w = _unit_rule(panels)
-        prev, value = value, f(lo + span * x) @ (span * w)
+        prev, rows = value, f(lo + span * x)
     return value.tolist(), float(np.sum(diff))
 
 
@@ -239,8 +249,7 @@ class ExpansionCoefficients:
 def _finite(what: str, values: tuple, **inputs) -> tuple:
     """`values`, or a ValueError naming `inputs` where one is not finite."""
     if not all(math.isfinite(v) for v in values):
-        named = ", ".join(f"{key} = {value!r}" for key, value in inputs.items())
-        raise ValueError(f"{what} not finite at {named}")
+        raise ValueError(f"{what} not finite at {_named(inputs)}")
     return values
 
 
@@ -255,80 +264,75 @@ def _flag_extreme_s(s_frak: float) -> None:
         )
 
 
-def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
-    """(C1, C2, C3, C4) of a bulk disk and the quadrature error."""
+def _bulk(
+    b: float, alpha: float, r: float, kernel: _Kernel, **named
+) -> tuple[tuple[float, ...], float]:
+    """(C1, C2, C3, C4) of a bulk disk and the quadrature error; `named`
+    (u or j) joins b and r in the error messages."""
     rb = r**b
     if rb == 0.0:  # C4 divides by r^b
         raise ValueError(f"r^b underflows to 0 at b = {b!r}, r = {r!r}")
 
-    def f_terms(t):
-        f_plus, f_minus = kernel.f(t)
+    def integrands(t):
+        # the whole-line G integrals folded onto t >= 0: even polynomials take G(t, e^u) -
+        # G(t, e^-u), odd ones the sum; in t^2, as numpy's t**k (k >= 3) calls pow() per entry
+        f_plus, f_minus, g_plus, g_minus, sq_plus, sq_minus = kernel(t)
         f_sum = f_plus + f_minus
-        return np.stack([f_sum, t * (f_plus - f_minus), t * t * f_sum])
-
-    def g_terms(t):
-        # polynomials in t^2: numpy's t**k for k >= 3 calls pow() per entry
-        g, g_sq = kernel.g(t)
         t2 = t * t
         poly = (5.0 * t2 - 1.0) / 3.0
         poly_e = t * (21.0 + t2 * (50.0 * t2 - 193.0)) / 18.0
-        return np.stack([g * poly, g * poly_e, g_sq * poly**2])
+        return np.stack([f_sum, t * (f_plus - f_minus), t2 * f_sum, (g_plus - g_minus) * poly,
+                         (g_plus + g_minus) * poly_e, (sq_plus + sq_minus) * poly**2])
 
-    (f_sum, f_odd, f_t2), f_err = quad(f_terms, 0.0, kernel.tail)
-    (g_poly, g_e, g_sq), g_err = quad(g_terms, -kernel.tail, kernel.tail)
-    C1 = b * r ** (2.0 * b) * kernel.lin
-    C2 = math.sqrt(2.0) * b * rb * f_sum
-    C3 = -(0.5 + alpha) * kernel.lin + 4.0 * b * f_odd + b * g_poly
-    C4 = (
-        6.0 * math.sqrt(2.0) * b / rb * f_t2
-        - b / (math.sqrt(2.0) * rb) * g_e
-        - b / (2.0 * math.sqrt(2.0) * rb) * g_sq
+    (f_sum, f_odd, f_t2, g_poly, g_e, g_sq), err = quad(
+        integrands, 0.0, kernel.tail, "bulk coefficients", b=b, r=r, **named
     )
-    return _finite("bulk coefficients", (C1, C2, C3, C4), b=b, r=r), f_err + g_err
+    C1 = b * r ** (2.0 * b) * kernel.lin
+    C2 = _SQRT2 * b * rb * f_sum
+    C3 = -(0.5 + alpha) * kernel.lin + 4.0 * b * f_odd + b * g_poly
+    C4 = b / rb * (6.0 * _SQRT2 * f_t2 - (g_e + g_sq / 2.0) / _SQRT2)
+    return _finite("bulk coefficients", (C1, C2, C3, C4), b=b, r=r, **named), err
 
 
-def _edge(b: float, alpha: float, sf: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
-    """(C1, C2, C3, C4) of the edge disk at parameter sf and the quadrature error."""
+def _edge(
+    b: float, alpha: float, sf: float, kernel: _Kernel, **named
+) -> tuple[tuple[float, ...], float]:
+    """(C1, C2, C3, C4) of the edge disk at parameter sf and the quadrature
+    error; `named` (u or j) joins b and s in the error messages.
+
+    The F integrals (over [0, oo) of F(t, e^-u), the s u term and over
+    [0, -sf] of F(t, e^u)) join, by the reflection, into one over [sf, oo)
+    of F(t, e^-u) W', W = (t - sf) t^k, which is -G(t, e^-u) W by parts.
+    The G integral over t <= -sf is reflected onto it, polynomials at -t.
+    """
     _flag_extreme_s(sf)
 
-    def f_terms(t, side: int, s: float):
-        # the F(t, e^-u) integrands at s = sf and the F(t, e^u) ones at s = -sf
-        f = kernel.f(t)[side]
-        return np.stack([f, (2.0 * t - s) * f, (3.0 * t * t - 2.0 * s * t) * f])
-
-    def g_terms(t):
-        g, g_sq = kernel.g(t)
-        t2 = t * t
-        poly = (5.0 * t2 + 3.0 * sf * t - 1.0) / 3.0
+    def integrands(t):
+        _, _, _, g, _, g_sq = kernel(t)
+        by_parts = -g * (t - sf)
+        m = -t
+        m2 = m * m
+        poly = (5.0 * m2 + 3.0 * sf * m - 1.0) / 3.0
         poly_e = (
-            t * (21.0 + t2 * (50.0 * t2 - 193.0))
-            + 6.0 * sf * (1.0 + t2 * (10.0 * t2 - 29.0))
-            - 9.0 * sf * sf * t * (3.0 - 2.0 * t2)
+            m * (21.0 + m2 * (50.0 * m2 - 193.0))
+            + 6.0 * sf * (1.0 + m2 * (10.0 * m2 - 29.0))
+            - 9.0 * sf * sf * m * (3.0 - 2.0 * m2)
         ) / 18.0
-        return np.stack([g * poly, g * poly_e, g_sq * poly**2])
+        return np.stack([by_parts, by_parts * t, by_parts * t * t,
+                         -g * poly, -g * poly_e, g_sq * poly**2])
 
-    (m0, m1, m2), m_err = quad(lambda t: f_terms(t, 1, sf), 0.0, kernel.tail)
-    (p0, p1, p2), p_err = quad(lambda t: f_terms(t, 0, -sf), 0.0, -sf)
-    (g_poly, g_e, g_sq), g_err = quad(g_terms, -(kernel.tail + abs(sf)), -sf)
-    f_minus_at_s = kernel.f(np.array([sf]))[1][0]
-    g_at_minus_s = kernel.g(np.array([-sf]))[0][0]
-    C2 = math.sqrt(2.0 * b) * (m0 + sf * kernel.lin + p0)
-    C3 = (0.5 + alpha) * f_minus_at_s - 2.0 * b * m1 + 2.0 * b * p1 + b * g_poly
-    try:
-        C4 = (
-            (2.0 * b) ** 1.5 * (m2 + p2)
-            - b**1.5 / math.sqrt(2.0) * g_e
-            - b**1.5 / (2.0 * math.sqrt(2.0)) * g_sq
-            + (
-                (0.5 + alpha) * (2.0 * sf * sf - 1.0) / (3.0 * math.sqrt(2.0)) * math.sqrt(b)
-                + (1.0 + 6.0 * alpha + 6.0 * alpha * alpha) / (12.0 * math.sqrt(2.0 * b))
-            )
-            * g_at_minus_s
-        )
-    except OverflowError:  # b^1.5 leaves double range
-        C4 = math.inf
-    coeffs = (kernel.lin, float(C2), float(C3), float(C4))
-    return _finite("edge coefficients", coeffs, b=b, s=sf), m_err + p_err + g_err
+    (f0, f1, f2, g_poly, g_e, g_sq), err = quad(
+        integrands, sf, kernel.tail + abs(sf), "edge coefficients", b=b, s=sf, **named
+    )
+    _, f_minus_at_s, _, g_minus_at_s, _, _ = kernel(np.array([sf]))[:, 0].tolist()
+    b15 = b * math.sqrt(b)  # a float product: past double range inf, not OverflowError
+    C2 = math.sqrt(2.0 * b) * f0
+    C3 = (0.5 + alpha) * f_minus_at_s - 2.0 * b * f1 + b * g_poly
+    C4 = b15 * (2.0 * _SQRT2 * f2 - (g_e + g_sq / 2.0) / _SQRT2) - (
+        (0.5 + alpha) * (2.0 * sf * sf - 1.0) / (3.0 * _SQRT2) * math.sqrt(b)
+        + (1.0 + 6.0 * alpha + 6.0 * alpha * alpha) / (12.0 * math.sqrt(2.0 * b))
+    ) * g_minus_at_s  # the formula's G(-sf, e^u) is -G(sf, e^-u)
+    return _finite("edge coefficients", (kernel.lin, C2, C3, C4), b=b, s=sf, **named), err
 
 
 def theorem_coefficients(params: EnsembleParams, disks: DiskSystem) -> ExpansionCoefficients:
@@ -339,21 +343,15 @@ def theorem_coefficients(params: EnsembleParams, disks: DiskSystem) -> Expansion
     error = 0.0
     for idx, (disk, kind) in enumerate(zip(disks.disks, kinds)):
         if kind == "bulk":
-            contrib, err = _bulk(b, alpha, disk.r, _value_kernel(disk.u))
+            contrib, err = _bulk(b, alpha, disk.r, _value_kernel(disk.u), u=disk.u)
         elif kind == "edge":
-            contrib, err = _edge(b, alpha, s_frak, _value_kernel(disk.u))
+            contrib, err = _edge(b, alpha, s_frak, _value_kernel(disk.u), u=disk.u)
         else:
             contrib, err = (disk.u, 0.0, 0.0, 0.0), 0.0
         error += err
         per_disk.append(DiskContribution(idx, kind, *contrib))
-    return ExpansionCoefficients(
-        C1=math.fsum(d.C1 for d in per_disk),
-        C2=math.fsum(d.C2 for d in per_disk),
-        C3=math.fsum(d.C3 for d in per_disk),
-        C4=math.fsum(d.C4 for d in per_disk),
-        quad_error=error,
-        per_disk=tuple(per_disk),
-    )
+    totals = (math.fsum(getattr(d, name) for d in per_disk) for name in ("C1", "C2", "C3", "C4"))
+    return ExpansionCoefficients(*totals, quad_error=error, per_disk=tuple(per_disk))
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +384,14 @@ def bulk_cumulant_coeffs(j: int, b: float, alpha: float, r: float) -> CumulantSe
     rstar = support_radius(b)
     if not 0 < r < rstar:
         raise ValueError(f"bulk radius must satisfy 0 < r < {rstar}, got {r!r}")
-    coeffs, err = _bulk(b, alpha, r, _derivative_kernel(j))
+    coeffs, err = _bulk(b, alpha, r, _derivative_kernel(j), j=j)
     return CumulantSeries(*coeffs, err)
 
 
 def edge_cumulant_coeffs(j: int, b: float, alpha: float, s_frak: float) -> CumulantSeries:
     """Coefficients (c_j, d_j, e_j) for the edge disk at parameter s."""
     _check_order(j)
-    coeffs, err = _edge(b, alpha, s_frak, _derivative_kernel(j))
+    coeffs, err = _edge(b, alpha, s_frak, _derivative_kernel(j), j=j)
     return CumulantSeries(*coeffs, err)
 
 

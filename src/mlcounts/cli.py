@@ -146,6 +146,10 @@ def _cmd_cumulants(args) -> dict | tuple:
     params = _params_from(args)
     disks = _disks_from(args)
     orders = _list(args.orders)
+    if args.mode == "exact" and args.format == "csv":
+        raise ValueError("--format csv needs --mode asymptotic")
+    if args.mode == "asymptotic" and args.joint:
+        raise ValueError("--joint needs --mode exact")
     if args.mode == "exact":
         p = len(disks.disks)
         marginal = [(order, disk_idx) for order in orders for disk_idx in range(p)]
@@ -327,9 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--orders", default="1,2", help="comma-separated marginal orders")
     s.add_argument("--joint", action="append",
-                   help="joint cumulant multi-index, e.g. 1,1; repeatable")
+                   help="joint cumulant multi-index, e.g. 1,1; repeatable (exact mode)")
     s.add_argument("--mode", choices=("exact", "asymptotic"), default="exact")
-    s.add_argument("--format", choices=("json", "csv"), default="json")
+    s.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv: the asymptotic coefficient table")
     s.set_defaults(handler=_cmd_cumulants)
 
     s = subs.add_parser("zn", help="partition function: exact vs expansion")

@@ -127,10 +127,6 @@ class ResolvedDisks:
     kinds: tuple[str, ...]  # each "bulk" | "edge" | "outside"
     u: np.ndarray  # (p,)
 
-    @property
-    def p(self) -> int:
-        return len(self.radii)
-
 
 class DiskSystem:
     """Ordered collection of disks; at most one edge disk."""

@@ -262,18 +262,86 @@ def mp_bulk_coeff_derivatives(b, alpha, r, orders, rho=1.5, points=64, dps=50):
     ~(rho/pi)^points ~ 1e-21 relative; the values on the lower half circle
     are the conjugates of those on the upper one."""
     with mp.workdps(dps):
-        nodes = [rho * mp.expjpi(mpf(2 * m) / points) for m in range(points // 2 + 1)]
-        vals = [_mp_bulk(b, alpha, r, u, 13) for u in nodes]
-        vals += [tuple(mp.conj(v) for v in vals[m]) for m in range(points // 2 - 1, 0, -1)]
-        out = {}
-        for j in orders:
-            scale = mp.factorial(j) / (points * mpf(rho) ** j)
-            out[j] = tuple(
-                float(mp.re(scale * mp.fsum(v[k] * mp.expjpi(mpf(-2 * j * m) / points)
-                                            for m, v in enumerate(vals))))
-                for k in range(3)
-            )
-        return out
+        return _cauchy_derivatives(lambda u: _mp_bulk(b, alpha, r, u, 13), orders, rho, points)
+
+
+def _mp_edge(b, alpha, sf, uu, top):
+    """(C2, C3, C4) of the edge disk at parameter sf and the mp number uu, at
+    the working precision, written literally as the formulas read: the F
+    integrals over [0, top] of F(t, e^-u) and over [0, -sf] of F(t, e^u),
+    the s u term, and the G integrals over [-(top + |sf|), -sf]."""
+    bb, aa, ss = mpf(b), mpf(alpha), mpf(sf)
+    se, sei = mp.e**uu, mp.e**-uu
+    sqrt2 = mp.sqrt(2)
+
+    def F(t, sv):
+        return mplog(mp.erfc(-t) / 2 + sv * mp.erfc(t) / 2)
+
+    def G(t):
+        return (1 - se) * mp.e ** (-t * t) / mp.sqrt(mppi) / (mp.erfc(-t) / 2 + se * mp.erfc(t) / 2)
+
+    def poly(t):
+        return (5 * t * t + 3 * ss * t - 1) / 3
+
+    def poly_e(t):
+        return (21 * t - 193 * t**3 + 50 * t**5 + 6 * ss * (1 - 29 * t * t + 10 * t**4)
+                - 9 * ss * ss * (3 * t - 2 * t**3)) / 18
+
+    def ends(lo, hi):  # breakpoints at the integers between lo and hi
+        return [lo] + [mpf(k) for k in range(int(mp.ceil(lo)), int(mp.floor(hi)) + 1)
+                       if lo < k < hi] + [hi]
+
+    half, back, full = ends(0, top), [0, -ss], ends(-(top + abs(ss)), -ss)
+    C2 = mp.sqrt(2 * bb) * (mpquad(lambda t: F(t, sei), half) + ss * uu
+                            + mpquad(lambda t: F(t, se), back))
+    C3 = (
+        (mpf(1) / 2 + aa) * F(ss, sei)
+        - 2 * bb * mpquad(lambda t: (2 * t - ss) * F(t, sei), half)
+        + 2 * bb * mpquad(lambda t: (2 * t + ss) * F(t, se), back)
+        + bb * mpquad(lambda t: G(t) * poly(t), full)
+    )
+    C4 = (
+        (2 * bb) ** mpf(1.5) * (mpquad(lambda t: (3 * t * t - 2 * ss * t) * F(t, sei), half)
+                                + mpquad(lambda t: (3 * t * t + 2 * ss * t) * F(t, se), back))
+        - bb ** mpf(1.5) / sqrt2 * mpquad(lambda t: G(t) * poly_e(t), full)
+        - bb ** mpf(1.5) / (2 * sqrt2) * mpquad(lambda t: (G(t) * poly(t)) ** 2, full)
+        + ((mpf(1) / 2 + aa) * (2 * ss * ss - 1) / (3 * sqrt2) * mp.sqrt(bb)
+           + (1 + 6 * aa + 6 * aa * aa) / (12 * mp.sqrt(2 * bb))) * G(-ss)
+    )
+    return C2, C3, C4
+
+
+def mp_edge_node(b, alpha, sf, u, dps):
+    """The whole edge formulas (C2, C3, C4) at one complex u with |u| <= 1.5,
+    as complex floats, with the integrals cut at |t| = 13 as in mp_bulk_node."""
+    with mp.workdps(dps):
+        return tuple(complex(v) for v in _mp_edge(b, alpha, sf, mp.mpmathify(u), 13))
+
+
+def _cauchy_derivatives(formulas, orders, rho, points):
+    """{j: j-th u-derivatives at 0 of the real-analytic formulas(u)}, by the
+    trapezoidal Cauchy integral on |u| = rho at the working precision; the
+    values on the lower half circle are the conjugates of those on the upper."""
+    nodes = [rho * mp.expjpi(mpf(2 * m) / points) for m in range(points // 2 + 1)]
+    vals = [formulas(u) for u in nodes]
+    vals += [tuple(mp.conj(v) for v in vals[m]) for m in range(points // 2 - 1, 0, -1)]
+    out = {}
+    for j in orders:
+        scale = mp.factorial(j) / (points * mpf(rho) ** j)
+        out[j] = tuple(
+            float(mp.re(scale * mp.fsum(v[k] * mp.expjpi(mpf(-2 * j * m) / points)
+                                        for m, v in enumerate(vals))))
+            for k in range(3)
+        )
+    return out
+
+
+def mp_edge_coeff_derivatives(b, alpha, sf, orders, rho=1.5, points=64, dps=50):
+    """{j: (c_j, d_j, e_j)}: j-th u-derivatives at u = 0 of the whole edge
+    formulas (C2, C3, C4) at parameter sf, as mp_bulk_coeff_derivatives does
+    for the bulk: analytic for |Im u| < pi, so aliasing costs ~1e-21."""
+    with mp.workdps(dps):
+        return _cauchy_derivatives(lambda u: _mp_edge(b, alpha, sf, u, 13), orders, rho, points)
 
 
 def bulk_coeff_derivatives(b, alpha, r, order, rho=0.4, points=32):

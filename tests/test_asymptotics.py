@@ -37,15 +37,17 @@ def _frozen_bulk(u):
 
 # --- kernel functions ---------------------------------------------------------
 # F(t, s) = log(1 + (s-1) erfc(t)/2) and G = dF/dt, read off the value kernel
-# at u = log s
+# at u = log s; its rows are F, G and G^2 at e^u and e^-u:
+F_PLUS, F_MINUS, G_PLUS, G_MINUS, SQ_PLUS, SQ_MINUS = range(6)
+SWAP_SIDES = [F_MINUS, F_PLUS, G_MINUS, G_PLUS, SQ_MINUS, SQ_PLUS]
 
 
 def _F(t, s):
-    return asym._value_kernel(math.log(s)).f(np.array([t]))[0][0]
+    return asym._value_kernel(math.log(s))(np.array([t]))[F_PLUS][0]
 
 
 def _G(t, s):
-    return asym._value_kernel(math.log(s)).g(np.array([t]))[0][0]
+    return asym._value_kernel(math.log(s))(np.array([t]))[G_PLUS][0]
 
 
 def test_F_trivia():
@@ -76,19 +78,46 @@ def test_u_parity_of_symmetrized_F():
     rng = random.Random(4)
     t = np.array([rng.uniform(-4, 4) for _ in range(50)])
     for j in range(1, MAX_ORDER + 1, 2):
-        f_plus, f_minus = asym._derivative_kernel(j).f(t)
+        f_plus, f_minus = asym._derivative_kernel(j)(t)[[F_PLUS, F_MINUS]]
         assert np.all(f_plus + f_minus == 0.0)
     for j in range(2, MAX_ORDER + 1, 2):
-        f_plus, f_minus = asym._derivative_kernel(j).f(t)
+        f_plus, f_minus = asym._derivative_kernel(j)(t)[[F_PLUS, F_MINUS]]
         assert np.all(f_plus - f_minus == 0.0)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.7, -2.5, 30.0, -650.0, 800.0])
+def test_value_kernel_sides_and_reflection(u):
+    # the e^-u rows at u are the e^u rows at -u, bit for bit, for t of either
+    # sign; G(t, e^-u) and its square are the reflection of the e^u side,
+    # G(t, e^-u) = -G(-t, e^u), exactly; F(t, e^-u) = F(-t, e^u) - u
+    t = np.array([-6.0, -3.1, -1.2, -0.3, 0.45, 1.7, 3.3, 5.2, 7.9])
+    rows = asym._value_kernel(u)(t)
+    assert np.array_equal(asym._value_kernel(-u)(t), rows[SWAP_SIDES])
+    mirror = asym._value_kernel(u)(-t)
+    assert np.array_equal(rows[G_MINUS], -mirror[G_PLUS])
+    assert np.array_equal(rows[SQ_MINUS], mirror[SQ_PLUS])
+    assert rows[F_MINUS] == pytest.approx(mirror[F_PLUS] - u, rel=0.0, abs=1e-15 * max(1.0, abs(u)))
+
+
+def test_derivative_kernel_sides_and_reflection():
+    # the e^-u rows are (-1)^j times the e^u rows, and G(t, e^-u) and its
+    # square the reflection of the e^u side, exactly, at every order
+    t = np.array([-6.0, -3.1, -1.2, -0.3, 0.45, 1.7, 3.3, 5.2, 7.9])
+    for j in range(MAX_ORDER + 1):
+        kernel = asym._derivative_kernel(j)
+        rows, mirror = kernel(t), kernel(-t)
+        assert np.array_equal(rows[[F_MINUS, G_MINUS, SQ_MINUS]],
+                              (-1.0) ** j * rows[[F_PLUS, G_PLUS, SQ_PLUS]]), j
+        assert np.array_equal(rows[G_MINUS], -mirror[G_PLUS]), j
+        assert np.array_equal(rows[SQ_MINUS], mirror[SQ_PLUS]), j
 
 
 def test_u_derivative_series_vs_complex_step():
     # order-1 derivative of F(t, e^u) via complex step
     h = 1e-20
     ts = np.array([-2.0, 0.0, 0.8, 3.0])
-    f_plus = asym._derivative_kernel(1).f(ts)[0]
-    g = asym._derivative_kernel(0).g(ts)[0]
+    f_plus = asym._derivative_kernel(1)(ts)[F_PLUS]
+    g = asym._derivative_kernel(0)(ts)[G_PLUS]
     for i, t in enumerate(ts):
         cs = complex(np.log(1 + (np.exp(1j * h) - 1) * math.erfc(t) / 2)).imag / h
         assert f_plus[i] == pytest.approx(cs, rel=1e-12, abs=1e-15)
@@ -102,8 +131,7 @@ def test_derivative_kernel_vs_mp_taylor():
     ts = np.array([-6.0, -3.1, -1.2, -0.3, 0.0, 0.45, 1.7, 3.3, 5.2, 7.9])
     want = np.array([oracles.mp_kernel_derivatives(t, MAX_ORDER) for t in ts])  # (t, 4, j)
     for j in range(MAX_ORDER + 1):
-        kernel = asym._derivative_kernel(j)
-        got = np.array([*kernel.f(ts), *kernel.g(ts)])
+        got = asym._derivative_kernel(j)(ts)[[F_PLUS, F_MINUS, G_PLUS, SQ_PLUS]]
         ref = want[:, :, j].T
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-14 * scale), j
@@ -242,6 +270,16 @@ def test_coefficients_continuous_across_exp_overflow(sign):
         assert (hi.C1, hi.C2, hi.C3, hi.C4) == pytest.approx((lo.C1, lo.C2, lo.C3, lo.C4), rel=1e-10)
 
 
+@pytest.mark.parametrize("disk", [Disk.fixed(0.5, 1e5), Disk.edge(-2.0, -1e5)], ids=["bulk", "edge"])
+def test_unconverged_quadrature_raises(disk):
+    # at |u| = 1e5 the last rule still misses QUAD_RTOL (the bulk's last two
+    # rules differ by 2.4e-4): a ValueError naming the disk, where C4 used to
+    # come back as -6996401447488.0 with quad_error 3.4e14
+    params = EnsembleParams(b=1.0, alpha=0.0, n=10)
+    with pytest.raises(ValueError, match=r"not converged .* u = (-)?100000\.0"):
+        theorem_coefficients(params, DiskSystem([disk]))
+
+
 @st.composite
 def _coeff_configs(draw):
     b = draw(st.floats(0.3, 3.0))
@@ -371,6 +409,29 @@ def test_frozen_bulk_derivative_oracle_is_current():
     # one live evaluation of the formulas at a node of the Cauchy circle
     node = FROZEN["bulk_derivatives"]["node"]
     live = oracles.mp_bulk_node(1.0, 0.0, 0.6, complex(*node["u"]), dps=30)
+    assert live == pytest.approx([complex(*v) for v in node["values"]], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("j", [7, 9, 12])
+def test_high_order_edge_coeffs_vs_mp_formula_derivatives(j):
+    # the edge's (c_j, d_j, e_j) against j-th u-derivatives at 0 of the whole
+    # edge formulas in their literal two-interval form, not the single
+    # reflected interval the engine integrates
+    # (tests/oracles.py::mp_edge_coeff_derivatives, frozen by
+    # scripts/make_mp_oracles.py)
+    table = FROZEN["edge_derivatives"]
+    assert (table["b"], table["alpha"]) == (1.5, 0.5)
+    assert sorted(table["values"]) == ["-1.0", "0.7"]
+    for s, values in table["values"].items():
+        series = edge_cumulant_coeffs(j, 1.5, 0.5, float(s))
+        for got, want in zip((series.c, series.d, series.e), values[str(j)]):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (s, got, want)
+
+
+def test_frozen_edge_derivative_oracle_is_current():
+    # one live evaluation of the edge formulas at a node of the Cauchy circle
+    node = FROZEN["edge_derivatives"]["node"]
+    live = oracles.mp_edge_node(1.5, 0.5, node["s"], complex(*node["u"]), dps=30)
     assert live == pytest.approx([complex(*v) for v in node["values"]], rel=1e-14, abs=0.0)
 
 

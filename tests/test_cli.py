@@ -364,6 +364,42 @@ def test_unread_options_exit_2(capsys):
     assert code == 2 and out == ""
 
 
+def test_cumulants_options_of_the_other_mode_exit_2(capsys):
+    # --format csv is the asymptotic table and --joint an exact-mode index:
+    # each used to be dropped without a word, with exit 0
+    argv = ["cumulants", "--b", "1", "--n", "100", "--disk", "r=0.5", "--disk", "r=0.7"]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2 and out == ""
+    assert "--format csv" in err
+    code, out, err = run(capsys, *argv, "--joint", "1,1", "--mode", "asymptotic")
+    assert code == 2 and out == ""
+    assert "--joint" in err
+
+
+def test_unconverged_coefficients_exit_2(capsys):
+    # at u = 1e5 the bulk quadrature misses its tolerance at the last rule:
+    # it used to print C4 = -6996401447488.0 with quad_error 3.4e14
+    code, out, err = run(capsys, "coeffs", "--b", "1", "--alpha", "0", "--disk", "r=0.5,u=1e5")
+    assert code == 2 and out == ""
+    assert "not converged" in err and "r = 0.5, u = 100000.0" in err
+
+
+@pytest.mark.parametrize("mode", ["coeffs", "cumulants"])
+def test_edge_overflow_warns_only_the_flag(capsys, mode):
+    # s = 1e300 overflows in the integrands and the point values; only the
+    # extreme-s flag and the error line reach stderr, no numpy RuntimeWarning
+    argv = (["coeffs", "--b", "1", "--alpha", "0", "--disk", "s=1e300,u=1"] if mode == "coeffs"
+            else ["cumulants", "--b", "1", "--n", "100", "--disk", "s=1e300", "--mode", "asymptotic"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: edge coefficients not finite at b = 1.0, s = 1e+300")
+    assert [str(w.message).split(";")[0] for w in caught] == [
+        "edge parameter s = 1e+300 is far outside the Gaussian window"
+    ]
+
+
 def test_sample_huge_radius_counts_every_particle(capsys):
     # n r^(2b) overflows to inf: the threshold that counts every particle
     with warnings.catch_warnings():
