@@ -295,6 +295,18 @@ def _column_window(params: EnsembleParams, z: float, threshold: float) -> tuple[
     return range(start, stop), inside
 
 
+def _union(runs: Sequence[range]) -> np.ndarray:
+    """Increasing rows of the union of runs: the runs, sorted by start, are
+    merged where they overlap or touch, then laid out one after another."""
+    merged: list[list[int]] = []
+    for r in sorted((r for r in runs if r), key=lambda r: r.start):
+        if merged and r.start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], r.stop)
+        else:
+            merged.append([r.start, r.stop])
+    return np.concatenate([np.arange(start, stop) for start, stop in merged] + [np.arange(0)])
+
+
 def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliProfile:
     """Evaluate the incomplete-gamma profile for (params, disks) on its window.
 
@@ -303,7 +315,7 @@ def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliPro
     so the window also serves ``log_mgf_exact`` at these weights; at u = 0 it
     is the window the sampler draws on.  Each disk's column is evaluated on
     its own run of unsaturated rows (``_column_window``), and the window is
-    the union of those runs."""
+    the union of those runs; a column whose run is empty is all saturated."""
     res = disks.resolve(params)
     U = _tails(res.u)
     threshold = SATURATED_LOG_PREFACTOR - (U.max() - U.min())
@@ -311,15 +323,15 @@ def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliPro
     with np.errstate(over="ignore"):
         z = params.n * res.radii ** (2.0 * params.b)
     columns, inside = zip(*(_column_window(params, float(zl), threshold) for zl in z))
-    # sort and drop repeats: np.unique hashes, ~0.2 us a row
-    rows = np.sort(np.concatenate([np.arange(c.start, c.stop) for c in columns]))
-    rows = rows[np.diff(rows, prepend=-1) != 0]
+    rows = _union(columns)
     inside = np.array(inside)
     shapes = (rows + 1 + params.alpha) / params.b
     # entries outside their own column's window are saturated: P = 0 or 1
     log_P = np.where(rows[:, None] < inside, 0.0, -np.inf)
     log_Q = np.where(rows[:, None] < inside, -np.inf, 0.0)
     for col, (c, zl) in enumerate(zip(columns, z)):
+        if not c:
+            continue
         lo, hi = np.searchsorted(rows, [c.start, c.stop])
         log_P[lo:hi, col], log_Q[lo:hi, col] = log_reg_gamma_pq(shapes[lo:hi], float(zl))
     return BernoulliProfile(n=params.n, rows=rows, log_P=log_P, log_Q=log_Q, Pw=np.exp(log_P),
@@ -332,6 +344,12 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
     Window rows use log1p(sum_l omega_l P[j,l]) where that sum neither
     overflows nor cancels, and the log-space sum over annuli elsewhere;
     saturated rows add U_l for their annulus l.
+
+    The w window terms are summed pairwise (numpy), with error at most about
+    log2(w) eps sum_j |x_j| (Higham, SIAM J. Sci. Comput. 14, 1993).  Each
+    term x_j already carries a rounding of order eps |x_j|, so the sum's
+    error bound stays of the same order; the p + 1 saturated terms are added
+    to it exactly (fsum).
     """
     profile = bernoulli_profile(params, disks)
     u = disks.resolve(params).u
@@ -344,7 +362,7 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
     terms = np.log1p(x, where=direct, out=np.zeros_like(x))
     if not direct.all():
         terms[~direct] = np.logaddexp.reduce(profile.log_q[~direct] + U, axis=1)
-    return math.fsum(terms.tolist() + (profile.saturated * U).tolist())
+    return math.fsum([float(terms.sum()), *(profile.saturated * U).tolist()])
 
 
 def log_partition_exact(params: EnsembleParams) -> float:
@@ -378,13 +396,19 @@ def _normalize_orders(orders: Sequence, p: int) -> list[tuple[int, ...]]:
 
 
 def _mean(profile: BernoulliProfile, l: int) -> float:
-    return math.fsum(profile.Pw[:, l].tolist() + [float(profile.saturated[: l + 1].sum())])
+    """E N_l: the window column plus the saturated rows inside disk l.
+
+    Means and covariances sum w nonnegative terms pairwise, one column at a
+    time, with relative error at most about log2(w) eps (Higham, SIAM J. Sci.
+    Comput. 14, 1993); a sum of the (w, p) block along axis 0 would
+    accumulate row by row."""
+    return float(profile.Pw[:, l].sum()) + float(profile.saturated[: l + 1].sum())
 
 
 def _covariance(profile: BernoulliProfile, lo: int, hi: int) -> float:
     """Cov(N_lo, N_hi) for lo <= hi: sum_j P[j,lo] Q[j,hi], Q = 1 - P taken from
     its own log, so a P near 1 keeps Q's relative accuracy; saturated rows add 0."""
-    return math.fsum(np.exp(profile.log_P[:, lo] + profile.log_Q[:, hi]).tolist())
+    return float(np.exp(profile.log_P[:, lo] + profile.log_Q[:, hi]).sum())
 
 
 def joint_cumulants_exact(
@@ -398,6 +422,11 @@ def joint_cumulants_exact(
     E prod_{l in S} 1{particle in D_rl} = P[:, min S], so every moment is a
     profile column.  A saturated row is deterministic: it adds its indicator
     to a mean and nothing to a cumulant of order >= 2.
+
+    Each order >= 3 total is a pairwise sum of the w per-row cumulants
+    kappa_j, with error at most about log2(w) eps sum_j |kappa_j|: the same
+    order as the rounding each kappa_j already carries, also where the sum
+    cancels (odd orders of a bulk disk).
     """
     profile = bernoulli_profile(params, disks)
     norm = _normalize_orders(orders, profile.Pw.shape[1])
@@ -414,7 +443,7 @@ def joint_cumulants_exact(
                 [k[i] for i in support],
                 lambda a: profile.Pw[:, min(i for i, v in zip(support, a) if v)],
             )
-            out.append(math.fsum(kappa.tolist()))
+            out.append(float(kappa.sum()))
     return out
 
 

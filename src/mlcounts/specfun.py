@@ -407,6 +407,12 @@ def _log_q_small_shape(a: np.ndarray, z: float) -> np.ndarray:
     return np.log(-np.expm1(a_log_z) - g * z_a - a * z_a * (1.0 + g) * s)
 
 
+# The continued fraction stops once every row's Lentz factor c d is within
+# one ulp of 1: a tolerance below half an ulp (2^-53) would pass only rows
+# that reach exactly 1.0 and run the loop to its cap.
+_CONTFRAC_TOL = 2.0**-52
+
+
 def _log_q_contfrac(a: np.ndarray, z: float) -> np.ndarray:
     """log Q(a, z) for z >= a + 1: the Legendre continued fraction
     Q = z^a e^-z / Gamma(a) / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(z+5-a - ...))),
@@ -421,7 +427,7 @@ def _log_q_contfrac(a: np.ndarray, z: float) -> np.ndarray:
         d = 1.0 / (an * d + b)
         c = b + an / c
         h = h * c * d
-        if np.all(np.abs(c * d - 1.0) < 1e-16):
+        if np.all(np.abs(c * d - 1.0) <= _CONTFRAC_TOL):
             break
     return a * math.log(z) - z - _lgamma(a) + np.log(h)
 

@@ -205,6 +205,63 @@ def test_profile_matches_scalar_specfun():
             assert abs(prof.P[j, l] - direct) <= 1e-15
 
 
+_CONFIG_B = (2.0, 0.5, [Disk.fixed(0.45, 0.2), Disk.fixed(0.55, 0.3), Disk.edge(0.3, 0.1),
+                        Disk.fixed(1.2, 0.4)])
+_UNION_CASES = {
+    # four disks, one at the edge: disjoint windows at n = 1e6, and the
+    # outside disk's window is empty at every n
+    "disjoint": (10**6, *_CONFIG_B),
+    "overlapping": (10**4, 1.0, 0.0, [Disk.fixed(0.6), Disk.fixed(0.63)]),
+    "empty column": (1000, 1.0, 0.0, [Disk.fixed(1e-20, 0.5), Disk.fixed(0.6, -0.3)]),
+    "all empty": (10**6, 2.0, 0.5, [Disk.fixed(1e-12), Disk.fixed(1.2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNION_CASES))
+def test_window_is_union_of_column_runs(monkeypatch, case):
+    # the window rows are the sorted distinct rows of the per-column runs,
+    # and a column whose run is empty makes no evaluator call
+    import mlcounts.exact as exact
+
+    runs, calls = [], []
+    column_window, evaluate = exact._column_window, exact.log_reg_gamma_pq
+
+    def recording_window(*args):
+        out = column_window(*args)
+        runs.append(out[0])
+        return out
+
+    def counting_evaluate(a, z):
+        calls.append(len(a))
+        return evaluate(a, z)
+
+    monkeypatch.setattr(exact, "_column_window", recording_window)
+    monkeypatch.setattr(exact, "log_reg_gamma_pq", counting_evaluate)
+    n, b, alpha, disks = _UNION_CASES[case]
+    rows = bernoulli_profile(EnsembleParams(b=b, alpha=alpha, n=n), DiskSystem(disks)).rows
+    want = np.unique(np.concatenate([np.arange(r.start, r.stop) for r in runs]))
+    assert rows.dtype == want.dtype and np.array_equal(rows, want)
+    assert calls == [len(r) for r in runs if r]
+    if case == "disjoint":
+        assert all(r1.stop < r2.start for r1, r2 in zip(runs, runs[1:3])) and not runs[3]
+    elif case == "overlapping":
+        assert runs[0].start < runs[1].start < runs[0].stop < runs[1].stop
+    elif case == "empty column":
+        assert not runs[0] and calls == [len(runs[1])]
+    else:
+        assert len(rows) == 0 and not calls
+
+
+def test_union_merges_nested_touching_and_repeated_runs():
+    from mlcounts.exact import _union
+
+    runs = [range(20, 22), range(5, 9), range(0, 3), range(3, 4), range(6, 7), range(0),
+            range(8, 12), range(20, 22), range(30, 31)]
+    want = np.unique(np.concatenate([np.arange(r.start, r.stop) for r in runs]))
+    assert np.array_equal(_union(runs), want)
+    assert _union([range(0), range(4, 4)]).size == 0
+
+
 # --- log MGF ------------------------------------------------------------------
 
 
@@ -475,6 +532,45 @@ def test_windowed_reductions_match_brute_force(n, b, alpha, radii):
     np.testing.assert_allclose(got_cov, cov, rtol=1e-12, atol=1e-12)
     for got, want in zip(joint_cumulants_exact(params, disks, orders), cums):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _pairwise_rtol(w):
+    """Error bound of numpy's pairwise sum of w terms, relative to sum |x_j|:
+    eight interleaved runs of up to 16 terms per block of 128, then halving,
+    so at most log2(w) + 16 roundings of eps/2 stack on one term."""
+    return (math.log2(w) + 16) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_odd_bulk_cumulant_sums_within_pairwise_bound(k):
+    # odd cumulants of a bulk disk: the leading sqrt(n) terms of the per-row
+    # cumulants cancel, and the pairwise sum stays within its bound of the
+    # correctly rounded sum of the same terms
+    params = EnsembleParams(b=1.0, alpha=0.0, n=10**6)
+    disks = DiskSystem([Disk.fixed(0.6)])
+    prof = bernoulli_profile(params, disks)
+    terms = _row_cumulants(prof.Pw, (k,))
+    w, scale, exact_sum = len(terms), math.fsum(np.abs(terms).tolist()), math.fsum(terms.tolist())
+    assert abs(exact_sum) < 1e-3 * scale  # the sum does cancel
+    got = joint_cumulants_exact(params, disks, [k])[0]
+    assert abs(got - exact_sum) <= _pairwise_rtol(w) * scale
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6])
+def test_means_and_covariances_within_pairwise_bound(n):
+    b, alpha, disks = _CONFIG_B
+    disks = DiskSystem(disks)
+    params = EnsembleParams(b=b, alpha=alpha, n=n)
+    prof = bernoulli_profile(params, disks)
+    rtol = _pairwise_rtol(len(prof.rows))
+    means, cov = mean_var_exact(params, disks)
+    p = prof.Pw.shape[1]
+    for l in range(p):
+        want = math.fsum(prof.Pw[:, l].tolist() + [float(prof.saturated[: l + 1].sum())])
+        assert abs(means[l] - want) <= rtol * want
+        for h in range(l, p):
+            want = math.fsum(np.exp(prof.log_P[:, l] + prof.log_Q[:, h]).tolist())
+            assert abs(cov[l, h] - want) <= rtol * want
 
 
 def _single_disk_log_mgf(n, r, u):

@@ -273,6 +273,35 @@ def test_regime_selection_deterministic():
     assert gamma_regime(2.0, 300.0) is GammaRegime.FIXED_A_LARGE_Z
 
 
+def test_contfrac_stops_once_rows_converge(monkeypatch):
+    # the continued-fraction rows of the r = 0.55 column at b = 2,
+    # alpha = 1/2, n = 1000 (z = 91.5) converge within ~10 terms; the loop
+    # must stop there rather than run to its cap of 499 terms, and stopping
+    # there keeps log Q within the 1e-13 budget of the capped run.  Terms
+    # are counted through the module's `range`, so no clock is read.
+    import mlcounts.specfun as specfun
+
+    z = 1000 * 0.55**4
+    shapes = (np.arange(1000) + 1.5) / 2.0
+    rows = [a for a in shapes if gamma_regime(a, z) is GammaRegime.CONTINUED_FRACTION]
+    assert len(rows) >= 50
+    terms = []
+
+    def counting_range(*args):
+        terms.append(0)
+        for i in range(*args):
+            terms[-1] += 1
+            yield i
+
+    monkeypatch.setattr(specfun, "range", counting_range, raising=False)
+    log_q = specfun._log_q_contfrac(np.array(rows), z)
+    assert len(terms) == 1 and terms[0] <= 40
+    monkeypatch.undo()
+    monkeypatch.setattr(specfun, "_CONTFRAC_TOL", 0.0)
+    capped = specfun._log_q_contfrac(np.array(rows), z)
+    np.testing.assert_allclose(log_q, capped, rtol=0.0, atol=1e-13)
+
+
 def test_p_against_frozen_grid():
     # every grid: the original [1, 1e6] x [0.25, 4], shapes below 1, the band
     # around A_UNIFORM and lambda in 1 +- 0.05 (scripts/make_gammainc_oracle.py)
