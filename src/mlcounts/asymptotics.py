@@ -255,13 +255,12 @@ def _finite(what: str, values: tuple, **inputs) -> tuple:
 
 def _flag_extreme_s(s_frak: float) -> None:
     if abs(s_frak) > 6.0:
-        warnings.warn(
-            f"edge parameter s = {s_frak} is far outside the Gaussian window; "
-            "the e^(-s^2) factors underflow and the returned coefficients are "
-            "effectively their saturated limits",
-            RuntimeWarning,
-            stacklevel=4,  # the caller of the public entry point
-        )
+        side = ("the e^(-s^2) factors underflow and the returned coefficients are "
+                "effectively their saturated limits" if s_frak > 0 else
+                "the coefficients grow with |s| and do not saturate; further out "
+                "the quadrature does not converge and raises ValueError")
+        warnings.warn(f"edge parameter s = {s_frak} is far outside the Gaussian window; {side}",
+                      RuntimeWarning, stacklevel=4)  # stacklevel 4: the public entry's caller
 
 
 def _bulk(
@@ -486,15 +485,16 @@ def _rationalize(b: float) -> tuple[int, int] | None:
     return frac.numerator, frac.denominator
 
 
+def _log_coefficient(b: float, alpha: float) -> float:
+    """Coefficient of log n in log Z_n (and of log n1 in its constant)."""
+    return (1.0 - 3.0 * b + b * b + 6.0 * alpha - 6.0 * b * alpha + 6.0 * alpha * alpha) / (12.0 * b)
+
+
 def zn_constant(b: float, alpha: float, n1: int, n2: int) -> float:
     """The constant term for rational b = n1/n2, via zeta'(-1) and Barnes G."""
     total = n1 * n2 * ZETA_PRIME_MINUS_ONE
     total += (b * (n2 - n1) + 2.0 * n1 * alpha) / (4.0 * b) * math.log(2.0 * math.pi)
-    total -= (
-        (1.0 - 3.0 * b + b * b + 6.0 * alpha - 6.0 * b * alpha + 6.0 * alpha * alpha)
-        / (12.0 * b)
-        * math.log(n1)
-    )
+    total -= _log_coefficient(b, alpha) * math.log(n1)
     for jj in range(1, n2 + 1):
         for kk in range(1, n1 + 1):
             total -= log_barnes_g((jj + alpha / b - 1.0) / n2 + kk / n1)
@@ -521,9 +521,7 @@ def zn_expansion(params: EnsembleParams) -> ZnExpansion:
             + math.log(math.pi / b)
         )
         * n
-        + (1.0 - 3.0 * b + b * b + 6.0 * alpha - 6.0 * b * alpha + 6.0 * alpha * alpha)
-        / (12.0 * b)
-        * logn
+        + _log_coefficient(b, alpha) * logn
     )
     value += (
         (2.0 * alpha - b + 1.0)

@@ -94,11 +94,9 @@ def _positive_int(text: str) -> int:
 
 
 def _describe_disks(params: EnsembleParams, disks: DiskSystem) -> list[dict]:
-    res = disks.resolve(params)
-    return [
-        {"radius": float(r), "kind": k, "u": float(u)}
-        for r, k, u in zip(res.radii, res.kinds, res.u)
-    ]
+    kinds, _ = disks.classify(params.b)
+    return [{"radius": float(r), "kind": k, "u": float(u)}
+            for r, k, u in zip(disks.resolve(params), kinds, disks.u)]
 
 
 def _describe_params(params: EnsembleParams) -> dict:

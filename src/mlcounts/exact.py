@@ -15,7 +15,7 @@ q_jl = P_jl - P_j,l-1, independently of all others.  The exact cumulants (any
 total order up to series.MAX_ORDER) sum the per-row cumulants that
 ``series.cumulants`` builds from its moments, which are columns of P, and the
 sampler draws one uniform U_j per window row and counts particle j in disk l
-when U_j < P_jl, on the profile at u = 0.
+when U_j < P_jl; everything but the MGF takes the profile at u = 0.
 
 Only an O(sqrt n) window of rows around j ~ b n r_l^(2b) has P_jl away from
 0 and 1.  The profile evaluates that window; every other row is saturated
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -41,7 +41,6 @@ __all__ = [
     "Disk",
     "DiskSystem",
     "EnsembleParams",
-    "ResolvedDisks",
     "bernoulli_profile",
     "joint_cumulants_exact",
     "log_mgf_exact",
@@ -119,17 +118,9 @@ class Disk:
         return self.s is not None
 
 
-@dataclass(frozen=True)
-class ResolvedDisks:
-    """Disks resolved at a concrete n: radii, regime labels, weights."""
-
-    radii: np.ndarray  # (p,), strictly increasing
-    kinds: tuple[str, ...]  # each "bulk" | "edge" | "outside"
-    u: np.ndarray  # (p,)
-
-
 class DiskSystem:
-    """Ordered collection of disks; at most one edge disk."""
+    """Ordered collection of disks; at most one edge disk.  ``u`` is the
+    read-only (p,) array of their weights, which only the MGF reads."""
 
     def __init__(self, disks: Iterable[Disk]):
         self.disks = tuple(disks)
@@ -137,6 +128,12 @@ class DiskSystem:
             raise ValueError("at least one disk is required")
         if sum(d.is_edge for d in self.disks) > 1:
             raise ValueError("at most one edge disk is allowed")
+        self.u = np.array([d.u for d in self.disks], dtype=float)
+        self.u.flags.writeable = False
+
+    def unweighted(self) -> "DiskSystem":
+        """The same disks at u = 0."""
+        return DiskSystem(replace(d, u=0.0) for d in self.disks)
 
     def __repr__(self) -> str:
         return f"DiskSystem({list(self.disks)!r})"
@@ -168,9 +165,9 @@ class DiskSystem:
             raise ValueError("fixed radii must be strictly increasing")
         return tuple(kinds), s_frak
 
-    def resolve(self, params: EnsembleParams) -> ResolvedDisks:
-        """Resolve edge radii at params.n and validate strict ordering."""
-        kinds, _ = self.classify(params.b)
+    def resolve(self, params: EnsembleParams) -> np.ndarray:
+        """(p,) radii, the edge radius resolved at params.n; strictly increasing."""
+        self.classify(params.b)
         radii = []
         for d in self.disks:
             if d.is_edge:
@@ -196,8 +193,7 @@ class DiskSystem:
         for r1, r2 in zip(radii, radii[1:]):
             if r2 <= r1 or (r2 - r1) <= _RADII_DISTINCT_RTOL * r2:
                 raise ValueError(f"resolved radii must be strictly increasing, got {radii}")
-        u = np.array([d.u for d in self.disks], dtype=float)
-        return ResolvedDisks(radii=radii, kinds=kinds, u=u)
+        return radii
 
 
 def omega_weights(u: np.ndarray) -> np.ndarray:
@@ -212,8 +208,9 @@ def omega_weights(u: np.ndarray) -> np.ndarray:
 
 
 def _tails(u: np.ndarray) -> np.ndarray:
-    """U_l = u_l + ... + u_p for l = 1..p, plus the closing U_{p+1} = 0."""
-    return np.concatenate([np.cumsum(u[::-1])[::-1], [0.0]])
+    """U_l = u_l + ... + u_p for l = 1..p (inf past double range), then U_{p+1} = 0."""
+    with np.errstate(over="ignore"):
+        return np.concatenate([np.cumsum(u[::-1])[::-1], [0.0]])
 
 
 @dataclass(frozen=True)
@@ -312,16 +309,16 @@ def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliPro
 
     A row is saturated when its prefactor stays below e^-60 after scaling by
     the largest ratio of the disks' MGF weights e^(U_l), U_l = u_l + ... + u_p,
-    so the window also serves ``log_mgf_exact`` at these weights; at u = 0 it
-    is the window the sampler draws on.  Each disk's column is evaluated on
+    so the window also serves ``log_mgf_exact`` at these weights; every other
+    caller takes ``disks.unweighted()``.  Each disk's column is evaluated on
     its own run of unsaturated rows (``_column_window``), and the window is
     the union of those runs; a column whose run is empty is all saturated."""
-    res = disks.resolve(params)
-    U = _tails(res.u)
-    threshold = SATURATED_LOG_PREFACTOR - (U.max() - U.min())
-    # a z that overflows to inf puts every row inside, with an empty window
+    radii = disks.resolve(params)
+    U = _tails(disks.u)
+    # past double range, a spread puts every row in the window, a z every row inside
     with np.errstate(over="ignore"):
-        z = params.n * res.radii ** (2.0 * params.b)
+        threshold = SATURATED_LOG_PREFACTOR - (U.max() - U.min())
+        z = params.n * radii ** (2.0 * params.b)
     columns, inside = zip(*(_column_window(params, float(zl), threshold) for zl in z))
     rows = _union(columns)
     inside = np.array(inside)
@@ -349,20 +346,25 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
     log2(w) eps sum_j |x_j| (Higham, SIAM J. Sci. Comput. 14, 1993).  Each
     term x_j already carries a rounding of order eps |x_j|, so the sum's
     error bound stays of the same order; the p + 1 saturated terms are added
-    to it exactly (fsum).
+    to it exactly (fsum).  Raises ValueError where some U_l, or the log-MGF,
+    is past double range (U_l is checked before the profile is built).
     """
+    U = _tails(disks.u)
+    if not np.isfinite(U).all():
+        raise ValueError(f"weight sums u_l + ... + u_p overflow at u = {disks.u.tolist()}")
     profile = bernoulli_profile(params, disks)
-    u = disks.resolve(params).u
-    U = _tails(u)
-    omega = omega_weights(u)
+    omega = omega_weights(disks.u)
     with np.errstate(over="ignore", invalid="ignore"):
         x = profile.Pw @ omega
         scale = profile.Pw @ np.abs(omega)
         direct = np.isfinite(scale) & (2.0 * (1.0 + x) >= 1.0 + scale)
-    terms = np.log1p(x, where=direct, out=np.zeros_like(x))
-    if not direct.all():
-        terms[~direct] = np.logaddexp.reduce(profile.log_q[~direct] + U, axis=1)
-    return math.fsum([float(terms.sum()), *(profile.saturated * U).tolist()])
+        terms = np.log1p(x, where=direct, out=np.zeros_like(x))
+        if not direct.all():
+            terms[~direct] = np.logaddexp.reduce(profile.log_q[~direct] + U, axis=1)
+        parts = np.array([terms.sum(), *(profile.saturated * U)])
+        if not np.isfinite(np.abs(parts).sum()):
+            raise ValueError(f"log-MGF past double range at u = {disks.u.tolist()}")
+    return math.fsum(parts.tolist())
 
 
 def log_partition_exact(params: EnsembleParams) -> float:
@@ -426,9 +428,9 @@ def joint_cumulants_exact(
     Each order >= 3 total is a pairwise sum of the w per-row cumulants
     kappa_j, with error at most about log2(w) eps sum_j |kappa_j|: the same
     order as the rounding each kappa_j already carries, also where the sum
-    cancels (odd orders of a bulk disk).
+    cancels (odd orders of a bulk disk).  The disks' weights play no part.
     """
-    profile = bernoulli_profile(params, disks)
+    profile = bernoulli_profile(params, disks.unweighted())
     norm = _normalize_orders(orders, profile.Pw.shape[1])
     out = []
     for k in norm:
@@ -450,8 +452,8 @@ def joint_cumulants_exact(
 def mean_var_exact(
     params: EnsembleParams, disks: DiskSystem
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariance matrix of the disk counts."""
-    profile = bernoulli_profile(params, disks)
+    """Means and covariance matrix of the disk counts; the weights play no part."""
+    profile = bernoulli_profile(params, disks.unweighted())
     p = profile.Pw.shape[1]
     means = np.array([_mean(profile, l) for l in range(p)])
     cov = np.empty((p, p))

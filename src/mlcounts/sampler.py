@@ -29,7 +29,7 @@ thread count, which only spreads the blocks over workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ def sample_counts(
     """Draw `num_samples` independent copies of the joint disk counts."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples!r}")
-    profile = bernoulli_profile(params, DiskSystem(replace(d, u=0.0) for d in disks.disks))
+    profile = bernoulli_profile(params, disks.unweighted())
     Pw = profile.Pw
     counts = np.empty((num_samples, Pw.shape[1]), dtype=np.int64)
 

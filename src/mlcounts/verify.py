@@ -70,14 +70,13 @@ def residual_scan(params: EnsembleParams, disks: DiskSystem, n_values) -> Residu
 
     params.n is ignored; n comes from n_values.  Edge disks re-resolve at
     each n.  Points with |r| <= 100x the aggregate quadrature error estimate
-    are excluded from the fit.
+    are excluded from the fit.  Each r errs by about eps max|log-MGF|, so
+    fitted_rate (absolute) and fitted_K (relative) err by about that over min|r|
+    times ||L^+||_2, L = [log n, 1] the fit's basis (4.75 on n = 500..4000 doubling).
     """
     ns = _validate_n_values(n_values, minimum_count=4, span=8.0)
     coeffs = theorem_coefficients(params, disks)  # n-independent
-    residuals = []
-    for n in ns:
-        pn = replace(params, n=n)
-        residuals.append(log_mgf_exact(pn, disks) - coeffs.evaluate(n))
+    residuals = [log_mgf_exact(replace(params, n=n), disks) - coeffs.evaluate(n) for n in ns]
     floor = 100.0 * coeffs.quad_error
     used = tuple(abs(r) > floor for r in residuals)
     if sum(used) < 2:
@@ -109,7 +108,10 @@ class CoefficientFit:
 
 
 def coefficient_fit(params: EnsembleParams, disks: DiskSystem, n_values) -> CoefficientFit:
-    """Fit exact log-MGF against the basis {n, sqrt(n), 1, 1/sqrt(n)}."""
+    """Fit exact log-MGF against the basis B = {n, sqrt(n), 1, 1/sqrt(n)}.  Each
+    fitted C_k, and its deviation, errs by about eps max|log-MGF| ||B^+||_2: 234
+    on n = 1000..32000 doubling (scaled condition number 81; 352 on 500..4000),
+    so C4 of a log-MGF near 1e4 carries about 7 significant digits."""
     ns = _validate_n_values(n_values, minimum_count=6, span=None)
     y = np.array([log_mgf_exact(replace(params, n=n), disks) for n in ns])
     narr = np.array(ns, dtype=float)

@@ -504,6 +504,18 @@ def test_extreme_edge_parameter_is_flagged():
         theorem_coefficients(params, DiskSystem([Disk.edge(-6.5, 0.4)]))
 
 
+def test_extreme_edge_flag_states_each_side():
+    # past s = 6 the coefficients are their saturated limits; below s = -6
+    # they keep growing (e_12 = 94.0 at s = -80) until the quadrature raises
+    with pytest.warns(RuntimeWarning, match=r"s = 7\.5 .*saturated limits"):
+        edge_cumulant_coeffs(12, 1.0, 0.0, 7.5)
+    with pytest.warns(RuntimeWarning, match=r"s = -80\.0 .*do not saturate"):
+        assert edge_cumulant_coeffs(12, 1.0, 0.0, -80.0).e == pytest.approx(94.0, abs=0.1)
+    with pytest.warns(RuntimeWarning, match=r"raises ValueError"):
+        with pytest.raises(ValueError, match=r"not converged at b = 1\.0, s = -90\.0, j = 12"):
+            edge_cumulant_coeffs(12, 1.0, 0.0, -90.0)
+
+
 def test_edge_series_evaluate():
     s1 = edge_cumulant_coeffs(1, 1.0, 0.0, 0.0)
     n = 10000

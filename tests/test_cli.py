@@ -384,6 +384,18 @@ def test_unconverged_coefficients_exit_2(capsys):
     assert "not converged" in err and "r = 0.5, u = 100000.0" in err
 
 
+def test_mgf_exact_weight_sums_past_double_range_name_u(capsys):
+    # u_1 + u_2 overflows: an input error naming u, with no numpy warning on
+    # stderr (it used to exit 2 with "Out of range float values are not JSON
+    # compliant" after an overflow warning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "mgf-exact", "--b", "1", "--n", "5",
+                             "--disk", "r=0.5,u=1e308", "--disk", "r=0.6,u=1e308")
+    assert code == 2 and out == "" and not caught
+    assert "u = [1e+308, 1e+308]" in err
+
+
 @pytest.mark.parametrize("mode", ["coeffs", "cumulants"])
 def test_edge_overflow_warns_only_the_flag(capsys, mode):
     # s = 1e300 overflows in the integrands and the point values; only the
@@ -484,7 +496,9 @@ def test_cumulants_exact_one_profile(capsys, monkeypatch):
 
 
 # Run in a fresh interpreter: neither the package nor any subcommand loads a
-# scipy module; the runtime depends on numpy alone.
+# scipy module; the runtime depends on numpy alone.  Importing the package
+# loads neither module that the sampler (concurrent.futures) and the
+# partition-function constant (fractions) import only when they run.
 _SCIPY_GUARD = r"""
 import contextlib, importlib, io, pkgutil, sys
 
@@ -493,13 +507,19 @@ def scipy_loaded():
     return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 
 
+def deferred_loaded():
+    return sorted(name for name in ("concurrent.futures", "fractions") if name in sys.modules)
+
+
 import mlcounts
 
 assert not scipy_loaded(), "import mlcounts"
+assert not deferred_loaded(), ("import mlcounts", deferred_loaded())
 for info in pkgutil.iter_modules(mlcounts.__path__):
     if info.name != "__main__":
         importlib.import_module("mlcounts." + info.name)
 assert not scipy_loaded(), "importing every mlcounts module"
+assert not deferred_loaded(), ("importing every mlcounts module", deferred_loaded())
 
 from mlcounts.cli import main
 

@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -77,8 +78,7 @@ def test_edge_radius_out_of_range_names_disk():
     with pytest.raises(ValueError, match=r"s = 1e\+32 .* b = 0\.05, n = 10"):
         DiskSystem([Disk.edge(1e32)]).resolve(EnsembleParams(b=0.05, alpha=0.0, n=10))
     # the same disk at s = 0 resolves to the support radius itself
-    res = DiskSystem([Disk.edge(0.0)]).resolve(params)
-    assert res.radii[0] == support_radius(0.00395)
+    assert DiskSystem([Disk.edge(0.0)]).resolve(params)[0] == support_radius(0.00395)
 
 
 def test_disk_validation():
@@ -95,10 +95,9 @@ def test_disk_validation():
 def test_resolve_orders_and_classifies():
     params = EnsembleParams(b=1.0, alpha=0.0, n=100)
     disks = DiskSystem([Disk.fixed(0.5), Disk.edge(0.0), Disk.fixed(1.5)])
-    res = disks.resolve(params)
-    assert res.kinds == ("bulk", "edge", "outside")
-    assert res.radii[0] < res.radii[1] < res.radii[2]
-    assert res.radii[1] == pytest.approx(1.0)
+    radii = disks.resolve(params)
+    assert radii[0] < radii[1] < radii[2]
+    assert radii[1] == pytest.approx(1.0)
     assert disks.classify(params.b) == (("bulk", "edge", "outside"), 0.0)
 
 
@@ -182,9 +181,8 @@ def test_profile_invariants_random_sweep():
         np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
         # the annuli inside disk l add up to P[j, l]
         np.testing.assert_allclose(np.cumsum(q, axis=1)[:, :-1], prof.Pw, atol=1e-13)
-        u = disks.resolve(params).u
-        lhs = 1.0 + prof.Pw @ omega_weights(u)
-        rhs = q @ _exp_tails(u)
+        lhs = 1.0 + prof.Pw @ omega_weights(disks.u)
+        rhs = q @ _exp_tails(disks.u)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
         # outside the window every row is one-hot: P is 0 or 1
         outside = np.setdiff1d(np.arange(params.n), prof.rows)
@@ -198,7 +196,7 @@ def test_profile_matches_scalar_specfun():
     params = EnsembleParams(b=2.0, alpha=0.5, n=50)
     disks = DiskSystem([Disk.fixed(0.6), Disk.fixed(0.9)])
     prof = bernoulli_profile(params, disks)
-    radii = disks.resolve(params).radii
+    radii = disks.resolve(params)
     for j in (0, 10, 24, 49):
         for l in (0, 1):
             direct = reg_lower_gamma((j + 1 + 0.5) / 2.0, 50.0 * radii[l] ** 4)
@@ -284,7 +282,7 @@ def test_mgf_factorization_sweep():
     for _ in range(20):
         params, disks = _rng_config(rng)
         prof = bernoulli_profile(params, disks)
-        om = omega_weights(disks.resolve(params).u)
+        om = omega_weights(disks.u)
         direct = float(np.prod(1.0 + prof.P @ om))
         assert math.exp(log_mgf_exact(params, disks)) == pytest.approx(direct, rel=1e-12)
 
@@ -490,14 +488,14 @@ def test_ginibre_bulk_variance_leading_order():
 
 def _brute_force(params, disks, orders):
     """Log-MGF, means, covariances and cumulants over all n rows, no window."""
-    res = disks.resolve(params)
+    radii = disks.resolve(params)
     shapes = (np.arange(1, params.n + 1) + params.alpha) / params.b
-    logs = [log_reg_gamma_pq(shapes, params.n * r ** (2 * params.b)) for r in res.radii]
+    logs = [log_reg_gamma_pq(shapes, params.n * r ** (2 * params.b)) for r in radii]
     P = np.exp(np.column_stack([lp for lp, _ in logs]))
     Q = np.exp(np.column_stack([lq for _, lq in logs]))
 
-    p = len(res.radii)
-    log_mgf = math.fsum(np.log1p(P @ omega_weights(res.u)).tolist())
+    p = len(radii)
+    log_mgf = math.fsum(np.log1p(P @ omega_weights(disks.u)).tolist())
     means = [math.fsum(P[:, l].tolist()) for l in range(p)]
     cov = [[math.fsum((P[:, min(i, k)] * Q[:, max(i, k)]).tolist()) for k in range(p)]
            for i in range(p)]
@@ -534,6 +532,54 @@ def test_windowed_reductions_match_brute_force(n, b, alpha, radii):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("u", [(300.0, -300.0), (1e308, 1e308)])
+def test_u_zero_statistics_take_the_unweighted_window(monkeypatch, u):
+    # the weights enter only the MGF: means, covariances and cumulants are
+    # bit-identical to the unweighted call and sum over its window, which at
+    # these weights is 28,156 rows against 66,509 and all 10^6 weighted
+    import mlcounts.exact as exact
+
+    params = EnsembleParams(b=1.0, alpha=0.0, n=10**6)
+    plain = DiskSystem([Disk.fixed(0.6), Disk.fixed(0.63)])
+    weighted = DiskSystem([Disk.fixed(0.6, u[0]), Disk.fixed(0.63, u[1])])
+    assert not weighted.u.flags.writeable and weighted.u.tolist() == list(u)
+    assert weighted.unweighted().u.tolist() == [0.0, 0.0]
+    orders = [(0, 3), (2, 1)]
+    want_means, want_cov = mean_var_exact(params, plain)
+    want_cums = joint_cumulants_exact(params, plain, orders)
+    rows, profile = [], exact.bernoulli_profile
+
+    def recording_profile(*args):
+        out = profile(*args)
+        rows.append(len(out.rows))
+        return out
+
+    monkeypatch.setattr(exact, "bernoulli_profile", recording_profile)
+    means, cov = mean_var_exact(params, weighted)
+    assert means.tobytes() == want_means.tobytes() and cov.tobytes() == want_cov.tobytes()
+    assert joint_cumulants_exact(params, weighted, orders) == want_cums
+    assert rows == [len(profile(params, plain).rows)] * 2
+
+
+def test_mgf_weight_sums_past_double_range_raise():
+    # U_1 = u_1 + u_2 overflows: a ValueError naming u, where the log-MGF
+    # used to be NaN after an overflow warning
+    params = EnsembleParams(b=1.0, alpha=0.0, n=5)
+    disks = DiskSystem([Disk.fixed(0.5, 1e308), Disk.fixed(0.6, 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"u = \[1e\+308, 1e\+308\]"):
+            log_mgf_exact(params, disks)
+        # the profile at these weights evaluates every row, without a warning
+        assert len(bernoulli_profile(params, disks).rows) == 5
+        # finite weight sums whose log-MGF is past double range raise too
+        with pytest.raises(ValueError, match=r"log-MGF past double range at u = \[1e\+308\]"):
+            log_mgf_exact(params, DiskSystem([Disk.fixed(0.5, 1e308)]))
+        # while a huge weight on a disk that every row is all but certain to
+        # be in leaves sum_j log Q_j
+        assert math.isfinite(log_mgf_exact(params, DiskSystem([Disk.fixed(3.0, -1e308)])))
+
+
 def _pairwise_rtol(w):
     """Error bound of numpy's pairwise sum of w terms, relative to sum |x_j|:
     eight interleaved runs of up to 16 terms per block of 128, then halving,
@@ -558,10 +604,11 @@ def test_odd_bulk_cumulant_sums_within_pairwise_bound(k):
 
 @pytest.mark.parametrize("n", [10**4, 10**6])
 def test_means_and_covariances_within_pairwise_bound(n):
+    # against fsum over the unweighted window, the one mean_var_exact sums
     b, alpha, disks = _CONFIG_B
     disks = DiskSystem(disks)
     params = EnsembleParams(b=b, alpha=alpha, n=n)
-    prof = bernoulli_profile(params, disks)
+    prof = bernoulli_profile(params, disks.unweighted())
     rtol = _pairwise_rtol(len(prof.rows))
     means, cov = mean_var_exact(params, disks)
     p = prof.Pw.shape[1]
