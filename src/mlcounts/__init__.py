@@ -11,6 +11,7 @@ from .asymptotics import (
     ExpansionCoefficients,
     ZnExpansion,
     bulk_cumulant_coeffs,
+    cumulant_coeffs,
     edge_cumulant_coeffs,
     edge_mean_coeffs,
     edge_var_coeffs,

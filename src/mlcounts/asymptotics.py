@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import series
-from .exact import DiskSystem, EnsembleParams, support_radius
+from .exact import Disk, DiskSystem, EnsembleParams, support_radius
 from .specfun import ZETA_PRIME_MINUS_ONE, erfc, erfcx, log_barnes_g
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "ExpansionCoefficients",
     "ZnExpansion",
     "bulk_cumulant_coeffs",
+    "cumulant_coeffs",
     "edge_cumulant_coeffs",
     "edge_mean_coeffs",
     "edge_var_coeffs",
@@ -82,12 +83,14 @@ class _Kernel(NamedTuple):
     where c = erfc(t)/2 <= 1/2 and nothing cancels; the reflection gives
     t < 0: F(-t, e^+-u) = +-u + F(t, e^-+u), G(-t, e^+-u) = -G(t, e^-+u).
     `lin` is u in the same form; past |t| = `tail` every integrand has
-    dropped below e^(-TAIL_T^2) of its scale.
+    dropped below e^(-TAIL_T^2) of its scale.  `named` (u or j) joins a
+    regime's inputs in its error messages.
     """
 
     half: Callable[[np.ndarray], np.ndarray]
     lin: float
     tail: float
+    named: dict
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is reported by name
     def __call__(self, t: np.ndarray) -> np.ndarray:
@@ -130,7 +133,7 @@ def _value_kernel(u: float) -> _Kernel:
         (f_plus, g_plus), (f_minus, g_minus) = side(u, t, t2, c), side(-u, t, t2, c)
         return np.stack([f_plus, f_minus, g_plus, g_minus, g_plus * g_plus, g_minus * g_minus])
 
-    return _Kernel(half, u, math.sqrt(TAIL_T**2 + abs(u)))
+    return _Kernel(half, u, math.sqrt(TAIL_T**2 + abs(u)), {"u": u})
 
 
 def _derivative_kernel(j: int) -> _Kernel:
@@ -156,7 +159,7 @@ def _derivative_kernel(j: int) -> _Kernel:
         g_sq = sum(gs[i] * gs[j - i] for i in range(j + 1)) * fact
         return np.stack([kappa, sign * kappa, g, sign * g, g_sq, sign * g_sq])
 
-    return _Kernel(half, float(j == 1), TAIL_T)
+    return _Kernel(half, float(j == 1), TAIL_T, {"j": j})
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +263,11 @@ def _flag_extreme_s(s_frak: float) -> None:
                 "the coefficients grow with |s| and do not saturate; further out "
                 "the quadrature does not converge and raises ValueError")
         warnings.warn(f"edge parameter s = {s_frak} is far outside the Gaussian window; {side}",
-                      RuntimeWarning, stacklevel=4)  # stacklevel 4: the public entry's caller
+                      RuntimeWarning, stacklevel=5)  # the caller of the public entry
 
 
-def _bulk(
-    b: float, alpha: float, r: float, kernel: _Kernel, **named
-) -> tuple[tuple[float, ...], float]:
-    """(C1, C2, C3, C4) of a bulk disk and the quadrature error; `named`
-    (u or j) joins b and r in the error messages."""
+def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
+    """(C1, C2, C3, C4) of a bulk disk and the quadrature error."""
     rb = r**b
     if rb == 0.0:  # C4 divides by r^b
         raise ValueError(f"r^b underflows to 0 at b = {b!r}, r = {r!r}")
@@ -284,20 +284,17 @@ def _bulk(
                          (g_plus + g_minus) * poly_e, (sq_plus + sq_minus) * poly**2])
 
     (f_sum, f_odd, f_t2, g_poly, g_e, g_sq), err = quad(
-        integrands, 0.0, kernel.tail, "bulk coefficients", b=b, r=r, **named
+        integrands, 0.0, kernel.tail, "bulk coefficients", b=b, r=r, **kernel.named
     )
     C1 = b * r ** (2.0 * b) * kernel.lin
     C2 = _SQRT2 * b * rb * f_sum
     C3 = -(0.5 + alpha) * kernel.lin + 4.0 * b * f_odd + b * g_poly
     C4 = b / rb * (6.0 * _SQRT2 * f_t2 - (g_e + g_sq / 2.0) / _SQRT2)
-    return _finite("bulk coefficients", (C1, C2, C3, C4), b=b, r=r, **named), err
+    return _finite("bulk coefficients", (C1, C2, C3, C4), b=b, r=r, **kernel.named), err
 
 
-def _edge(
-    b: float, alpha: float, sf: float, kernel: _Kernel, **named
-) -> tuple[tuple[float, ...], float]:
-    """(C1, C2, C3, C4) of the edge disk at parameter sf and the quadrature
-    error; `named` (u or j) joins b and s in the error messages.
+def _edge(b: float, alpha: float, sf: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
+    """(C1, C2, C3, C4) of the edge disk at parameter sf and the quadrature error.
 
     The F integrals (over [0, oo) of F(t, e^-u), the s u term and over
     [0, -sf] of F(t, e^u)) join, by the reflection, into one over [sf, oo)
@@ -321,7 +318,7 @@ def _edge(
                          -g * poly, -g * poly_e, g_sq * poly**2])
 
     (f0, f1, f2, g_poly, g_e, g_sq), err = quad(
-        integrands, sf, kernel.tail + abs(sf), "edge coefficients", b=b, s=sf, **named
+        integrands, sf, kernel.tail + abs(sf), "edge coefficients", b=b, s=sf, **kernel.named
     )
     _, f_minus_at_s, _, g_minus_at_s, _, _ = kernel(np.array([sf]))[:, 0].tolist()
     b15 = b * math.sqrt(b)  # a float product: past double range inf, not OverflowError
@@ -331,26 +328,31 @@ def _edge(
         (0.5 + alpha) * (2.0 * sf * sf - 1.0) / (3.0 * _SQRT2) * math.sqrt(b)
         + (1.0 + 6.0 * alpha + 6.0 * alpha * alpha) / (12.0 * math.sqrt(2.0 * b))
     ) * g_minus_at_s  # the formula's G(-sf, e^u) is -G(sf, e^-u)
-    return _finite("edge coefficients", (kernel.lin, C2, C3, C4), b=b, s=sf, **named), err
+    return _finite("edge coefficients", (kernel.lin, C2, C3, C4), b=b, s=sf, **kernel.named), err
+
+
+def _per_disk(params: EnsembleParams, disks: DiskSystem, kernel: Callable) -> list[tuple]:
+    """(kind, (C1, C2, C3, C4), quadrature error) of each disk, with kernel(disk),
+    in its regime from DiskSystem.classify: the one branch on a regime."""
+    out = []
+    for disk, (kind, x) in zip(disks.disks, disks.classify(params.b)):
+        k = kernel(disk)
+        if kind == "bulk":
+            coeffs, err = _bulk(params.b, params.alpha, x, k)
+        elif kind == "edge":
+            coeffs, err = _edge(params.b, params.alpha, x, k)
+        else:
+            coeffs, err = (k.lin, 0.0, 0.0, 0.0), 0.0
+        out.append((kind, coeffs, err))
+    return out
 
 
 def theorem_coefficients(params: EnsembleParams, disks: DiskSystem) -> ExpansionCoefficients:
     """C1..C4 for the given disk configuration (independent of params.n)."""
-    b, alpha = params.b, params.alpha
-    kinds, s_frak = disks.classify(b)
-    per_disk = []
-    error = 0.0
-    for idx, (disk, kind) in enumerate(zip(disks.disks, kinds)):
-        if kind == "bulk":
-            contrib, err = _bulk(b, alpha, disk.r, _value_kernel(disk.u), u=disk.u)
-        elif kind == "edge":
-            contrib, err = _edge(b, alpha, s_frak, _value_kernel(disk.u), u=disk.u)
-        else:
-            contrib, err = (disk.u, 0.0, 0.0, 0.0), 0.0
-        error += err
-        per_disk.append(DiskContribution(idx, kind, *contrib))
+    parts = _per_disk(params, disks, lambda disk: _value_kernel(disk.u))
+    per_disk = tuple(DiskContribution(i, kind, *c) for i, (kind, c, _) in enumerate(parts))
     totals = (math.fsum(getattr(d, name) for d in per_disk) for name in ("C1", "C2", "C3", "C4"))
-    return ExpansionCoefficients(*totals, quad_error=error, per_disk=tuple(per_disk))
+    return ExpansionCoefficients(*totals, quad_error=sum(e for *_, e in parts), per_disk=per_disk)
 
 
 # ---------------------------------------------------------------------------
@@ -372,36 +374,40 @@ class CumulantSeries:
         return self.leading * n + self.c * rn + self.d + self.e / rn
 
 
-def _check_order(j: int) -> None:
+def cumulant_coeffs(j: int, params: EnsembleParams,
+                    disks: DiskSystem) -> tuple[CumulantSeries, ...]:
+    """The order-j cumulant series of each disk in its regime: the cumulant
+    twin of `theorem_coefficients` (params.n is unused)."""
     if not (isinstance(j, int) and 1 <= j <= series.MAX_ORDER):
         raise ValueError(f"cumulant order must be an integer in 1..{series.MAX_ORDER}, got {j!r}")
+    kernel = _derivative_kernel(j)
+    parts = _per_disk(params, disks, lambda disk: kernel)
+    return tuple(CumulantSeries(*coeffs, err) for _, coeffs, err in parts)
 
 
 def bulk_cumulant_coeffs(j: int, b: float, alpha: float, r: float) -> CumulantSeries:
     """Coefficients (c_j, d_j, e_j) for a fixed disk strictly inside the bulk."""
-    _check_order(j)
-    rstar = support_radius(b)
-    if not 0 < r < rstar:
-        raise ValueError(f"bulk radius must satisfy 0 < r < {rstar}, got {r!r}")
-    coeffs, err = _bulk(b, alpha, r, _derivative_kernel(j), j=j)
-    return CumulantSeries(*coeffs, err)
+    params, disks = EnsembleParams(b, alpha, 1), DiskSystem([Disk.fixed(r)])
+    ((kind, _),) = disks.classify(b)
+    if kind != "bulk":
+        raise ValueError(
+            f"bulk radius must satisfy 0 < r < {support_radius(b)}, got {r!r} ({kind})")
+    return cumulant_coeffs(j, params, disks)[0]
 
 
 def edge_cumulant_coeffs(j: int, b: float, alpha: float, s_frak: float) -> CumulantSeries:
     """Coefficients (c_j, d_j, e_j) for the edge disk at parameter s."""
-    _check_order(j)
-    coeffs, err = _edge(b, alpha, s_frak, _derivative_kernel(j), j=j)
-    return CumulantSeries(*coeffs, err)
+    return cumulant_coeffs(j, EnsembleParams(b, alpha, 1), DiskSystem([Disk.edge(s_frak)]))[0]
 
 
 def outside_cumulant_coeffs(j: int) -> CumulantSeries:
-    """Cumulants for a disk strictly outside the bulk: kappa_1 = n + o(1), rest o(1)."""
-    _check_order(j)
-    return CumulantSeries(1.0 if j == 1 else 0.0, 0.0, 0.0, 0.0)
+    """Cumulants for a disk outside the bulk (here the plane): kappa_1 = n + o(1), rest o(1)."""
+    return cumulant_coeffs(j, EnsembleParams(1.0, 0.0, 1), DiskSystem([Disk.fixed(math.inf)]))[0]
 
 
 def edge_mean_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, float]:
     """Closed forms (c1, d1, e1) of the edge mean expansion, via erfc."""
+    EnsembleParams(b, alpha, 1)  # checks (b, alpha)
     E = math.erfc(s)
     gaus = math.exp(-s * s)
     c1 = math.sqrt(b) * s / math.sqrt(2.0) * E - math.sqrt(b) / math.sqrt(2.0 * math.pi) * gaus
@@ -413,7 +419,7 @@ def edge_mean_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, fl
         * (
             (b * (2.0 + 4.0 * alpha) - 1.0 - 6.0 * alpha - 6.0 * alpha * alpha) / (12.0 * math.sqrt(b))
             + (3.0 * b - 2.0 - 4.0 * alpha) * s * s / 6.0 * math.sqrt(b)
-            - 2.0 * s**4 / 9.0 * b**1.5
+            - 2.0 * s**4 / 9.0 * (b * math.sqrt(b))  # inf past double range, as in _edge
         )
     )
     return _finite("edge mean coefficients", (c1, d1, e1), b=b, alpha=alpha, s=s)
@@ -421,6 +427,7 @@ def edge_mean_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, fl
 
 def edge_var_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, float]:
     """Closed forms (c2, d2, e2) of the edge variance expansion, via erfc."""
+    EnsembleParams(b, alpha, 1)  # checks (b, alpha)
     E = math.erfc(s)
     E2 = math.erfc(math.sqrt(2.0) * s)
     gaus = math.exp(-s * s)
@@ -451,8 +458,8 @@ def edge_var_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, flo
     )
     e2 = (
         e2_gaus
-        - b**1.5 * s / (72.0 * math.sqrt(2.0) * math.pi) * gaus * gaus
-        - b**1.5 * (1.0 + 4.0 * s * s) / (32.0 * _SQRT_PI) * E2
+        - b * math.sqrt(b) * s / (72.0 * math.sqrt(2.0) * math.pi) * gaus * gaus
+        - b * math.sqrt(b) * (1.0 + 4.0 * s * s) / (32.0 * _SQRT_PI) * E2
     )
     return _finite("edge variance coefficients", (c2, d2, e2), b=b, alpha=alpha, s=s)
 

@@ -94,9 +94,8 @@ def _positive_int(text: str) -> int:
 
 
 def _describe_disks(params: EnsembleParams, disks: DiskSystem) -> list[dict]:
-    kinds, _ = disks.classify(params.b)
-    return [{"radius": float(r), "kind": k, "u": float(u)}
-            for r, k, u in zip(disks.resolve(params), kinds, disks.u)]
+    return [{"radius": float(r), "kind": kind, "u": float(u)}
+            for r, (kind, _), u in zip(disks.resolve(params), disks.classify(params.b), disks.u)]
 
 
 def _describe_params(params: EnsembleParams) -> dict:
@@ -164,24 +163,12 @@ def _cmd_cumulants(args) -> dict | tuple:
             "disks": _describe_disks(params, disks),
             "cumulants": entries,
         }
-    # asymptotic coefficient tables, one row per (disk, order)
-    kinds, s_frak = disks.classify(params.b)
-    rows = []
-    for disk, kind in zip(disks.disks, kinds):
-        for order in orders:
-            if kind == "bulk":
-                series = asymptotics.bulk_cumulant_coeffs(order, params.b, params.alpha, disk.r)
-                key = disk.r
-            elif kind == "edge":
-                series = asymptotics.edge_cumulant_coeffs(order, params.b, params.alpha, s_frak)
-                key = s_frak
-            else:
-                series = asymptotics.outside_cumulant_coeffs(order)
-                key = disk.r
-            rows.append(
-                (params.b, params.alpha, key, kind, order, series.leading, series.c,
-                 series.d, series.e, series.evaluate(params.n))
-            )
+    # asymptotic coefficient tables, one row per (disk, order); r_or_s is classify's x
+    per_disk = zip(*(asymptotics.cumulant_coeffs(order, params, disks) for order in orders))
+    rows = [(params.b, params.alpha, x, kind, order, series.leading, series.c, series.d,
+             series.e, series.evaluate(params.n))
+            for (kind, x), by_order in zip(disks.classify(params.b), per_disk)
+            for order, series in zip(orders, by_order)]
     header = ("b", "alpha", "r_or_s", "kind", "order", "leading", "c", "d", "e", "value_at_n")
     if args.format == "csv":
         return header, rows

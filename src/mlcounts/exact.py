@@ -50,6 +50,9 @@ __all__ = [
     "support_radius",
 ]
 
+# Window rows of one profile, summed over its columns, at most (~1.8 GB at ~217 bytes a row)
+MAX_WINDOW_ROWS = 2**23
+
 # Radii closer than this (relative) are treated as equal, which is an input
 # error: the product identity needs strictly increasing radii.
 _RADII_DISTINCT_RTOL = 1e-12
@@ -80,8 +83,9 @@ class EnsembleParams:
             raise ValueError(f"b must be finite and > 0, got {self.b!r}")
         if not (self.alpha > -1 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and > -1, got {self.alpha!r}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        # profile rows are int64 indices
+        if not (isinstance(self.n, (int, np.integer)) and 1 <= self.n < 2**63):
+            raise ValueError(f"n must be an integer in [1, 2^63), got {self.n!r}")
         support_radius(self.b)  # raises where b^(-1/(2b)) leaves double range
 
 
@@ -138,32 +142,26 @@ class DiskSystem:
     def __repr__(self) -> str:
         return f"DiskSystem({list(self.disks)!r})"
 
-    def classify(self, b: float) -> tuple[tuple[str, ...], float | None]:
-        """Regime label per disk and the edge parameter s (n-free).
-
-        A fixed radius within 1e-12 (relative) of the support edge counts as
-        an edge disk with s = 0.
-        """
+    def classify(self, b: float) -> tuple[tuple[str, float], ...]:
+        """(kind, x) per disk by the package's one regime rule (n-free):
+        ("bulk", r) below r* = support_radius(b), ("outside", r) above it, and
+        ("edge", s) for the edge disk or, at s = 0, a fixed r within 1e-12
+        (relative) of r*."""
         rstar = support_radius(b)
-        kinds = []
-        s_frak = None
+        regimes = []
         for d in self.disks:
             if d.is_edge:
-                kinds.append("edge")
-                s_frak = d.s
+                regimes.append(("edge", d.s))
             elif abs(d.r - rstar) <= 1e-12 * rstar:
-                kinds.append("edge")
-                s_frak = 0.0
-            elif d.r < rstar:
-                kinds.append("bulk")
+                regimes.append(("edge", 0.0))
             else:
-                kinds.append("outside")
-        if kinds.count("edge") > 1:
+                regimes.append(("bulk" if d.r < rstar else "outside", d.r))
+        if [kind for kind, _ in regimes].count("edge") > 1:
             raise ValueError("configuration has more than one edge disk")
         fixed_r = [d.r for d in self.disks if not d.is_edge]
         if any(r2 <= r1 for r1, r2 in zip(fixed_r, fixed_r[1:])):
             raise ValueError("fixed radii must be strictly increasing")
-        return tuple(kinds), s_frak
+        return tuple(regimes)
 
     def resolve(self, params: EnsembleParams) -> np.ndarray:
         """(p,) radii, the edge radius resolved at params.n; strictly increasing."""
@@ -269,9 +267,11 @@ def _first_true(pred, lo: int, hi: int) -> int:
 
 def _column_window(params: EnsembleParams, z: float, threshold: float) -> tuple[range, int]:
     """Rows of the column of argument z whose log-prefactor reaches
-    `threshold`, and the count of rows whose shape lies below z.  The
-    log-prefactor of a = (j+1+alpha)/b is concave in j, so those rows form one
-    run around its maximum: three bisections find the maximum and both ends."""
+    `threshold`, and the count `inside` of rows whose shape lies below z.
+    g(a) = a log z - z - log Gamma(a), a = (j+1+alpha)/b, is concave and peaks at
+    psi(a) = log z, in (z, z + 1/2): those rows form one run, split for one
+    bisection per end by the better of rows inside - 1 and inside (bisecting for
+    the peak fails past a ~ 1e10, where g's steps fall below its rounding)."""
     n, alpha, b = params.n, params.alpha, params.b
 
     def shape(j: int) -> float:
@@ -284,7 +284,7 @@ def _column_window(params: EnsembleParams, z: float, threshold: float) -> tuple[
     def g(j: int) -> float:
         return log_prefactor(shape(j), z)
 
-    top = _first_true(lambda j: g(j + 1) <= g(j), 0, n - 1)
+    top = max((max(inside - 1, 0), min(inside, n - 1)), key=g)
     if g(top) < threshold:
         return range(0), inside
     start = _first_true(lambda j: g(j) >= threshold, 0, top)
@@ -320,6 +320,8 @@ def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliPro
         threshold = SATURATED_LOG_PREFACTOR - (U.max() - U.min())
         z = params.n * radii ** (2.0 * params.b)
     columns, inside = zip(*(_column_window(params, float(zl), threshold) for zl in z))
+    if (width := sum(map(len, columns))) > MAX_WINDOW_ROWS:  # checked before any row is built
+        raise ValueError(f"{width} window rows at n = {params.n}, over MAX_WINDOW_ROWS = 2^23")
     rows = _union(columns)
     inside = np.array(inside)
     shapes = (rows + 1 + params.alpha) / params.b

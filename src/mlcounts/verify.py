@@ -154,23 +154,25 @@ def clt_experiment(
     / pi^(1/4); the edge count is centered at n + c1 sqrt(n) and scaled by
     sqrt(c2) n^(1/4) with (c1, c2) the closed-form edge coefficients.  The
     limit is a standard multivariate normal.  Raises ValueError where a
-    normalization is meaningless: a bulk radius outside (0, r*), a bulk scale
-    that underflows to 0, or an edge c2 that is not positive.
+    normalization is meaningless: a bulk radius that DiskSystem.classify does
+    not call bulk, a bulk scale that underflows to 0, or an edge c2 that is
+    not positive.
     """
     if num_samples < 100:
         raise ValueError(f"need at least 100 samples, got {num_samples!r}")
     b, alpha, n = params.b, params.alpha, params.n
-    rstar = support_radius(b)
+    disks = DiskSystem([Disk.fixed(r) for r in bulk_radii]
+                       + ([] if s_frak is None else [Disk.edge(s_frak)]))
     nq = n**0.25
     norms = []  # (center, scale) of each count, bulk disks first
-    for r in bulk_radii:
-        if not 0 < r < rstar:
-            raise ValueError(f"bulk radius must satisfy 0 < r < {rstar}, got {r!r}")
+    for r, (kind, _) in zip(bulk_radii, disks.classify(b)):
+        if kind != "bulk":
+            raise ValueError(
+                f"bulk radius must satisfy 0 < r < {support_radius(b)}, got {r!r} ({kind})")
         scale = math.sqrt(b * r**b) * nq / math.pi**0.25
         if scale == 0.0:
             raise ValueError(f"bulk scale sqrt(b r^b) underflows to 0 at b = {b!r}, r = {r!r}")
         norms.append((b * r ** (2.0 * b) * n, scale))
-    disk_list = [Disk.fixed(r) for r in bulk_radii]
     if s_frak is not None:
         c1, _, _ = edge_mean_coeffs(b, alpha, s_frak)
         c2, _, _ = edge_var_coeffs(b, alpha, s_frak)
@@ -178,8 +180,7 @@ def clt_experiment(
             raise ValueError(f"edge variance coefficient c2 = {c2!r} is not positive at "
                              f"b = {b!r}, alpha = {alpha!r}, s = {s_frak!r}")
         norms.append((n + c1 * math.sqrt(n), math.sqrt(c2) * nq))
-        disk_list.append(Disk.edge(s_frak))
-    batch = sample_counts(params, DiskSystem(disk_list), num_samples, seed, threads=threads)
+    batch = sample_counts(params, disks, num_samples, seed, threads=threads)
     stats = np.column_stack([(batch.counts[:, idx] - center) / scale
                              for idx, (center, scale) in enumerate(norms)])
     cov = np.atleast_2d(np.cov(stats, rowvar=False))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import mlcounts.asymptotics as asym
 from mlcounts.asymptotics import (
     bulk_cumulant_coeffs,
+    cumulant_coeffs,
     edge_cumulant_coeffs,
     edge_mean_coeffs,
     edge_var_coeffs,
@@ -464,6 +465,49 @@ def test_edge_closed_forms_far_tail():
     # s^2 overflows, so e2 holds inf * erfc(sqrt(2) s) = inf * 0: a ValueError naming s
     with pytest.raises(ValueError, match=r"s = 1e\+200"):
         edge_var_coeffs(1.0, 0.0, 1e200)
+
+
+def test_bulk_coeffs_follow_classify_at_support_edge():
+    # r = 1 - 1e-13 is within 1e-12 of r* = 1: classify calls it the edge disk
+    # at s = 0, so there are no bulk coefficients (it used to return c = 0.5642)
+    r = 1.0 - 1e-13
+    with pytest.raises(ValueError, match=r"bulk radius must satisfy .*\(edge\)"):
+        bulk_cumulant_coeffs(2, 1.0, 0.0, r)
+    (edge,) = cumulant_coeffs(2, EnsembleParams(1.0, 0.0, 1), DiskSystem([Disk.fixed(r)]))
+    assert edge == edge_cumulant_coeffs(2, 1.0, 0.0, 0.0)
+    assert edge.c == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-12)  # 0.2821
+
+
+def test_cumulant_coeffs_one_series_per_disk_in_its_regime():
+    params = EnsembleParams(2.0, 0.5, 7)  # n is unused
+    disks = DiskSystem([Disk.fixed(0.5), Disk.edge(0.3), Disk.fixed(1.5)])
+    for j in (1, 2, 5):
+        assert cumulant_coeffs(j, params, disks) == (
+            bulk_cumulant_coeffs(j, 2.0, 0.5, 0.5),
+            edge_cumulant_coeffs(j, 2.0, 0.5, 0.3),
+            outside_cumulant_coeffs(j),
+        )
+    with pytest.raises(ValueError, match="cumulant order"):
+        cumulant_coeffs(0, params, disks)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bulk_cumulant_coeffs(2, 1.0, -5.0, 0.5),
+    lambda: edge_cumulant_coeffs(2, 1.0, -5.0, 0.3),
+    lambda: edge_mean_coeffs(1.0, -5.0, 0.3),  # used to return (-0.222, 1.627, -4.109)
+    lambda: edge_var_coeffs(1.0, -1.0, 0.3),
+    lambda: edge_mean_coeffs(-1.0, 0.0, 0.3),
+], ids=["bulk", "edge", "mean", "var", "mean-b"])
+def test_per_regime_coefficients_check_b_and_alpha(call):
+    with pytest.raises(ValueError, match=r"(alpha|b) must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("closed_form", [edge_mean_coeffs, edge_var_coeffs])
+def test_edge_closed_forms_past_double_range_name_inputs(closed_form):
+    # b^1.5 used to raise a bare OverflowError from b ~ 1.6e205 on
+    with pytest.raises(ValueError, match=r"not finite at b = 1e\+250, alpha = 0\.0, s = 0\.3"):
+        closed_form(1e250, 0.0, 0.3)
 
 
 def test_edge_coefficients_past_double_range_raise():

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlcounts
+from mlcounts.asymptotics import bulk_cumulant_coeffs, cumulant_coeffs
 from mlcounts.cli import main
+from mlcounts.exact import Disk, DiskSystem, EnsembleParams, support_radius
 
 
 def run(capsys, *argv):
@@ -262,11 +264,13 @@ def test_non_positive_threads_exit_2(capsys):
 @st.composite
 def _argv(draw):
     """argv of one computing subcommand over the documented input ranges: b in
-    [0.05, 5] half the time and in [5, 1e4] otherwise, where r^b and the
-    e^(-s^2) factors leave double range; 1-3 disks, increasing fixed radii
-    and at most one edge disk, placed anywhere.  Half the examples write each
-    option as "--name=value", the other half as two tokens, where a value
-    such as -1e-05 must still be read as a value."""
+    [0.05, 5], in [5, 1e4], where r^b and the e^(-s^2) factors leave double
+    range, or up to 1e300, where b^1.5 does; n past 2^63 some of the time (but
+    for zn, whose exact sum is O(n)); 1-3 disks, increasing fixed radii, some
+    at r* (1 +- 1e-13), which classify calls the edge, and at most one edge
+    disk, placed anywhere.  Half the examples write each option as
+    "--name=value", the other half as two tokens, where a value such as
+    -1e-05 must still be read as a value."""
     sub = draw(st.sampled_from(["mgf-exact", "mgf-asymptotic", "coeffs", "cumulants", "zn",
                                 "sample", "verify-residual", "verify-clt"]))
     split = draw(st.booleans())
@@ -274,25 +278,30 @@ def _argv(draw):
     def opt(name, value):
         return [f"--{name}", value] if split else [f"--{name}={value}"]
 
-    b = draw(st.floats(5.0, 1e4) if draw(st.booleans()) else st.floats(0.05, 5.0))
+    b = draw(st.one_of(st.floats(0.05, 5.0), st.floats(5.0, 1e4), st.floats(1e4, 1e300)))
+    rstar = b ** (-1.0 / (2.0 * b))
+    radius = st.one_of(st.floats(1e-3, 3.0), st.sampled_from([rstar * (1 - 1e-13),
+                                                              rstar * (1 + 1e-13)]))
     argv = [sub, *opt("b", repr(b)),
             *opt("alpha", repr(draw(st.floats(-1.0, 3.0, exclude_min=True))))]
     if sub == "verify-residual":
         n0 = draw(st.integers(50, 250))
         argv += opt("n-values", ",".join(str(n0 * k) for k in (1, 2, 4, 8)))
     elif sub != "coeffs" or draw(st.booleans()):
-        # small n often: there an edge disk's 1 + sqrt(2b) s/sqrt(n) can reach 0
-        argv += opt("n", str(draw(st.one_of(st.integers(1, 20), st.integers(1, 2000)))))
+        # small n often: there an edge disk's 1 + sqrt(2b) s/sqrt(n) can reach 0;
+        # past 2^63 n is no int64 row index; sample and verify-clt keep n small
+        # otherwise, as their window grows like sqrt(n)
+        huge = st.integers(2**63, 2**70) if sub != "zn" else st.nothing()
+        argv += opt("n", str(draw(st.one_of(st.integers(1, 20), st.integers(1, 2000), huge))))
     if sub == "verify-clt":
-        radii = draw(st.lists(st.floats(1e-3, 3.0), max_size=2, unique=True))
+        radii = draw(st.lists(radius, max_size=2, unique=True))
         if radii:
             argv += opt("bulk-r", ",".join(map(repr, sorted(radii))))
         if draw(st.booleans()):
             argv += opt("s", repr(draw(st.floats(-30.0, 30.0))))
     elif sub != "zn":
         has_edge = draw(st.booleans())
-        radii = draw(st.lists(st.floats(1e-3, 3.0), min_size=1 - has_edge, max_size=3 - has_edge,
-                              unique=True))
+        radii = draw(st.lists(radius, min_size=1 - has_edge, max_size=3 - has_edge, unique=True))
         disks = [f"r={r!r}" for r in sorted(radii)]
         if has_edge:
             disks.insert(draw(st.integers(0, len(disks))), f"s={draw(st.floats(-6.0, 6.0))!r}")
@@ -322,12 +331,87 @@ def test_exit_code_property(argv):
     assert code in (0, 2, 3)
     if code == 2:
         assert out.getvalue() == ""
-        for bare in ("division by zero", "JSON compliant", "math domain error"):
+        for bare in ("division by zero", "JSON compliant", "math domain error", "out of range",
+                     "too large to convert"):
             assert bare not in err.getvalue()
     else:
         payload = json.loads(out.getvalue(),
                              parse_constant=lambda token: pytest.fail(f"non-finite {token}"))
         assert payload.get("pass", True) is (code == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.floats(0.05, 5.0), alpha=st.floats(-0.9, 2.0),
+       ratios=st.lists(st.one_of(st.floats(0.05, 1.5), st.just(1 - 1e-13)), min_size=1,
+                       max_size=2, unique=True),
+       orders=st.lists(st.integers(1, 6), min_size=1, max_size=2))
+def test_cumulant_table_agrees_with_cumulant_coeffs(b, alpha, ratios, orders):
+    # every row of the asymptotic table is cumulant_coeffs of its disk, with
+    # classify's kind and x; bulk_cumulant_coeffs gives the same series for a
+    # bulk disk and raises for any other, r* (1 - 1e-13) included
+    radii = [support_radius(b) * q for q in sorted(ratios)]
+    argv = ["cumulants", "--b", repr(b), "--alpha", repr(alpha), "--n", "1000",
+            "--orders", ",".join(map(str, orders)), "--mode", "asymptotic"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + [f"--disk=r={r!r}" for r in radii])
+    params, disks = EnsembleParams(b, alpha, 1000), DiskSystem([Disk.fixed(r) for r in radii])
+    try:
+        table = [cumulant_coeffs(j, params, disks) for j in orders]
+    except ValueError:
+        assert code == 2 and out.getvalue() == ""
+        return
+    assert code == 0
+    rows = iter(json.loads(out.getvalue())["series"])
+    for i, (r, (kind, x)) in enumerate(zip(radii, disks.classify(b))):
+        for j, per_disk in zip(orders, table):
+            want, row = per_disk[i], next(rows)
+            assert (row["kind"], row["r_or_s"], row["order"]) == (kind, x, j)
+            assert [row[k] for k in ("leading", "c", "d", "e", "value_at_n")] == [
+                want.leading, want.c, want.d, want.e, want.evaluate(1000)]
+            if kind == "bulk":
+                assert bulk_cumulant_coeffs(j, b, alpha, r) == want
+            else:
+                with pytest.raises(ValueError, match="bulk radius must satisfy"):
+                    bulk_cumulant_coeffs(j, b, alpha, r)
+
+
+def test_cumulant_table_at_support_edge_is_the_edge_row(capsys):
+    # r = 1 - 1e-13 is within 1e-12 of r* = 1: the table printed this row with
+    # kind edge while bulk_cumulant_coeffs returned the bulk c = 0.5642
+    r = 1.0 - 1e-13
+    code, out, _ = run(capsys, "cumulants", "--b", "1", "--n", "1000", "--disk", f"r={r!r}",
+                       "--orders", "2", "--mode", "asymptotic")
+    assert code == 0
+    (row,) = json.loads(out)["series"]
+    (want,) = cumulant_coeffs(2, EnsembleParams(1.0, 0.0, 1), DiskSystem([Disk.fixed(r)]))
+    assert (row["kind"], row["r_or_s"]) == ("edge", 0.0)
+    assert [row[k] for k in ("leading", "c", "d", "e")] == [want.leading, want.c, want.d, want.e]
+    assert row["c"] == pytest.approx(0.2821, abs=1e-4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mgf-exact", "--disk", "r=0.5,u=1"],
+    ["sample", "--disk", "r=0.5", "--num-samples", "5"],
+    ["coeffs", "--disk", "r=0.5,u=1"],
+    ["cumulants", "--disk", "r=0.5", "--mode", "asymptotic"],
+], ids=["mgf-exact", "sample", "coeffs", "cumulants"])
+@pytest.mark.parametrize("n", [2**63, 10**19, 10**400], ids=["2^63", "1e19", "1e400"])
+def test_n_past_int64_exits_2(capsys, argv, n):
+    # mgf-exact and sample used to fail on "Python int too large to convert to
+    # C ssize_t", coeffs on "int too large to convert to float"
+    code, out, err = run(capsys, *argv, "--b", "1", "--n", str(n))
+    assert code == 2 and out == ""
+    assert f"n must be an integer in [1, 2^63), got {n}" in err
+
+
+def test_verify_clt_huge_b_names_inputs(capsys):
+    # b^1.5 in the edge closed forms used to exit 2 on a bare
+    # "(34, 'Numerical result out of range')"
+    code, out, err = run(capsys, "verify-clt", "--b", "1e300", "--n", "1000", "--s", "0.5",
+                         "--num-samples", "200", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "not finite at b = 1e+300, alpha = 0.0, s = 0.5" in err
 
 
 _RESIDUAL = ["verify-residual", "--b", "1", "--disk", "r=0.6,u=1", "--n-values", "200,400,800,1600"]

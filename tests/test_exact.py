@@ -22,6 +22,7 @@ from mlcounts.exact import (
     omega_weights,
     support_radius,
 )
+from mlcounts.asymptotics import bulk_cumulant_coeffs
 from mlcounts import series
 from mlcounts.series import MAX_ORDER
 from mlcounts.specfun import log_reg_gamma_pq
@@ -98,14 +99,12 @@ def test_resolve_orders_and_classifies():
     radii = disks.resolve(params)
     assert radii[0] < radii[1] < radii[2]
     assert radii[1] == pytest.approx(1.0)
-    assert disks.classify(params.b) == (("bulk", "edge", "outside"), 0.0)
+    assert disks.classify(params.b) == (("bulk", 0.5), ("edge", 0.0), ("outside", 1.5))
 
 
 def test_fixed_radius_at_support_edge_is_edge():
     disks = DiskSystem([Disk.fixed(1.0)])
-    kinds, s = disks.classify(1.0)
-    assert kinds == ("edge",)
-    assert s == 0.0
+    assert disks.classify(1.0) == (("edge", 0.0),)
 
 
 def test_resolve_rejects_equal_radii():
@@ -684,3 +683,32 @@ def test_annulus_probabilities_sum_to_one(config):
     params, radii, us, _, _ = config
     profile = bernoulli_profile(params, DiskSystem([Disk.fixed(r, u) for r, u in zip(radii, us)]))
     assert np.all(np.abs(np.exp(profile.log_q).sum(axis=1) - 1.0) <= 1e-13)
+
+
+def test_n_past_int64_rejected():
+    # profile rows are int64 indices: n = 2^63 used to reach an OverflowError
+    assert EnsembleParams(1.0, 0.0, 2**63 - 1).n == 2**63 - 1
+    for n in (2**63, 10**19, 10**400):
+        with pytest.raises(ValueError, match=f"got {n}"):
+            EnsembleParams(1.0, 0.0, n)
+
+
+def test_window_found_past_1e10():
+    # adjacent log-prefactor differences fall below its rounding here: a
+    # bisection for the peak found no window rows, and the variance was 0.0
+    b = 0.05
+    r = 0.8 * support_radius(b)
+    params, disks = EnsembleParams(b, 0.0, 10**10), DiskSystem([Disk.fixed(r)])
+    assert len(bernoulli_profile(params, disks).rows) == 531_000
+    means, cov = mean_var_exact(params, disks)
+    assert means[0] == pytest.approx(bulk_cumulant_coeffs(1, b, 0.0, r).evaluate(params.n), rel=1e-14)
+    assert cov[0, 0] == pytest.approx(bulk_cumulant_coeffs(2, b, 0.0, r).evaluate(params.n), rel=1e-12)
+
+
+def test_window_row_cap_raises_before_building_rows():
+    # b = 1, r = 0.6, n = 1e12 needs ~1.4e7 window rows, ~3 GB: a ValueError
+    # naming n and the row count, raised from the bisections alone
+    params, disks = EnsembleParams(1.0, 0.0, 10**12), DiskSystem([Disk.fixed(0.6)])
+    for call in (mean_var_exact, log_mgf_exact):
+        with pytest.raises(ValueError, match=r"^\d{8} window rows at n = 1000000000000, over MAX"):
+            call(params, disks)

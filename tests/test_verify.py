@@ -119,3 +119,10 @@ def test_clt_deterministic():
 def test_clt_rejects_meaningless_normalization(b, bulk_r, s, match):
     with pytest.raises(ValueError, match=match):
         clt_experiment(_params(n=400, b=b), bulk_r, s, num_samples=300, seed=1)
+
+
+def test_clt_bulk_radii_follow_classify():
+    # within 1e-12 of r* = 1 a radius is the edge disk at s = 0; normalized as
+    # bulk, it used to return covariance 0.544 against 1
+    with pytest.raises(ValueError, match=r"bulk radius must satisfy .*\(edge\)"):
+        clt_experiment(EnsembleParams(1, 0, 1000), [1 - 1e-13], None, 400, 1)
