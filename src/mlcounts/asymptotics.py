@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -262,8 +263,11 @@ def _flag_extreme_s(s_frak: float) -> None:
                 "effectively their saturated limits" if s_frak > 0 else
                 "the coefficients grow with |s| and do not saturate; further out "
                 "the quadrature does not converge and raises ValueError")
+        frame, level = sys._getframe(1), 2  # blamed: the first caller outside the package
+        while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(f"edge parameter s = {s_frak} is far outside the Gaussian window; {side}",
-                      RuntimeWarning, stacklevel=5)  # the caller of the public entry
+                      RuntimeWarning, stacklevel=level)
 
 
 def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:

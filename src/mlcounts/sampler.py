@@ -39,6 +39,9 @@ __all__ = ["SAMPLE_BLOCK", "McCumulants", "SampleBatch", "mc_cumulants", "sample
 
 # samples per Philox stream; part of the stream contract
 SAMPLE_BLOCK = 256
+# uniforms drawn at once (or one sample's w): Philox fills row by row, so a
+# block drawn in runs of samples gets the numbers of one (block, w) draw
+_DRAW_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,17 @@ def sample_counts(
     Pw = profile.Pw
     counts = np.empty((num_samples, Pw.shape[1]), dtype=np.int64)
 
+    step = max(1, _DRAW_BUDGET // max(len(Pw), 1))  # samples per draw
+
     def fill(k: int) -> None:
         lo, hi = k * SAMPLE_BLOCK, min((k + 1) * SAMPLE_BLOCK, num_samples)
         key = np.array([seed & 0xFFFFFFFFFFFFFFFF, k], dtype=np.uint64)
-        U = np.random.Generator(np.random.Philox(key=key)).random((hi - lo, len(Pw)))
-        for l in range(Pw.shape[1]):
-            counts[lo:hi, l] = profile.ones[l] + np.count_nonzero(U < Pw[:, l], axis=1)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            U = rng.random((stop - start, len(Pw)))
+            for l in range(Pw.shape[1]):
+                counts[start:stop, l] = profile.ones[l] + np.count_nonzero(U < Pw[:, l], axis=1)
 
     # imported here: concurrent.futures (and logging with it) is ~10 ms of
     # every process's import that only sampling needs

@@ -12,13 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asymptotics import (
-    ExpansionCoefficients,
-    edge_mean_coeffs,
-    edge_var_coeffs,
-    theorem_coefficients,
-)
-from .exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact, support_radius
+from .asymptotics import ExpansionCoefficients, cumulant_coeffs, theorem_coefficients
+from .exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact
 from .sampler import sample_counts
 
 __all__ = [
@@ -150,36 +145,25 @@ def clt_experiment(
 ) -> CltResult:
     """Empirical covariance of the CLT-normalized bulk/edge disk counts.
 
-    Bulk count j is centered at b r^(2b) n and scaled by sqrt(b r^b) n^(1/4)
-    / pi^(1/4); the edge count is centered at n + c1 sqrt(n) and scaled by
-    sqrt(c2) n^(1/4) with (c1, c2) the closed-form edge coefficients.  The
-    limit is a standard multivariate normal.  Raises ValueError where a
-    normalization is meaningless: a bulk radius that DiskSystem.classify does
-    not call bulk, a bulk scale that underflows to 0, or an edge c2 that is
-    not positive.
+    Every count, bulk or edge, is normalized from its regime's cumulant
+    series (`cumulant_coeffs` at orders 1 and 2): centered at leading n +
+    c1 sqrt(n) and scaled by sqrt(c2) n^(1/4).  The limit is a standard
+    multivariate normal.  Raises ValueError where c2 <= 0, as for a radius
+    outside the support, whose count does not fluctuate at this scale; the
+    coefficients raise their own ValueError where they cannot be computed.
     """
     if num_samples < 100:
         raise ValueError(f"need at least 100 samples, got {num_samples!r}")
-    b, alpha, n = params.b, params.alpha, params.n
+    n = params.n
     disks = DiskSystem([Disk.fixed(r) for r in bulk_radii]
                        + ([] if s_frak is None else [Disk.edge(s_frak)]))
-    nq = n**0.25
-    norms = []  # (center, scale) of each count, bulk disks first
-    for r, (kind, _) in zip(bulk_radii, disks.classify(b)):
-        if kind != "bulk":
-            raise ValueError(
-                f"bulk radius must satisfy 0 < r < {support_radius(b)}, got {r!r} ({kind})")
-        scale = math.sqrt(b * r**b) * nq / math.pi**0.25
-        if scale == 0.0:
-            raise ValueError(f"bulk scale sqrt(b r^b) underflows to 0 at b = {b!r}, r = {r!r}")
-        norms.append((b * r ** (2.0 * b) * n, scale))
-    if s_frak is not None:
-        c1, _, _ = edge_mean_coeffs(b, alpha, s_frak)
-        c2, _, _ = edge_var_coeffs(b, alpha, s_frak)
-        if not c2 > 0.0:
-            raise ValueError(f"edge variance coefficient c2 = {c2!r} is not positive at "
-                             f"b = {b!r}, alpha = {alpha!r}, s = {s_frak!r}")
-        norms.append((n + c1 * math.sqrt(n), math.sqrt(c2) * nq))
+    norms = []  # (center, scale) of each count, in disk order
+    for idx, (mean, var) in enumerate(zip(cumulant_coeffs(1, params, disks),
+                                          cumulant_coeffs(2, params, disks))):
+        if not var.c > 0.0:
+            raise ValueError(f"variance coefficient c2 = {var.c!r} of disk {idx} is not positive "
+                             f"at b = {params.b!r}, alpha = {params.alpha!r}")
+        norms.append((mean.leading * n + mean.c * math.sqrt(n), math.sqrt(var.c) * n**0.25))
     batch = sample_counts(params, disks, num_samples, seed, threads=threads)
     stats = np.column_stack([(batch.counts[:, idx] - center) / scale
                              for idx, (center, scale) in enumerate(norms)])

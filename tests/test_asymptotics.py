@@ -23,6 +23,7 @@ from mlcounts.asymptotics import (
 )
 from mlcounts.exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact, log_partition_exact
 from mlcounts.series import MAX_ORDER
+from mlcounts.verify import clt_experiment
 
 import oracles
 
@@ -521,20 +522,17 @@ def test_edge_coefficients_past_double_range_raise():
 
 
 def test_edge_quadrature_matches_closed_forms():
-    for s in (-1.0, 0.0, 0.7):
-        for b, alpha in ((1.0, 0.0), (2.0, 0.5)):
-            got1 = edge_cumulant_coeffs(1, b, alpha, s)
-            c1, d1, e1 = edge_mean_coeffs(b, alpha, s)
-            assert got1.leading == 1.0
-            assert got1.c == pytest.approx(c1, abs=1e-9)
-            assert got1.d == pytest.approx(d1, abs=1e-9)
-            assert got1.e == pytest.approx(e1, abs=1e-9)
-            got2 = edge_cumulant_coeffs(2, b, alpha, s)
-            c2, d2, e2 = edge_var_coeffs(b, alpha, s)
-            assert got2.leading == 0.0
-            assert got2.c == pytest.approx(c2, abs=1e-9)
-            assert got2.d == pytest.approx(d2, abs=1e-9)
-            assert got2.e == pytest.approx(e2, abs=1e-9)
+    # the quadrature's j = 1, 2 series against the closed forms: the check on
+    # the normalization clt_experiment takes from cumulant_coeffs (worst 1.7e-14)
+    for b in (0.5, 1.0, 1.5, 2.0, 3.7):
+        for alpha in (-0.4, 0.0, 0.25, 0.5, 2.0):
+            for s in (-5.0, -3.0, -1.0, -0.3, 0.0, 0.4, 1.0, 2.5, 4.0, 6.0):
+                got1 = edge_cumulant_coeffs(1, b, alpha, s)
+                got2 = edge_cumulant_coeffs(2, b, alpha, s)
+                assert (got1.leading, got2.leading) == (1.0, 0.0)
+                closed = edge_mean_coeffs(b, alpha, s) + edge_var_coeffs(b, alpha, s)
+                for got, want in zip((got1.c, got1.d, got1.e, got2.c, got2.d, got2.e), closed):
+                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (b, alpha, s, got, want)
 
 
 def test_extreme_edge_parameter_is_flagged():
@@ -546,6 +544,20 @@ def test_extreme_edge_parameter_is_flagged():
     with pytest.warns(RuntimeWarning), warnings.catch_warnings():
         warnings.simplefilter("always")
         theorem_coefficients(params, DiskSystem([Disk.edge(-6.5, 0.4)]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: edge_cumulant_coeffs(1, 1.0, 0.0, 7.5),
+    lambda: cumulant_coeffs(1, EnsembleParams(1.0, 0.0, 1), DiskSystem([Disk.edge(7.5)])),
+    lambda: theorem_coefficients(EnsembleParams(1.0, 0.0, 1), DiskSystem([Disk.edge(7.5, 1.0)])),
+    lambda: clt_experiment(EnsembleParams(1.0, 0.0, 400), [], 7.5, 100, 1),
+], ids=["edge", "cumulant", "theorem", "clt"])
+def test_extreme_edge_flag_blames_the_caller(call):
+    # at any call depth the flag points at the first frame outside the package
+    # (it used to name a line of asymptotics.py for edge_cumulant_coeffs)
+    with pytest.warns(RuntimeWarning, match="edge parameter") as record:
+        call()
+    assert record and all(w.filename == __file__ for w in record)
 
 
 def test_extreme_edge_flag_states_each_side():

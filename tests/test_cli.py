@@ -407,11 +407,11 @@ def test_n_past_int64_exits_2(capsys, argv, n):
 
 def test_verify_clt_huge_b_names_inputs(capsys):
     # b^1.5 in the edge closed forms used to exit 2 on a bare
-    # "(34, 'Numerical result out of range')"
+    # "(34, 'Numerical result out of range')"; the edge series names b and s
     code, out, err = run(capsys, "verify-clt", "--b", "1e300", "--n", "1000", "--s", "0.5",
                          "--num-samples", "200", "--seed", "1")
     assert code == 2 and out == ""
-    assert "not finite at b = 1e+300, alpha = 0.0, s = 0.5" in err
+    assert "edge coefficients not finite at b = 1e+300, s = 0.5" in err
 
 
 _RESIDUAL = ["verify-residual", "--b", "1", "--disk", "r=0.6,u=1", "--n-values", "200,400,800,1600"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mlcounts.exact import (
     log_mgf_exact,
     mean_var_exact,
 )
+from mlcounts import sampler
 from mlcounts.sampler import SAMPLE_BLOCK, mc_cumulants, sample_counts
 from mlcounts.specfun import reg_lower_gamma
 
@@ -106,6 +108,35 @@ def test_block_stream_contract():
         U = rng.random((hi - lo, len(prof.rows)))
         want = prof.ones + np.count_nonzero(U[:, :, None] < prof.Pw, axis=1)
         np.testing.assert_array_equal(batch.counts[lo:hi], want)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 100, 149])
+def test_chunked_draw_keeps_the_stream(monkeypatch, rows):
+    # a block drawn in runs of `rows` samples gets the numbers of one
+    # (block, w) draw, which the default budget takes at this w
+    params = EnsembleParams(b=1.5, alpha=0.3, n=2000)
+    disks = _disks(0.5, 0.6)
+    w = len(bernoulli_profile(params, disks).rows)
+    assert SAMPLE_BLOCK * w <= sampler._DRAW_BUDGET
+    S = 2 * SAMPLE_BLOCK + 100
+    whole = sample_counts(params, disks, S, seed=77).counts
+    monkeypatch.setattr(sampler, "_DRAW_BUDGET", rows * w + w - 1)
+    np.testing.assert_array_equal(sample_counts(params, disks, S, seed=77, threads=2).counts, whole)
+
+
+def test_draw_memory_is_bounded():
+    # one (block, w) draw alone would hold SAMPLE_BLOCK w doubles: 90 MB here
+    params = EnsembleParams(b=1.0, alpha=0.0, n=10**7)
+    disks = _disks(0.6)
+    w = len(bernoulli_profile(params, disks).rows)
+    assert w > 40_000
+    tracemalloc.start()
+    try:
+        sample_counts(params, disks, SAMPLE_BLOCK, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < SAMPLE_BLOCK * w * 8 / 3
 
 
 def _poisson_binomial(probs):

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -111,18 +113,24 @@ def test_clt_deterministic():
 
 
 @pytest.mark.parametrize("b, bulk_r, s, match", [
-    (1.0, [2.0], None, r"0 < r < 1\.0, got 2\.0"),  # centering b r^(2b) n is meaningless
-    (6000.0, [0.5], None, r"sqrt\(b r\^b\) underflows"),
-    (1.0, [], 27.13, r"c2 = -2e-323"),  # cancellation in the closed form
+    (1.0, [2.0], None, r"c2 = 0\.0 of disk 0"),  # outside the support: no fluctuation
+    (6000.0, [0.5], None, r"r\^b underflows to 0"),
+    (1.0, [], 27.13, r"c2 = 0\.0"),  # where the closed form cancelled to -2e-323
     (1.0, [], 100.0, r"c2 = 0\.0"),
-], ids=["radius", "scale", "c2-negative", "c2-zero"])
+], ids=["radius", "scale", "c2-underflow", "c2-zero"])
 def test_clt_rejects_meaningless_normalization(b, bulk_r, s, match):
-    with pytest.raises(ValueError, match=match):
+    # past |s| = 6 the edge series also flags s
+    flag = nullcontext() if s is None else pytest.warns(RuntimeWarning, match="edge parameter")
+    with flag, pytest.raises(ValueError, match=match):
         clt_experiment(_params(n=400, b=b), bulk_r, s, num_samples=300, seed=1)
 
 
 def test_clt_bulk_radii_follow_classify():
-    # within 1e-12 of r* = 1 a radius is the edge disk at s = 0; normalized as
-    # bulk, it used to return covariance 0.544 against 1
-    with pytest.raises(ValueError, match=r"bulk radius must satisfy .*\(edge\)"):
-        clt_experiment(EnsembleParams(1, 0, 1000), [1 - 1e-13], None, 400, 1)
+    # within 1e-12 of r* = 1 a radius is the edge disk at s = 0, and is
+    # normalized as that disk (as bulk, it used to return covariance 0.544)
+    params = EnsembleParams(1, 0, 1000)
+    near = clt_experiment(params, [1 - 1e-13], None, 800, 3)
+    edge = clt_experiment(params, [], 0.0, 800, 3)
+    np.testing.assert_array_equal(near.covariance, edge.covariance)
+    with pytest.raises(ValueError, match="more than one edge disk"):
+        clt_experiment(params, [1 - 1e-13], 0.0, 800, 3)
