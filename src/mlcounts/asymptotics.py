@@ -28,7 +28,6 @@ the integrand's scale, far under QUAD_RTOL.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import series
 from .exact import Disk, DiskSystem, EnsembleParams, support_radius
-from .specfun import ZETA_PRIME_MINUS_ONE, erfc, erfcx, log_barnes_g
+from .specfun import ZETA_PRIME_MINUS_ONE, erfc, erfcx, log_barnes_g, unit_rule
 
 __all__ = [
     "CumulantSeries",
@@ -61,7 +60,6 @@ QUAD_PANELS = 8  # panels of the first rule on every interval
 QUAD_RTOL = 1e-13  # successive rules agree to this, relative to max(1, |value|)
 QUAD_NOISE = 1e-14  # or, at the last rule, to this times the integral of |f|: its rounding
 _QUAD_DOUBLINGS = 6
-_GL_ORDER = 40  # nodes per panel
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -167,19 +165,6 @@ def _derivative_kernel(j: int) -> _Kernel:
 # quadrature
 
 
-@functools.cache
-def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of `panels` equal Gauss-Legendre panels on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    half = 0.5 / panels
-    starts = np.arange(panels) / panels
-    nodes = (starts[:, None] + half * (x + 1.0)).ravel()
-    weights = np.tile(half * w, panels)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def _named(inputs: dict) -> str:
     return ", ".join(f"{key} = {value!r}" for key, value in inputs.items())
 
@@ -200,8 +185,8 @@ def quad(f, lo: float, hi: float, what: str, **inputs) -> tuple[list, float]:
     """
     span = hi - lo
     panels = 2 * QUAD_PANELS
-    x0, w0 = _unit_rule(QUAD_PANELS)
-    x, w = _unit_rule(panels)
+    x0, w0 = unit_rule(QUAD_PANELS)
+    x, w = unit_rule(panels)
     both = f(lo + span * np.concatenate((x0, x)))
     prev, rows = both[:, : x0.size] @ (span * w0), both[:, x0.size :]
     while True:
@@ -215,7 +200,7 @@ def quad(f, lo: float, hi: float, what: str, **inputs) -> tuple[list, float]:
                 break
             raise ValueError(f"{what}: quadrature not converged at {_named(inputs)}")
         panels *= 2
-        x, w = _unit_rule(panels)
+        x, w = unit_rule(panels)
         prev, rows = value, f(lo + span * x)
     return value.tolist(), float(np.sum(diff))
 

@@ -21,20 +21,32 @@ Only an O(sqrt n) window of rows around j ~ b n r_l^(2b) has P_jl away from
 0 and 1.  The profile evaluates that window; every other row is saturated
 (its prefactor z^a e^-z/Gamma(a) is below e^-60) and enters each sum in
 closed form.
+
+The statistics (log-MGF, means, covariances, cumulants) sum their per-row
+terms over the window with ``_window_sums``, one merged run at a time: by
+rows, or, where a run is wide against the scale s on which its terms vary
+(s = b sqrt(z) / sqrt(max(order, weight spread, 1)) rows) and the integral is
+cheaper, as sum_j f(j) = integral f + (f(A) + f(L))/2 + Gregory's end
+differences where row 0 or n - 1 cuts the run.  The summand is analytic in
+j, so that Euler-Maclaurin remainder is exponentially small in s (below
+1e-18 from s = 3); the integral is composite Gauss-Legendre, checked against
+its doubling.  MAX_WINDOW_ROWS bounds only the rows that are summed (and
+the profile, which the sampler draws from), so the statistics come back in
+milliseconds at any n below 2^63.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import series
-from .specfun import SATURATED_LOG_PREFACTOR, log_prefactor, log_reg_gamma_pq
+from .specfun import GL_ORDER, SATURATED_LOG_PREFACTOR, log_prefactor, log_reg_gamma_pq, unit_rule
 
 __all__ = [
     "BernoulliProfile",
@@ -50,7 +62,8 @@ __all__ = [
     "support_radius",
 ]
 
-# Window rows of one profile, summed over its columns, at most (~1.8 GB at ~217 bytes a row)
+# Evaluated window rows, summed over the columns, of a profile (which the sampler
+# draws from) or of the runs a statistic sums by rows (~1.8 GB at ~217 bytes a row)
 MAX_WINDOW_ROWS = 2**23
 
 # Radii closer than this (relative) are treated as equal, which is an input
@@ -237,27 +250,32 @@ class BernoulliProfile:
 
     @property
     def log_q(self) -> np.ndarray:
-        """(w, p+1) log annulus probabilities of the window rows: differences
-        of P below 1/2 and of Q above, so a tiny q keeps its relative accuracy."""
-        lp, lq = self.log_P, self.log_Q
-        p = lp.shape[1]
-        out = np.empty((len(lp), p + 1))
-        out[:, 0] = lp[:, 0]
-        out[:, p] = lq[:, p - 1]
-        lower = lp[:, 1:] < math.log(0.5)
-        hi = np.where(lower, lp[:, 1:], lq[:, :-1])
-        lo = np.where(lower, lp[:, :-1], lq[:, 1:])
-        # log(e^hi - e^lo); rows are monotone up to rounding, so clamp the dust
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[:, 1:p] = hi + np.log(np.fmax(-np.expm1(lo - hi), 0.0))
-        return out
+        """(w, p+1) log annulus probabilities of the window rows (``_log_annuli``)."""
+        return _log_annuli(self.log_P, self.log_Q)
 
-    @cached_property
+    @functools.cached_property
     def P(self) -> np.ndarray:
         """(n, p) dense profile."""
         P = (np.arange(self.n)[:, None] < self.inside[None, :]).astype(float)
         P[self.rows] = self.Pw
         return P
+
+
+def _log_annuli(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """(m, p+1) log annulus probabilities from (m, p) log P and log Q:
+    differences of P below 1/2 and of Q above, so a tiny q keeps its
+    relative accuracy."""
+    p = lp.shape[1]
+    out = np.empty((len(lp), p + 1))
+    out[:, 0] = lp[:, 0]
+    out[:, p] = lq[:, p - 1]
+    lower = lp[:, 1:] < math.log(0.5)
+    hi = np.where(lower, lp[:, 1:], lq[:, :-1])
+    lo = np.where(lower, lp[:, :-1], lq[:, 1:])
+    # log(e^hi - e^lo); rows are monotone up to rounding, so clamp the dust
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[:, 1:p] = hi + np.log(np.fmax(-np.expm1(lo - hi), 0.0))
+    return out
 
 
 def _first_true(pred, lo: int, hi: int) -> int:
@@ -292,78 +310,337 @@ def _column_window(params: EnsembleParams, z: float, threshold: float) -> tuple[
     return range(start, stop), inside
 
 
-def _union(runs: Sequence[range]) -> np.ndarray:
-    """Increasing rows of the union of runs: the runs, sorted by start, are
-    merged where they overlap or touch, then laid out one after another."""
+def _merge(runs: Sequence[range]) -> list[tuple[int, int]]:
+    """The runs, sorted by start, merged where they overlap or touch:
+    increasing, disjoint (start, stop) pairs."""
     merged: list[list[int]] = []
     for r in sorted((r for r in runs if r), key=lambda r: r.start):
         if merged and r.start <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], r.stop)
         else:
             merged.append([r.start, r.stop])
-    return np.concatenate([np.arange(start, stop) for start, stop in merged] + [np.arange(0)])
+    return [(start, stop) for start, stop in merged]
+
+
+def _rows(runs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Increasing rows of disjoint increasing (start, stop) runs."""
+    return np.concatenate([np.arange(start, stop) for start, stop in runs] + [np.arange(0)])
+
+
+class _Window:
+    """The saturation window of (params, disks): per column its argument z,
+    its run of unsaturated rows and the count `inside` of rows whose shape
+    lies below z (``_column_window``); the merged runs; and the spread
+    max U - min U of the weights it was found at.  (A plain class: a frozen
+    dataclass costs ~1 ms of every import.)"""
+
+    def __init__(self, params: EnsembleParams, z: np.ndarray, columns: tuple[range, ...],
+                 inside: np.ndarray, spread: float):
+        self.params, self.z, self.columns, self.inside, self.spread = params, z, columns, inside, spread
+        self.runs = _merge(columns)
+
+    def check_rows(self, runs: Sequence[tuple[int, int]]) -> None:
+        """ValueError, before any row is built, where the rows of `runs` hold
+        more than MAX_WINDOW_ROWS evaluated entries (each column's run rows)."""
+        width = sum(max(0, min(c.stop, stop) - max(c.start, start))
+                    for c in self.columns for start, stop in runs)
+        if width > MAX_WINDOW_ROWS:
+            raise ValueError(f"{width} window rows at n = {self.params.n}, over MAX_WINDOW_ROWS = 2^23")
+
+    @property
+    def ones(self) -> np.ndarray:
+        """(p,) saturated rows inside each disk: the rows below `inside` that
+        lie off the window."""
+        below = [sum(max(0, min(stop, int(i)) - start) for start, stop in self.runs)
+                 for i in self.inside]
+        return self.inside - np.array(below, dtype=self.inside.dtype)
+
+    @property
+    def saturated(self) -> np.ndarray:
+        """(p+1,) saturated rows per annulus; annulus l lies inside disks l..p-1."""
+        width = sum(stop - start for start, stop in self.runs)
+        ones = self.ones.tolist()
+        return np.array([b - a for a, b in zip([0, *ones], [*ones, self.params.n - width])])
+
+    def evaluate(self, x: np.ndarray, shapes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(m, p) log P and log Q at row positions x (rows, or real nodes)
+        and their shapes (by default (x+1+alpha)/b).  Column l is evaluated
+        where x lies in its run and is saturated elsewhere: P = 1 where the
+        shape is below z_l, else 0 (on rows, exactly the rows below
+        `inside`).  One evaluator call covers every column."""
+        if shapes is None:
+            shapes = (x + 1 + self.params.alpha) / self.params.b
+        below = shapes[:, None] < self.z
+        log_P = np.where(below, 0.0, -np.inf)
+        log_Q = np.where(below, -np.inf, 0.0)
+        on = [(col, np.flatnonzero((x >= c.start) & (x < c.stop)))
+              for col, c in enumerate(self.columns) if c]
+        on = [(col, i) for col, i in on if i.size]
+        if on:
+            a = np.concatenate([shapes[i] for _, i in on])
+            z = np.repeat(self.z[[col for col, _ in on]], [i.size for _, i in on])
+            lp, lq = log_reg_gamma_pq(a, z if len(on) > 1 else z[0])
+            start = 0
+            for col, i in on:
+                log_P[i, col], log_Q[i, col] = lp[start : start + i.size], lq[start : start + i.size]
+                start += i.size
+        return log_P, log_Q
+
+
+def _window(params: EnsembleParams, disks: DiskSystem) -> _Window:
+    """The window of (params, disks) at the disks' weights.  A row is
+    saturated in a column when its prefactor stays below e^-60 after scaling
+    by the largest ratio of the weights e^(U_l), U_l = u_l + ... + u_p, so
+    the window also serves ``log_mgf_exact``; every other caller takes
+    ``disks.unweighted()``."""
+    radii = disks.resolve(params)
+    U = _tails(disks.u)
+    # past double range, a spread puts every row in the window, a z every row inside
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(U.max() - U.min())
+        z = params.n * radii ** (2.0 * params.b)
+    columns, inside = zip(*(_column_window(params, float(zl), SATURATED_LOG_PREFACTOR - spread)
+                            for zl in z))
+    return _Window(params, z, columns, np.array(inside), spread)
 
 
 def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliProfile:
     """Evaluate the incomplete-gamma profile for (params, disks) on its window.
 
-    A row is saturated when its prefactor stays below e^-60 after scaling by
-    the largest ratio of the disks' MGF weights e^(U_l), U_l = u_l + ... + u_p,
-    so the window also serves ``log_mgf_exact`` at these weights; every other
-    caller takes ``disks.unweighted()``.  Each disk's column is evaluated on
-    its own run of unsaturated rows (``_column_window``), and the window is
-    the union of those runs; a column whose run is empty is all saturated."""
-    radii = disks.resolve(params)
-    U = _tails(disks.u)
-    # past double range, a spread puts every row in the window, a z every row inside
-    with np.errstate(over="ignore"):
-        threshold = SATURATED_LOG_PREFACTOR - (U.max() - U.min())
-        z = params.n * radii ** (2.0 * params.b)
-    columns, inside = zip(*(_column_window(params, float(zl), threshold) for zl in z))
-    if (width := sum(map(len, columns))) > MAX_WINDOW_ROWS:  # checked before any row is built
-        raise ValueError(f"{width} window rows at n = {params.n}, over MAX_WINDOW_ROWS = 2^23")
-    rows = _union(columns)
-    inside = np.array(inside)
-    shapes = (rows + 1 + params.alpha) / params.b
-    # entries outside their own column's window are saturated: P = 0 or 1
-    log_P = np.where(rows[:, None] < inside, 0.0, -np.inf)
-    log_Q = np.where(rows[:, None] < inside, -np.inf, 0.0)
-    for col, (c, zl) in enumerate(zip(columns, z)):
-        if not c:
-            continue
-        lo, hi = np.searchsorted(rows, [c.start, c.stop])
-        log_P[lo:hi, col], log_Q[lo:hi, col] = log_reg_gamma_pq(shapes[lo:hi], float(zl))
+    Each disk's column is evaluated on its own run of unsaturated rows
+    (``_column_window``), and the window is the union of those runs; a
+    column whose run is empty is all saturated.  One evaluator call covers
+    every column.  Raises ValueError past MAX_WINDOW_ROWS, before any row is
+    built."""
+    window = _window(params, disks)
+    window.check_rows(window.runs)
+    rows = _rows(window.runs)
+    log_P, log_Q = window.evaluate(rows)
     return BernoulliProfile(n=params.n, rows=rows, log_P=log_P, log_Q=log_Q, Pw=np.exp(log_P),
-                            inside=inside, ones=inside - np.searchsorted(rows, inside))
+                            inside=window.inside, ones=window.ones)
+
+
+# The window integral.  A run is integrated only where the summand's scale s
+# (in rows) is at least _MIN_SCALE, or _MIN_CUT_SCALE where row 0 or n - 1
+# cuts it; each coarse panel spans _PANEL_SCALES scales, and the coarse rule
+# and its doubling must agree to _CHECK_EPS eps of the terms' rounding scale.
+_MIN_SCALE = 3.0
+_MIN_CUT_SCALE = 30.0
+_PANEL_SCALES = 8.0
+_CHECK_EPS = 64.0  # the rules differ by up to ~30 eps at n = 1e18 (evaluator noise near a = 4e17)
+# The integral's fixed cost (its points, weights and check) in rows: ~70 us
+# against ~0.13 us a row of a one-disk log-MGF, measured at n = 1e3..3.2e4.
+_INTEGRAL_COST_ROWS = 512
+_EPS = float(np.finfo(float).eps)
+# Gregory's end corrections take differences up to order _GREGORY; G_k are the
+# coefficients of x / log(1 + x) = 1 + x/2 - x^2/12 + x^3/24 - ...
+_GREGORY = 10
+_GREGORY_G = series.quotient([1.0] + [0.0] * (_GREGORY + 1),
+                             [(-1.0) ** k / (k + 1) for k in range(_GREGORY + 2)])
+
+
+@functools.cache
+def _end_weights(cut: bool) -> np.ndarray:
+    """Weights on the rows A, A+1, ... of a run's first row A in
+    sum_{j=A}^{L} f(j) = integral_A^L f + (end terms): f(A)/2 where f is
+    saturated at A, and where a row cuts the run also Gregory's
+    sum_{k=1}^{_GREGORY} G_(k+1) Delta^k f(A).  The formula is symmetric
+    under j -> -j, so the last row L takes the same weights on L, L-1, ..."""
+    w = np.zeros(_GREGORY + 1 if cut else 1)
+    w[0] = 0.5
+    for k in range(1, w.size):
+        for i in range(k + 1):  # Delta^k f(A) = sum_i (-1)^(k-i) C(k, i) f(A+i)
+            w[i] += _GREGORY_G[k + 1] * (-1) ** (k - i) * math.comb(k, i)
+    return w
+
+
+def _panels(window: _Window, start: int, stop: int, order: int) -> int:
+    """Coarse panels of the integral over the run [start, stop), or 0 where
+    rows are cheaper or the remainder is not provably below eps.
+
+    Column l's entries vary on sigma_l = b sqrt(z_l) rows, since P is near
+    erfc((a - z)/sqrt(2z))/2 at a = (j+1+alpha)/b.  A summand of order k, or
+    the log-MGF at weight spread S, varies on s = min sigma_l / sqrt(max(k,
+    S, 1)): it is entire in the row index, or (the log-MGF) analytic in a
+    strip of half-width ~ pi sigma / sqrt(2 S) about the real axis, out to
+    where 1 + sum_l omega_l P_l first vanishes.  The Euler-Maclaurin remainder
+    is then of order e^(-2 pi d) of the run's scale (Trefethen & Weideman,
+    SIAM Rev. 56, 2014), below 1e-18 at s >= _MIN_SCALE.  At a cut end,
+    s >= _MIN_CUT_SCALE puts Gregory's first omitted difference,
+    ~ 0.005 sqrt(11!) s^-11 of f, below 1e-15."""
+    sigma = min(window.params.b * math.sqrt(zl) for zl, c in zip(window.z, window.columns)
+                if c.start < stop and start < c.stop)
+    scale = sigma / math.sqrt(max(order, window.spread, 1.0))
+    cut = start == 0 or stop == window.params.n
+    if not scale >= (_MIN_CUT_SCALE if cut else _MIN_SCALE):
+        return 0
+    panels = math.ceil((stop - start) / (_PANEL_SCALES * scale))
+    cost = 3 * GL_ORDER * panels + 2 * (_GREGORY + 1) + _INTEGRAL_COST_ROWS
+    return panels if cost < stop - start else 0
+
+
+def _exact_shape(j: int, alpha: float, b: float) -> tuple[float, float]:
+    """The shape (j+1+alpha)/b as hi + lo: hi correctly rounded, lo the
+    rounded rest (exact rational arithmetic on the floats' ratios)."""
+    pa, qa = alpha.as_integer_ratio()
+    pb, qb = b.as_integer_ratio()
+    num, den = ((j + 1) * qa + pa) * qb, qa * pb
+    hi = num / den
+    ph, qh = hi.as_integer_ratio()
+    return hi, (num * qh - ph * den) / (den * qh)
+
+
+@functools.cache
+def _derivative_matrix() -> np.ndarray:
+    """D with (D f)_i = f'(t_i) for the polynomial through f at the nodes t_i
+    of ``unit_rule(1)`` on [0, 1] (barycentric weights of Gauss-Legendre
+    points: lambda_i ~ (-1)^i sqrt((1 - xi_i^2) w_i), xi = 2t - 1)."""
+    t, w = unit_rule(1)
+    xi = 2.0 * t - 1.0
+    lam = (-1.0) ** np.arange(t.size) * np.sqrt((1.0 - xi) * (1.0 + xi) * w)
+    gap = xi[:, None] - xi[None, :]
+    np.fill_diagonal(gap, 1.0)
+    D = lam[None, :] / lam[:, None] / gap
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return 2.0 * D
+
+
+@functools.cache
+def _two_rules(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] of the rules with `panels` and 2 `panels`
+    panels, one after the other, and each node's panel count."""
+    (t0, w0), (t1, w1) = unit_rule(panels), unit_rule(2 * panels)
+    return (np.concatenate([t0, t1]), np.concatenate([w0, w1]),
+            np.repeat([panels, 2 * panels], [t0.size, t1.size]).astype(float))
+
+
+def _integral_points(params: EnsembleParams, start: int, stop: int, panels: int):
+    """Points of one integrated run [start, stop): their row positions and
+    shapes (the coarse rule's nodes, the fine rule's, the first rows, the
+    last rows), and the weights of each group.
+
+    A node's shape a = a_start + (span/b) t is rounded to the nearest double
+    at ~eps a, a shift of up to ~eps sqrt(z) of the column scale that does
+    not average out over the nodes (it cost the coarse rule ~5e2 eps at
+    n = 1e8).  The rounding e = a - fl(a) is known exactly (TwoSum), so the
+    weights take the first-order correction f(a) = f(fl(a)) + f'(fl(a)) e,
+    with f' from each panel's interpolating polynomial
+    (``_derivative_matrix``)."""
+    b, alpha = params.b, params.alpha
+    span = float(stop - 1 - start)
+    t, w, count = _two_rules(panels)
+    first, first_rest = _exact_shape(start, alpha, b)
+    q = (span / b) * t
+    shapes = first + q
+    bq = shapes - first
+    rounding = (first - (shapes - bq)) + (q - bq) + first_rest
+    w = span * w
+    w += (b / span) * count * ((w * rounding).reshape(-1, GL_ORDER) @ _derivative_matrix()).ravel()
+    lo, hi = _end_weights(start == 0), _end_weights(stop == params.n)
+    ends = np.concatenate([start + np.arange(lo.size), stop - 1 - np.arange(hi.size)])
+    x = np.concatenate([start + span * t, ends])
+    shapes = np.concatenate([shapes, (ends + 1 + alpha) / b])
+    split = GL_ORDER * panels
+    return x, shapes, (w[:split], w[split:], np.concatenate([lo, hi]))
+
+
+def _window_sums(params: EnsembleParams, disks: DiskSystem, summand, order: int):
+    """Row sums over the window of the terms of summand(log_P, log_Q), and
+    the window itself (the caller adds the saturated rows in closed form).
+    The summand maps (m, p) entries to a (k, m) stack of terms and their
+    (k, m) rounding scale: |term|, or more where a term cancels.
+
+    Each merged run of the window takes one of two paths; one evaluator call
+    covers the points of both:
+    * rows: the terms of all row runs, in row order, are summed pairwise
+      (numpy), with error at most about log2(w) eps sum_j |x_j| (Higham,
+      SIAM J. Sci. Comput. 14, 1993);
+    * integral, where ``_panels`` admits it: sum_{j=A}^{L} f(j) =
+      integral_A^L f + (f(A) + f(L))/2 + R, with R below eps of the run's
+      scale (``_panels``).  The integral is composite 40-node Gauss-Legendre
+      at real shapes (``_integral_points``); at an end cut by row 0 or n - 1,
+      where f is not saturated, Gregory's differences of f on integer rows
+      stand for the Euler-Maclaurin derivative terms (``_end_weights``).
+      The rule and its doubling, taken in the same call, must agree to
+      _CHECK_EPS eps times the integral of the rounding scale.  A term that
+      a column's saturation cuts off inside the run is not smooth there, and
+      fails this where the cut is not negligible against the term's own sum
+      (P_l Q_h of two runs that barely overlap, a sum of order e^-100).
+    A run that fails the check is summed by rows, or is a ValueError where
+    its rows would pass MAX_WINDOW_ROWS, which bounds only the row path.
+    ``order`` is the summand's order (1 for the log-MGF; the weights' spread
+    counts too).  The sums of the paths are added exactly (fsum)."""
+    window = _window(params, disks)
+    plan = [(run, _panels(window, *run, order)) for run in window.runs]
+    row_runs = [run for run, panels in plan if not panels]
+    window.check_rows(row_runs)
+    rows = _rows(row_runs)
+    integrals = [(run, *_integral_points(params, *run, panels)) for run, panels in plan if panels]
+    x = np.concatenate([rows, *(x for _, x, _, _ in integrals)])
+    shapes = np.concatenate([(rows + 1 + params.alpha) / params.b, *(a for _, _, a, _ in integrals)])
+    terms, scales = summand(*window.evaluate(x, shapes))
+    # a non-finite sum goes back to the caller, who names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = [terms[:, : rows.size].sum(axis=1)]
+        missed = []
+        start = rows.size
+        for run, x, _, (w0, w1, w_ends) in integrals:
+            coarse = slice(start, start + w0.size)
+            fine = slice(coarse.stop, coarse.stop + w1.size)
+            ends = slice(fine.stop, start + x.size)
+            start += x.size
+            tail = terms[:, ends] @ w_ends
+            value = terms[:, fine] @ w1 + tail
+            tol = _CHECK_EPS * _EPS * (scales[:, fine] @ np.abs(w1) + scales[:, ends] @ np.abs(w_ends))
+            if np.all(np.abs(terms[:, coarse] @ w0 + tail - value) <= tol):
+                total.append(value)
+            else:
+                missed.append(run)
+        if missed:
+            window.check_rows(row_runs + missed)
+            total.append(summand(*window.evaluate(_rows(missed)))[0].sum(axis=1))
+        parts = np.array(total)
+        if not np.isfinite(parts).all():
+            return parts.sum(axis=0), window
+    return np.array([math.fsum(v) for v in parts.T.tolist()]), window
 
 
 def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
     """log E[prod_l exp(u_l N(D_rl))] = sum_j log sum_l q_jl e^(U_l).
 
-    Window rows use log1p(sum_l omega_l P[j,l]) where that sum neither
-    overflows nor cancels, and the log-space sum over annuli elsewhere;
-    saturated rows add U_l for their annulus l.
+    Window rows and nodes use log1p(sum_l omega_l P[j,l]) where that sum
+    neither overflows nor cancels, and the log-space sum over annuli
+    elsewhere; saturated rows add U_l for their annulus l.  At u = 0 every
+    window term is log1p(0) = 0, so the log-MGF is exactly 0.
 
-    The w window terms are summed pairwise (numpy), with error at most about
-    log2(w) eps sum_j |x_j| (Higham, SIAM J. Sci. Comput. 14, 1993).  Each
-    term x_j already carries a rounding of order eps |x_j|, so the sum's
-    error bound stays of the same order; the p + 1 saturated terms are added
-    to it exactly (fsum).  Raises ValueError where some U_l, or the log-MGF,
-    is past double range (U_l is checked before the profile is built).
+    The window terms are summed by ``_window_sums``: pairwise over rows, with
+    error at most about log2(w) eps sum_j |x_j| (each term x_j already
+    carries a rounding of order eps |x_j|), or as an integral over a run
+    where the column scale and the weights' spread admit it.  Those sums and
+    the p + 1 saturated terms are added exactly (fsum).  Raises ValueError
+    where some U_l, or the log-MGF, is past double range (U_l is checked
+    before the window is built).
     """
     U = _tails(disks.u)
     if not np.isfinite(U).all():
         raise ValueError(f"weight sums u_l + ... + u_p overflow at u = {disks.u.tolist()}")
-    profile = bernoulli_profile(params, disks)
     omega = omega_weights(disks.u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = profile.Pw @ omega
-        scale = profile.Pw @ np.abs(omega)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def terms(log_P, log_Q):
+        Pw = np.exp(log_P)
+        x = Pw @ omega
+        scale = Pw @ np.abs(omega)
         direct = np.isfinite(scale) & (2.0 * (1.0 + x) >= 1.0 + scale)
-        terms = np.log1p(x, where=direct, out=np.zeros_like(x))
+        out = np.log1p(x, where=direct, out=np.zeros_like(x))
         if not direct.all():
-            terms[~direct] = np.logaddexp.reduce(profile.log_q[~direct] + U, axis=1)
-        parts = np.array([terms.sum(), *(profile.saturated * U)])
+            out[~direct] = np.logaddexp.reduce(_log_annuli(log_P[~direct], log_Q[~direct]) + U, axis=1)
+        return out[None, :], np.abs(out)[None, :]
+
+    sums, window = _window_sums(params, disks, terms, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = np.array([sums[0], *(window.saturated * U)])
         if not np.isfinite(np.abs(parts).sum()):
             raise ValueError(f"log-MGF past double range at u = {disks.u.tolist()}")
     return math.fsum(parts.tolist())
@@ -399,20 +676,14 @@ def _normalize_orders(orders: Sequence, p: int) -> list[tuple[int, ...]]:
     return normalized
 
 
-def _mean(profile: BernoulliProfile, l: int) -> float:
-    """E N_l: the window column plus the saturated rows inside disk l.
-
-    Means and covariances sum w nonnegative terms pairwise, one column at a
-    time, with relative error at most about log2(w) eps (Higham, SIAM J. Sci.
-    Comput. 14, 1993); a sum of the (w, p) block along axis 0 would
-    accumulate row by row."""
-    return float(profile.Pw[:, l].sum()) + float(profile.saturated[: l + 1].sum())
-
-
-def _covariance(profile: BernoulliProfile, lo: int, hi: int) -> float:
-    """Cov(N_lo, N_hi) for lo <= hi: sum_j P[j,lo] Q[j,hi], Q = 1 - P taken from
-    its own log, so a P near 1 keeps Q's relative accuracy; saturated rows add 0."""
-    return float(np.exp(profile.log_P[:, lo] + profile.log_Q[:, hi]).sum())
+def _second_moments(log_P: np.ndarray, log_Q: np.ndarray, pairs) -> list[np.ndarray]:
+    """Per-row means P[:, l] (pairs (l, None)) and covariances P[:, lo] Q[:, hi]
+    (pairs (lo, hi), lo <= hi), Q = 1 - P taken from its own log, so a P near
+    1 keeps Q's relative accuracy; saturated rows add 0 to a covariance.
+    Their sums are nonnegative, so their relative error is at most about
+    log2(w) eps."""
+    return [np.exp(log_P[:, lo]) if hi is None else np.exp(log_P[:, lo] + log_Q[:, hi])
+            for lo, hi in pairs]
 
 
 def joint_cumulants_exact(
@@ -427,39 +698,50 @@ def joint_cumulants_exact(
     profile column.  A saturated row is deterministic: it adds its indicator
     to a mean and nothing to a cumulant of order >= 2.
 
-    Each order >= 3 total is a pairwise sum of the w per-row cumulants
-    kappa_j, with error at most about log2(w) eps sum_j |kappa_j|: the same
-    order as the rounding each kappa_j already carries, also where the sum
-    cancels (odd orders of a bulk disk).  The disks' weights play no part.
+    All orders share one ``_window_sums`` call on the window at u = 0.  A
+    row sum of the per-row cumulants kappa_j has error at most about
+    log2(w) eps sum_j |kappa_j|: the same order as the rounding each kappa_j
+    already carries, also where the sum cancels (odd orders of a bulk disk).
+    The disks' weights play no part.
     """
-    profile = bernoulli_profile(params, disks.unweighted())
-    norm = _normalize_orders(orders, profile.Pw.shape[1])
-    out = []
-    for k in norm:
-        total_order = sum(k)
-        support = [i for i, v in enumerate(k) if v > 0]
-        if total_order == 1:
-            out.append(_mean(profile, support[0]))
-        elif total_order == 2:
-            out.append(_covariance(profile, min(support), max(support)))
-        else:
-            kappa = series.cumulants(
-                [k[i] for i in support],
-                lambda a: profile.Pw[:, min(i for i, v in zip(support, a) if v)],
-            )
-            out.append(float(kappa.sum()))
-    return out
+    norm = _normalize_orders(orders, len(disks.disks))
+
+    def terms(log_P, log_Q):
+        # an order >= 3 kappa_j cancels to far below its moments: its
+        # rounding scales with the variances P Q of its indicators
+        Pw = np.exp(log_P)
+        out, scales = [], []
+        for k in norm:
+            support = [i for i, v in enumerate(k) if v > 0]
+            if sum(k) <= 2:
+                out += _second_moments(log_P, log_Q, [(min(support), max(support) if sum(k) == 2 else None)])
+                scales.append(out[-1])
+            else:
+                out.append(series.cumulants(
+                    [k[i] for i in support],
+                    lambda a: Pw[:, min(i for i, v in zip(support, a) if v)],
+                ))
+                scales.append(sum(_second_moments(log_P, log_Q, [(i, i) for i in support])))
+        return np.array(out), np.array(scales)
+
+    sums, window = _window_sums(params, disks.unweighted(), terms, max(map(sum, norm)))
+    ones = window.ones
+    return [float(v) + (float(ones[k.index(1)]) if sum(k) == 1 else 0.0) for v, k in zip(sums, norm)]
 
 
 def mean_var_exact(
     params: EnsembleParams, disks: DiskSystem
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means and covariance matrix of the disk counts; the weights play no part."""
-    profile = bernoulli_profile(params, disks.unweighted())
-    p = profile.Pw.shape[1]
-    means = np.array([_mean(profile, l) for l in range(p)])
+    p = len(disks.disks)
+    pairs = [(l, None) for l in range(p)] + [(lo, hi) for lo in range(p) for hi in range(lo, p)]
+    def terms(log_P, log_Q):
+        out = np.array(_second_moments(log_P, log_Q, pairs))
+        return out, out
+
+    sums, window = _window_sums(params, disks.unweighted(), terms, 2)
+    means = sums[:p] + window.ones
     cov = np.empty((p, p))
-    for l1 in range(p):
-        for l2 in range(l1, p):
-            cov[l1, l2] = cov[l2, l1] = _covariance(profile, l1, l2)
+    for (lo, hi), v in zip(pairs[p:], sums[p:]):
+        cov[lo, hi] = cov[hi, lo] = v
     return means, cov

@@ -1,10 +1,11 @@
 """Special functions: the regularized incomplete gamma function, erfc and friends.
 
 The exact engine reduces to the regularized incomplete gamma functions
-P(a, z) = gamma(a, z)/Gamma(a) and Q = 1 - P on a column of shapes a for one
-argument z.  ``log_reg_gamma_pq`` evaluates log P and log Q on such a column
-in one array pass, with numpy alone.  With lambda = z/a and eta the signed
-root of eta^2/2 = lambda - 1 - log(lambda), each shape takes one branch:
+P(a, z) = gamma(a, z)/Gamma(a) and Q = 1 - P at shapes a and arguments z.
+``log_reg_gamma_pq`` evaluates log P and log Q on whole arrays, z broadcast
+against a (one call covers every column of a profile), with numpy alone.
+With lambda = z/a and eta the signed root of eta^2/2 = lambda - 1 -
+log(lambda), each shape takes one branch:
 
 * uniform, a >= A_UNIFORM and |eta| <= ETA_UNIFORM: Temme's uniform expansion
   Q = erfc(eta sqrt(a/2))/2 + e^(-a eta^2/2)/sqrt(2 pi a) sum_k c_k(eta) a^-k
@@ -26,12 +27,15 @@ far from lambda = 1.
 
 Also: ``erfc`` and ``erfcx`` (W. J. Cody's rational approximations, Math.
 Comp. 23, 1969), ``reg_lower_gamma`` (one scalar P), ``gamma_regime`` (the
-branch that (a, z) takes) and log Barnes G.  All pure, thread-safe.
+branch that (a, z) takes), ``log_prefactor``, ``unit_rule`` (the panelled
+Gauss-Legendre rule that both the window integrals and the coefficient
+quadrature use) and log Barnes G.  All pure, thread-safe.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -48,6 +52,7 @@ __all__ = [
     "log_prefactor",
     "log_reg_gamma_pq",
     "reg_lower_gamma",
+    "unit_rule",
 ]
 
 # The uniform branch: a >= A_UNIFORM, |eta| <= ETA_UNIFORM.  At A_UNIFORM the
@@ -78,6 +83,14 @@ _RGAMMA1P_TAYLOR = np.array((
     -2.0583260535665066e-14, -5.348122539423018e-15, 1.2267786282382608e-15,
     -1.1812593016974588e-16, 1.1866922547516004e-18, 1.4123806553180319e-18,
 ))
+
+# B_2k / (2k (2k-1)), k = 1..8: the Stirling remainder
+# mu(a) = lgamma(a) - (a - 1/2) log a + a - log(2 pi)/2 ~ sum_k c_k a^(1-2k),
+# whose first omitted term is below 1e-18 from a = _STIRLING_MIN_A on.
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0)
+_STIRLING_MIN_A = 10.0
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # zeta'(-1); 30 digits, mpmath dps=60 (scripts/derive_frozen_constants.py).
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919066243
@@ -337,11 +350,39 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
 
 
+def _stirling_remainder(a: float) -> float:
+    """mu(a) = lgamma(a) - ((a - 1/2) log a - a + log(2 pi)/2) for a >= 1: the
+    Stirling series past _STIRLING_MIN_A, the difference below it (where
+    every term is below 20, so it costs a few ulp of 20)."""
+    if a < _STIRLING_MIN_A:
+        return math.lgamma(a) - ((a - 0.5) * math.log(a) - a + _HALF_LOG_2PI)
+    r = 1.0 / (a * a)
+    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING
+    return (c1 + r * (c2 + r * (c3 + r * (c4 + r * (c5 + r * (c6 + r * (c7 + r * c8))))))) / a
+
+
 def log_prefactor(a: float, z: float) -> float:
     """log(z^a e^-z / Gamma(a)) for a > 0, z > 0: P(a, z) and Q(a, z) differ
-    from {0, 1} by at most a modest multiple of this prefactor.  Cancellation
-    costs ~1e-9 absolute at a = 1e6, irrelevant for a saturation test."""
-    return a * math.log(z) - z - math.lgamma(a)
+    from {0, 1} by at most a modest multiple of this prefactor.
+
+    For a >= 1 it is taken in scaled form (DiDonato & Morris's rcomp, ACM
+    TOMS 12, 1986): -a (lambda - 1 - log lambda) + log(a / 2 pi)/2 - mu(a)
+    with lambda = z/a and mu the Stirling remainder, and lambda - 1 as
+    x = (z - a)/a where lambda > 1/2 (z - a exact up to lambda = 2).  x - log1p(x) is
+    off by a few eps |x|, so the error is a few eps (|z - a| + a |log lambda|
+    + |log a| + 1): a small multiple of the value's conditioning.  (The
+    array ``_log1p_minus`` would add ~10 us of numpy overhead to each of the
+    ~50 scalar calls of a window search.)  a log z - z - lgamma(a) cancels
+    instead, to ~eps (a |log z| + z): 4.5 absolute at a ~ z ~ 4e15."""
+    if a < 1.0:
+        return a * math.log(z) - z - math.lgamma(a)
+    lam = z / a
+    if lam > 0.5:
+        x = (z - a) / a
+        d = x - math.log1p(x)
+    else:  # nothing cancels; z/a may underflow
+        d = lam - 1.0 - (math.log(lam) if lam > 0.0 else math.log(z) - math.log(a))
+    return -a * d + 0.5 * math.log(a) - _HALF_LOG_2PI - _stirling_remainder(a)
 
 
 def _temme_sum(a: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -374,7 +415,7 @@ def _uniform_log_pq(a: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndar
 _SERIES_BLOCK = 32  # terms of Kummer's series summed per array pass
 
 
-def _log_p_series(a: np.ndarray, z: float) -> np.ndarray:
+def _log_p_series(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """log P(a, z) for z < a + 1 from Kummer's series,
     P = z^a e^-z / Gamma(a+1) sum_k z^k / ((a+1)...(a+k)): every term is below
     the one before, so blocks of terms are products of ratios z/(a+k) < 1."""
@@ -382,27 +423,27 @@ def _log_p_series(a: np.ndarray, z: float) -> np.ndarray:
     last = np.ones_like(a)
     k = 1
     while True:
-        ratios = z / (a[:, None] + np.arange(k, k + _SERIES_BLOCK))
+        ratios = z[:, None] / (a[:, None] + np.arange(k, k + _SERIES_BLOCK))
         terms = last[:, None] * np.cumprod(ratios, axis=1)
         total += terms.sum(axis=1)
         last = terms[:, -1]
         k += _SERIES_BLOCK
         if np.all(last <= 1e-17 * total):
-            return a * math.log(z) - z - _lgamma(a + 1.0) + np.log(total)
+            return a * np.log(z) - z - _lgamma(a + 1.0) + np.log(total)
 
 
 _SMALL_SHAPE_TERMS = 25  # of the series in z below: z < 2, and 2^25/25! < 1e-17
 
 
-def _log_q_small_shape(a: np.ndarray, z: float) -> np.ndarray:
+def _log_q_small_shape(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """log Q(a, z) for a < 1 and z < a + 1, without the cancellation of 1 - P
     as a -> 0, where Q ~ a E1(z) (DiDonato & Morris 1986).  With
     g = 1/Gamma(1+a) - 1 and S = sum_{n>=1} (-z)^n / (n! (a+n)),
     P = z^a (1+g) (1 + a S), so Q = -expm1(a log z) - g z^a - a z^a (1+g) S."""
     n = np.arange(1.0, _SMALL_SHAPE_TERMS + 1.0)
-    s = (1.0 / (a[:, None] + n)) @ np.cumprod(-z / n)
+    s = np.einsum("in,in->i", 1.0 / (a[:, None] + n), np.cumprod(-z[:, None] / n, axis=1))
     g = _RGAMMA1P_TAYLOR @ _powers(a, _RGAMMA1P_TAYLOR.size)
-    a_log_z = a * math.log(z)
+    a_log_z = a * np.log(z)
     z_a = np.exp(a_log_z)
     return np.log(-np.expm1(a_log_z) - g * z_a - a * z_a * (1.0 + g) * s)
 
@@ -413,7 +454,7 @@ def _log_q_small_shape(a: np.ndarray, z: float) -> np.ndarray:
 _CONTFRAC_TOL = 2.0**-52
 
 
-def _log_q_contfrac(a: np.ndarray, z: float) -> np.ndarray:
+def _log_q_contfrac(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """log Q(a, z) for z >= a + 1: the Legendre continued fraction
     Q = z^a e^-z / Gamma(a) / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(z+5-a - ...))),
     by modified Lentz."""
@@ -429,10 +470,10 @@ def _log_q_contfrac(a: np.ndarray, z: float) -> np.ndarray:
         h = h * c * d
         if np.all(np.abs(c * d - 1.0) <= _CONTFRAC_TOL):
             break
-    return a * math.log(z) - z - _lgamma(a) + np.log(h)
+    return a * np.log(z) - z - _lgamma(a) + np.log(h)
 
 
-def _branches(a: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _branches(a: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """eta of each shape and the masks of the uniform and the series branch;
     the remaining shapes take the continued fraction."""
     # lambda - 1 as (z - a)/a: exact to an ulp or two relative where z ~ a,
@@ -458,37 +499,49 @@ def gamma_regime(a: float, z: float) -> GammaRegime:
     return GammaRegime.CONTINUED_FRACTION
 
 
-def log_reg_gamma_pq(a, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """log P(a_i, z) and log Q(a_i, z), Q = 1 - P, for an array of shapes
-    a_i > 0 and one z >= 0.
+def log_reg_gamma_pq(a, z) -> tuple[np.ndarray, np.ndarray]:
+    """log P(a_i, z_i) and log Q(a_i, z_i), Q = 1 - P, for shapes a_i > 0 and
+    arguments z_i >= 0, z broadcast against a (one z for a column, or one
+    per shape for several columns in one call); the result has their
+    broadcast shape.
 
     Each shape takes the uniform expansion, the series or the continued
-    fraction (see the module docstring).  Both logs are evaluated directly
-    and stay finite far below double range, so exp of either has absolute
-    error below 1e-13 and a tiny P or Q keeps its relative accuracy.
+    fraction (see the module docstring); z = 0 and z = inf are exact.  Both
+    logs are evaluated directly and stay finite far below double range, so
+    exp of either has absolute error below 1e-13 and a tiny P or Q keeps its
+    relative accuracy.
     """
-    a = np.asarray(a, dtype=float)
-    if not z >= 0:
-        raise ValueError(f"incomplete gamma requires z >= 0, got {z!r}")
+    a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
+    if z.ndim:
+        a, z = np.broadcast_arrays(a, z)
+        z = z.ravel()
+    shape = a.shape
+    a = a.ravel()  # one z stays a scalar
+    if not np.all(z >= 0):
+        bad = np.atleast_1d(z)[~(np.atleast_1d(z) >= 0)][0]
+        raise ValueError(f"incomplete gamma requires z >= 0, got {float(bad)!r}")
     if not np.all(a > 0):
         raise ValueError("incomplete gamma requires shapes a > 0")
-    if z == 0.0 or math.isinf(z):
-        zero, minus_inf = np.zeros_like(a), np.full_like(a, -np.inf)
-        return (minus_inf, zero) if z == 0.0 else (zero, minus_inf)
     eta, uniform, series = _branches(a, z)
     if uniform.all():
-        return _uniform_log_pq(a, eta)
+        log_p, log_q = _uniform_log_pq(a, eta)
+        return log_p.reshape(shape), log_q.reshape(shape)
+    z = np.broadcast_to(z, a.shape)
     log_p = np.empty_like(a)
     log_q = np.empty_like(a)
     log_p[uniform], log_q[uniform] = _uniform_log_pq(a[uniform], eta[uniform])
-    frac = ~(uniform | series)
-    log_p[series] = _log_p_series(a[series], z)
+    zero, infinite = z == 0.0, np.isinf(z)
+    log_p[zero], log_q[zero] = -np.inf, 0.0
+    log_p[infinite], log_q[infinite] = 0.0, -np.inf
+    series &= ~zero
+    frac = ~(uniform | series | zero | infinite)
+    log_p[series] = _log_p_series(a[series], z[series])
     log_q[series] = _log1mexp(log_p[series])
     small = series & (a < 1.0)
-    log_q[small] = _log_q_small_shape(a[small], z)
-    log_q[frac] = _log_q_contfrac(a[frac], z)
+    log_q[small] = _log_q_small_shape(a[small], z[small])
+    log_q[frac] = _log_q_contfrac(a[frac], z[frac])
     log_p[frac] = _log1mexp(log_q[frac])
-    return log_p, log_q
+    return log_p.reshape(shape), log_q.reshape(shape)
 
 
 def reg_lower_gamma(a: float, z: float) -> float:
@@ -537,3 +590,51 @@ def log_barnes_g(z: float) -> float:
     for i in range(shift):
         total -= math.lgamma(z + i)
     return total
+
+
+# Gauss-Legendre: GL_ORDER nodes per panel
+GL_ORDER = 40
+
+
+def _legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_N(x) and P_(N-1)(x), N = GL_ORDER, by the three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    for k in range(2, GL_ORDER + 1):
+        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+    return cur, prev
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The GL_ORDER-node Gauss-Legendre rule on [-1, 1], ascending: Newton's
+    method on P_N from the roots' cosine estimates, w = 2/((1 - x^2) P_N'^2),
+    then symmetrized and scaled to integrate 1 exactly, as numpy's leggauss
+    does after its eigenvalue start (a few ulp from it)."""
+    k = np.arange(GL_ORDER, 0, -1)
+    x = np.cos(math.pi * (k - 0.25) / (GL_ORDER + 0.5))
+    for _ in range(20):
+        p, q = _legendre(x)
+        dx = p * (1.0 - x) * (1.0 + x) / (GL_ORDER * (q - x * p))  # P_N / P_N'
+        x = x - dx
+        if np.abs(dx).max() <= 1e-16:
+            break
+    p, q = _legendre(x)
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    dp = GL_ORDER * (q - x * p) / one_minus_x2
+    w = 2.0 / (one_minus_x2 * dp * dp)
+    x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    return x, w * (2.0 / w.sum())
+
+
+@functools.cache
+def unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of `panels` equal Gauss-Legendre panels on [0, 1]
+    (read-only arrays)."""
+    x, w = _legendre_rule()
+    half = 0.5 / panels
+    starts = np.arange(panels) / panels
+    nodes = (starts[:, None] + half * (x + 1.0)).ravel()
+    weights = np.tile(half * w, panels)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights

@@ -554,17 +554,33 @@ def test_arithmetic_errors_exit_2(capsys, monkeypatch):
     assert "math range error" in err
 
 
+def test_mgf_exact_past_the_row_cap(capsys):
+    # n = 1e12 at r = 0.6 has 1.45e7 window rows, past MAX_WINDOW_ROWS, where
+    # this exited 2: the window integral returns the log-MGF, which agrees
+    # with the four-term expansion to its last bits
+    from mlcounts.asymptotics import theorem_coefficients
+
+    code, out, err = run(capsys, "mgf-exact", "--b", "1", "--alpha", "0", "--n", "1000000000000",
+                         "--disk", "r=0.6,u=0.9")
+    assert code == 0 and err == ""
+    params, disks = EnsembleParams(1.0, 0.0, 10**12), DiskSystem([Disk.fixed(0.6, 0.9)])
+    value = json.loads(out)["log_mgf"]
+    assert math.isfinite(value)
+    assert value == pytest.approx(theorem_coefficients(params, disks).evaluate(params.n), rel=1e-15)
+
+
 def test_cumulants_exact_one_profile(capsys, monkeypatch):
+    # every order of one command sums over one window
     import mlcounts.exact as exact
 
     calls = []
-    real = exact.bernoulli_profile
+    real = exact._window
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(exact, "bernoulli_profile", counting)
+    monkeypatch.setattr(exact, "_window", counting)
     code, out, _ = run(
         capsys,
         "cumulants", "--b", "1", "--alpha", "0", "--n", "500",
@@ -582,13 +598,20 @@ def test_cumulants_exact_one_profile(capsys, monkeypatch):
 # Run in a fresh interpreter: neither the package nor any subcommand loads a
 # scipy module; the runtime depends on numpy alone.  Importing the package
 # loads neither module that the sampler (concurrent.futures) and the
-# partition-function constant (fractions) import only when they run.
+# partition-function constant (fractions) import only when they run.  Nor
+# does anything load numpy.polynomial: the Gauss-Legendre table is built in
+# specfun (its import cost 3-4.5 ms and ~0.8 MB in every process that ran a
+# quadrature).
 _SCIPY_GUARD = r"""
 import contextlib, importlib, io, pkgutil, sys
 
 
 def scipy_loaded():
     return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+
+def polynomial_loaded():
+    return "numpy.polynomial" in sys.modules
 
 
 def deferred_loaded():
@@ -599,11 +622,13 @@ import mlcounts
 
 assert not scipy_loaded(), "import mlcounts"
 assert not deferred_loaded(), ("import mlcounts", deferred_loaded())
+assert not polynomial_loaded(), "import mlcounts"
 for info in pkgutil.iter_modules(mlcounts.__path__):
     if info.name != "__main__":
         importlib.import_module("mlcounts." + info.name)
 assert not scipy_loaded(), "importing every mlcounts module"
 assert not deferred_loaded(), ("importing every mlcounts module", deferred_loaded())
+assert not polynomial_loaded(), "importing every mlcounts module"
 
 from mlcounts.cli import main
 
@@ -631,6 +656,7 @@ for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     assert not scipy_loaded(), (argv, scipy_loaded())
+    assert not polynomial_loaded(), argv
 """
 
 # stdout of these subcommands when scipy evaluated the incomplete gamma

@@ -216,20 +216,23 @@ _UNION_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_UNION_CASES))
 def test_window_is_union_of_column_runs(monkeypatch, case):
-    # the window rows are the sorted distinct rows of the per-column runs,
-    # and a column whose run is empty makes no evaluator call
+    # the window rows are the sorted distinct rows of the per-column runs;
+    # the profile makes one evaluator call, over exactly the rows of the
+    # non-empty runs at their own z, column after column, and none when
+    # every run is empty
     import mlcounts.exact as exact
 
-    runs, calls = [], []
+    runs, zs, calls = [], [], []
     column_window, evaluate = exact._column_window, exact.log_reg_gamma_pq
 
-    def recording_window(*args):
-        out = column_window(*args)
+    def recording_window(params, z, threshold):
+        out = column_window(params, z, threshold)
         runs.append(out[0])
+        zs.append(z)
         return out
 
     def counting_evaluate(a, z):
-        calls.append(len(a))
+        calls.append((np.array(a), np.broadcast_to(z, np.shape(a)).copy()))
         return evaluate(a, z)
 
     monkeypatch.setattr(exact, "_column_window", recording_window)
@@ -238,19 +241,29 @@ def test_window_is_union_of_column_runs(monkeypatch, case):
     rows = bernoulli_profile(EnsembleParams(b=b, alpha=alpha, n=n), DiskSystem(disks)).rows
     want = np.unique(np.concatenate([np.arange(r.start, r.stop) for r in runs]))
     assert rows.dtype == want.dtype and np.array_equal(rows, want)
-    assert calls == [len(r) for r in runs if r]
+    live = [(r, z) for r, z in zip(runs, zs) if r]
+    if live:
+        (a, z), = calls
+        assert np.array_equal(a, np.concatenate([(np.arange(r.start, r.stop) + 1 + alpha) / b
+                                                 for r, _ in live]))
+        assert np.array_equal(z, np.repeat([z for _, z in live], [len(r) for r, _ in live]))
+    else:
+        assert not calls
     if case == "disjoint":
         assert all(r1.stop < r2.start for r1, r2 in zip(runs, runs[1:3])) and not runs[3]
     elif case == "overlapping":
         assert runs[0].start < runs[1].start < runs[0].stop < runs[1].stop
     elif case == "empty column":
-        assert not runs[0] and calls == [len(runs[1])]
+        assert not runs[0] and len(calls[0][0]) == len(runs[1])
     else:
         assert len(rows) == 0 and not calls
 
 
 def test_union_merges_nested_touching_and_repeated_runs():
-    from mlcounts.exact import _union
+    from mlcounts.exact import _merge, _rows
+
+    def _union(runs):
+        return _rows(_merge(runs))
 
     runs = [range(20, 22), range(5, 9), range(0, 3), range(3, 4), range(6, 7), range(0),
             range(8, 12), range(20, 22), range(30, 31)]
@@ -546,18 +559,19 @@ def test_u_zero_statistics_take_the_unweighted_window(monkeypatch, u):
     orders = [(0, 3), (2, 1)]
     want_means, want_cov = mean_var_exact(params, plain)
     want_cums = joint_cumulants_exact(params, plain, orders)
-    rows, profile = [], exact.bernoulli_profile
+    want_rows = len(bernoulli_profile(params, plain).rows)
+    rows, window = [], exact._window
 
-    def recording_profile(*args):
-        out = profile(*args)
-        rows.append(len(out.rows))
+    def recording_window(*args):
+        out = window(*args)
+        rows.append(sum(stop - start for start, stop in out.runs))
         return out
 
-    monkeypatch.setattr(exact, "bernoulli_profile", recording_profile)
+    monkeypatch.setattr(exact, "_window", recording_window)
     means, cov = mean_var_exact(params, weighted)
     assert means.tobytes() == want_means.tobytes() and cov.tobytes() == want_cov.tobytes()
     assert joint_cumulants_exact(params, weighted, orders) == want_cums
-    assert rows == [len(profile(params, plain).rows)] * 2
+    assert rows == [want_rows] * 2
 
 
 def test_mgf_weight_sums_past_double_range_raise():
@@ -705,10 +719,226 @@ def test_window_found_past_1e10():
     assert cov[0, 0] == pytest.approx(bulk_cumulant_coeffs(2, b, 0.0, r).evaluate(params.n), rel=1e-12)
 
 
-def test_window_row_cap_raises_before_building_rows():
-    # b = 1, r = 0.6, n = 1e12 needs ~1.4e7 window rows, ~3 GB: a ValueError
-    # naming n and the row count, raised from the bisections alone
+def test_window_row_cap_raises_before_building_rows(monkeypatch):
+    # b = 1, r = 0.6, n = 1e12 needs ~1.4e7 window rows, ~3 GB: the profile,
+    # the sampler on it, and the statistics where they must take rows, raise
+    # a ValueError naming n and the row count, from the bisections alone
+    import mlcounts.exact as exact
+    from mlcounts.sampler import sample_counts
+
     params, disks = EnsembleParams(1.0, 0.0, 10**12), DiskSystem([Disk.fixed(0.6)])
-    for call in (mean_var_exact, log_mgf_exact):
-        with pytest.raises(ValueError, match=r"^\d{8} window rows at n = 1000000000000, over MAX"):
+    message = r"^\d{8} window rows at n = 1000000000000, over MAX"
+    for call in (bernoulli_profile, lambda p, d: sample_counts(p, d, 10, 1)):
+        with pytest.raises(ValueError, match=message):
             call(params, disks)
+    monkeypatch.setattr(exact, "_panels", lambda *args: 0)
+    for call in (mean_var_exact, log_mgf_exact):
+        with pytest.raises(ValueError, match=message):
+            call(params, disks)
+
+
+# --- the window integral --------------------------------------------------------
+
+
+def test_gregory_end_weights_sum_polynomials_exactly():
+    # sum_{j=0}^{N} f(j) = integral_0^N f + end weights on the first and last
+    # rows: exact for every polynomial of degree <= 11 (differences to order
+    # 10), and f(0)/2 + f(N)/2 alone (a saturated end) exact for degree <= 1
+    from mlcounts.exact import _GREGORY, _end_weights
+
+    cut, plain = _end_weights(True), _end_weights(False)
+    assert cut.size == _GREGORY + 1 and plain.tolist() == [0.5]
+    N = 50
+    j = np.arange(N + 1, dtype=float)
+    for m in range(_GREGORY + 2):
+        f = (j / N) ** m
+        total = math.fsum(f.tolist())
+        got = N / (m + 1) + f[: cut.size] @ cut + f[::-1][: cut.size] @ cut
+        assert got == pytest.approx(total, rel=8 * np.finfo(float).eps)
+    assert N / 2 + 0.5 * (0.0 + 1.0) == math.fsum((j / N).tolist())
+
+
+def _two_product(a, b):
+    """p + e = a b exactly (Dekker, with Veltkamp's split)."""
+    p = a * b
+
+    def split(x):
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    (ah, al), (bh, bl) = split(a), split(np.broadcast_to(b, np.shape(a)))
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _row_shape_rounding(rows, alpha, b):
+    """(j+1+alpha)/b - fl(fl(j+1+alpha)/b), the rounding of the row path's
+    shapes, from error-free transformations (TwoSum, TwoProduct)."""
+    J = (rows + 1).astype(float)
+    s = J + alpha
+    bs = s - J
+    e1 = (J - (s - bs)) + (alpha - bs)
+    a = s / b
+    p, e2 = _two_product(a, b)
+    return ((s - p) - e2 + e1) / b
+
+
+def _path_bound(terms, rounding, b, saturated=0.0):
+    """Where the paths may differ: the pairwise bound (log2 w + 16) eps
+    sum_j |x_j| over all rows (the saturated ones in closed form), plus the
+    row path's own shape rounding, sum_j |dx_j/da| |a_j - fl(a_j)| (exact
+    shapes in the integral; 0 where fl is exact, as at b = 1, alpha = 0),
+    twice, for the difference quotient standing for the derivative."""
+    terms = np.asarray(terms)
+    pairwise = (math.log2(max(terms.size, 2)) + 16) * np.finfo(float).eps
+    slope = np.gradient(terms) * b if terms.size > 1 else np.zeros_like(terms)
+    return pairwise * (np.abs(terms).sum() + saturated) + 2.0 * np.abs(slope * rounding).sum()
+
+
+def _compare_paths(params, disks, orders):
+    """(got, want, bound) for the log-MGF, means, covariances and cumulants,
+    the window sums as chosen (got) and forced onto rows (want)."""
+    import mlcounts.exact as exact
+
+    prof = bernoulli_profile(params, disks)
+    plain = bernoulli_profile(params, disks.unweighted())
+    rnd, rnd0 = (_row_shape_rounding(p.rows, params.alpha, params.b) for p in (prof, plain))
+    got = [log_mgf_exact(params, disks), *mean_var_exact(params, disks),
+           joint_cumulants_exact(params, disks, orders)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_panels", lambda *args: 0)
+        want = [log_mgf_exact(params, disks), *mean_var_exact(params, disks),
+                joint_cumulants_exact(params, disks, orders)]
+    U = np.concatenate([np.cumsum(disks.u[::-1])[::-1], [0.0]])
+    omega = omega_weights(disks.u)
+    with np.errstate(all="ignore"):
+        x = np.log1p(prof.Pw @ omega)
+        logspace = ~np.isfinite(x) | (2.0 * (1.0 + prof.Pw @ omega) < 1.0 + prof.Pw @ np.abs(omega))
+        x[logspace] = np.logaddexp.reduce(prof.log_q[logspace] + U, axis=1)
+    out = [(got[0], want[0], _path_bound(x, rnd, params.b, np.abs(prof.saturated * U).sum()))]
+    P, Q = plain.Pw, np.exp(plain.log_Q)
+    p = P.shape[1]
+    for l in range(p):
+        out.append((got[1][l], want[1][l], _path_bound(P[:, l], rnd0, params.b, plain.ones[l])))
+        for h in range(l, p):
+            out.append((got[2][l, h], want[2][l, h], _path_bound(P[:, l] * Q[:, h], rnd0, params.b)))
+    for k, g, w in zip(orders, got[3], want[3]):
+        # a cumulant of order >= 3 cancels inside each row far below the
+        # rounding of its moments, so each path's terms carry their own
+        # rounding too, found here against 64-bit-mantissa arithmetic
+        kappa = _row_cumulants(P, k)
+        carried = np.abs(kappa - _row_cumulants(P.astype(np.longdouble), k)).sum()
+        out.append((g, w, _path_bound(kappa, rnd0, params.b) + 2.0 * float(carried)))
+    return out
+
+
+@st.composite
+def _integral_configs(draw):
+    b = draw(st.floats(0.3, 3.0))
+    alpha = draw(st.floats(-0.9, 2.0))
+    n = int(10 ** draw(st.floats(3.0, 10.0)))
+    rstar = b ** (-1 / (2 * b))
+    p = draw(st.integers(1, 4))
+    scaled = sorted(draw(st.lists(st.floats(0.05, 1.6), min_size=p, max_size=p, unique=True)))
+    if draw(st.booleans()):  # a cluster: every window overlaps the next
+        scaled = [scaled[0] * (1.0 + 0.02 * i) for i in range(p)]
+    radii = [rstar * x for x in scaled]
+    if any(r2 - r1 <= 1e-6 * r2 for r1, r2 in zip(radii, radii[1:])):
+        radii = [rstar * (0.3 + 0.2 * i) for i in range(p)]
+    us = draw(st.lists(st.floats(-50.0, 50.0), min_size=p, max_size=p))
+    k = draw(st.integers(3, MAX_ORDER))
+    l = draw(st.integers(0, p - 1))
+    orders = [tuple(k if i == l else 0 for i in range(p))]
+    if p > 1:
+        orders.append(tuple(k - 1 if i == 0 else int(i == p - 1) for i in range(p)))
+    return EnsembleParams(b, alpha, n), DiskSystem([Disk.fixed(r, u) for r, u in zip(radii, us)]), orders
+
+
+@settings(max_examples=25, deadline=None)
+@given(_integral_configs())
+def test_integral_and_row_paths_agree(config):
+    # wherever both paths run (windows of at most 40,000 rows, so that the
+    # rows stay cheap), the integral agrees with the row sum within the
+    # pairwise bound plus the row path's own shape rounding and, for
+    # cumulants of order >= 3, the rounding their row terms carry
+    import mlcounts.exact as exact
+    from hypothesis import assume
+
+    params, disks, orders = config
+    windows = [exact._window(params, d) for d in (disks, disks.unweighted())]
+    assume(all(sum(stop - start for start, stop in w.runs) <= 40_000 for w in windows))
+    assume(any(exact._panels(w, *run, order) for w, order in zip(windows, (1, MAX_ORDER))
+               for run in w.runs))
+    for got, want, bound in _compare_paths(params, disks, orders):
+        assert abs(got - want) <= bound, (got, want, bound)
+
+
+def test_paths_agree_at_the_switch():
+    # the first n at which the one-disk log-MGF takes the integral: the two
+    # paths agree there, within the pairwise bound alone (b = 1, alpha = 0:
+    # every row shape is exact), and one n below it the rows are taken
+    import mlcounts.exact as exact
+
+    disks = DiskSystem([Disk.fixed(0.6, 0.9)])
+
+    def integrates(n):
+        window = exact._window(EnsembleParams(1.0, 0.0, n), disks)
+        return any(exact._panels(window, *run, 1) for run in window.runs)
+
+    lo, hi = 1000, 100_000
+    assert not integrates(lo) and integrates(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if integrates(mid) else (mid, hi)
+    for got, want, bound in _compare_paths(EnsembleParams(1.0, 0.0, hi), disks, [(3,), (6,)]):
+        assert abs(got - want) <= bound
+    below = EnsembleParams(1.0, 0.0, lo)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_panels", lambda *args: 0)
+        rows = log_mgf_exact(below, disks)
+    assert log_mgf_exact(below, disks) == rows
+
+
+_LARGE_N = {
+    "bulk": (1.0, 0.0, [Disk.fixed(0.6, 0.9)]),
+    "edge, b = 2": (2.0, 0.5, [Disk.fixed(0.45, 0.2), Disk.edge(0.3, 0.4)]),
+    "edge, b = 1/2": (0.5, 0.25, [Disk.edge(-0.5, 0.8)]),
+}
+
+
+@pytest.mark.parametrize("exponent", [12, 14, 16, 18])
+@pytest.mark.parametrize("case", sorted(_LARGE_N))
+def test_statistics_past_the_row_cap_match_the_expansion(case, exponent):
+    # n = 1e12..1e18: the rows cannot be summed (1.4e7 rows at 1e12, b = 1,
+    # r = 0.6), so the expansion is the check: the log-MGF and the means and
+    # variances agree with the four-term series within its o(n^-1/2)
+    # remainder (bounded by the last term), a few eps of the terms' sizes,
+    # and the rounding of an edge disk's argument z = n r^(2b) (its radius
+    # and power, (4b + 8) eps relative), which moves s by that times
+    # sqrt(n/(2b)): at b = 2, n = 1e18 the variance by 3e-7 relative.  At
+    # 1e18 the evaluator's own noise at shapes near 4e17 leaves a mean or
+    # variance ~20 eps off (less with more nodes), hence 32 eps there
+    from dataclasses import replace
+
+    from mlcounts.asymptotics import cumulant_coeffs, theorem_coefficients
+
+    b, alpha, disks = _LARGE_N[case]
+    params, disks = EnsembleParams(b, alpha, 10**exponent), DiskSystem(disks)
+    n, rn, eps = params.n, math.sqrt(params.n), np.finfo(float).eps
+
+    def expansions(shift):
+        system = DiskSystem(replace(d, s=d.s + shift) if d.is_edge else d for d in disks.disks)
+        th = theorem_coefficients(params, system)
+        out = [[th.C1 * n, th.C2 * rn, th.C3, th.C4 / rn]]
+        for j in (1, 2):
+            out += [[s.leading * n, s.c * rn, s.d, s.e / rn] for s in cumulant_coeffs(j, params, system)]
+        return out
+
+    shift = (4 * b + 8) * eps * math.sqrt(n / (2 * b))
+    means, cov = mean_var_exact(params, disks)
+    got = [log_mgf_exact(params, disks), *means, *np.diag(cov)]
+    few = [4] + [4 if exponent < 18 else 32] * (len(got) - 1)
+    for g, terms, hi, lo, k in zip(got, *map(expansions, (0.0, shift, -shift)), few):
+        assert math.isfinite(g)
+        moved = abs(math.fsum(hi) - math.fsum(lo)) / 2
+        assert abs(g - math.fsum(terms)) <= abs(terms[3]) + k * eps * sum(map(abs, terms)) + moved

@@ -468,3 +468,90 @@ def test_barnes_domain():
     with pytest.raises(ValueError):
         log_barnes_g(0.0)
 
+
+
+# --- log-prefactor, broadcast z, Gauss-Legendre rule ----------------------------
+
+
+def _prefactor_cases():
+    """(a, z): shapes from 1 to 1e18, arguments across each saturation window
+    (z = a + k sqrt(a), out to past e^-60) and far from it."""
+    rng = random.Random(7)
+    cases = []
+    for e in range(0, 19):
+        a = float(10**e) * rng.uniform(1.0, 3.0)
+        for k in (-15.0, -11.0, -3.0, -0.4, 0.0, 0.7, 4.0, 11.0, 15.0):
+            z = a + k * math.sqrt(a)
+            if z > 0:
+                cases.append((a, z))
+        cases += [(a, 0.36 * a), (a, 3.0 * a), (a, 1e-3)]
+    return cases + [(0.3, 2.0), (0.7, 1e-5), (0.05, 40.0)]
+
+
+def test_log_prefactor_within_its_conditioning():
+    # log(z^a e^-z / Gamma(a)) against 50-digit mpmath, within 8 eps of its
+    # conditioning |z - a| + a |log(z/a)| + |log a| + 1 (the sizes that an
+    # eps change in a or z moves it by); a log z - z - lgamma(a) was 4.5
+    # off at a ~ z ~ 4e15 and 19 at 4e17, where that scale is ~1e9 eps
+    import mpmath
+
+    from mlcounts.specfun import log_prefactor
+
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for a, z in _prefactor_cases():
+            A, Z = mpmath.mpf(a), mpmath.mpf(z)
+            want = float(A * mpmath.log(Z) - Z - mpmath.loggamma(A))
+            scale = abs(z - a) + a * abs(math.log(z / a)) + abs(math.log(a)) + 1.0
+            assert abs(log_prefactor(a, z) - want) <= 8 * eps * scale, (a, z)
+
+
+def test_log_reg_gamma_pq_broadcasts_z():
+    # one call over several columns (z per shape) equals a call per column,
+    # bit for bit, in every branch; a scalar z keeps the shape of a, and
+    # z = 0 and z = inf are exact per entry
+    columns = [(np.array([0.3, 0.9, 5.0, 40.0, 1e3, 2e4]), 0.5),
+               (np.array([3.0, 30.0, 900.0, 1e4]), 1e3),
+               (np.array([1e5, 2e5]), 1.5e5)]
+    a = np.concatenate([c for c, _ in columns])
+    z = np.repeat([zl for _, zl in columns], [len(c) for c, _ in columns])
+    lp, lq = log_reg_gamma_pq(a, z)
+    start = 0
+    for c, zl in columns:
+        want_p, want_q = log_reg_gamma_pq(c, zl)
+        assert lp[start : start + c.size].tobytes() == want_p.tobytes()
+        assert lq[start : start + c.size].tobytes() == want_q.tobytes()
+        start += c.size
+    p, q = log_reg_gamma_pq(2.0, 1.0)
+    assert p.shape == q.shape == () and math.exp(p) == pytest.approx(reg_lower_gamma(2.0, 1.0), rel=1e-15)
+    lp, lq = log_reg_gamma_pq(np.array([2.0, 2.0, 2.0]), np.array([0.0, math.inf, 1.0]))
+    assert lp[:2].tolist() == [-math.inf, 0.0] and lq[:2].tolist() == [0.0, -math.inf]
+    assert lp[2] == log_reg_gamma_pq(2.0, 1.0)[0]
+    with pytest.raises(ValueError, match=r"got -2\.0"):
+        log_reg_gamma_pq([1.0, 2.0], np.array([1.0, -2.0]))
+
+
+def test_gauss_legendre_rule_without_numpy_polynomial():
+    # the 40-node rule from Newton's method on the Legendre recurrence: nodes
+    # within 2 ulp of numpy's leggauss; weights within 8 eps (of the largest
+    # weight) of a 40-digit rule, where leggauss's own are up to ~180 eps off
+    import mpmath
+
+    from mlcounts.specfun import GL_ORDER, _legendre_rule, unit_rule
+
+    eps = np.finfo(float).eps
+    x, w = _legendre_rule()
+    X, W = np.polynomial.legendre.leggauss(GL_ORDER)
+    assert np.max(np.abs(x - X)) <= 2 * eps
+    assert np.max(np.abs(w - W)) <= 256 * eps * W.max()
+    with mpmath.workdps(40):
+        exact = []
+        for xi in X:
+            root = mpmath.findroot(lambda t: mpmath.legendre(GL_ORDER, t), mpmath.mpf(xi))
+            slope = mpmath.diff(lambda t: mpmath.legendre(GL_ORDER, t), root)
+            exact.append(float(2 / ((1 - root**2) * slope**2)))
+    assert np.max(np.abs(w - np.array(exact))) <= 8 * eps * max(exact)
+    nodes, weights = unit_rule(3)
+    assert nodes.size == weights.size == 3 * GL_ORDER and not nodes.flags.writeable
+    assert math.fsum(weights.tolist()) == pytest.approx(1.0, abs=4 * eps)
+    assert weights @ nodes**7 == pytest.approx(1 / 8, rel=1e-14)
