@@ -23,7 +23,13 @@ uniforms on the w window rows, sample by sample, from one Philox stream
 keyed (seed mod 2^64, k) (counter-based streams, Salmon et al., SC'11).
 Sample s therefore depends only on (seed, s): results are reproducible,
 prefix-stable (a longer run extends a shorter one) and independent of the
-thread count, which only spreads the blocks over workers.
+thread count, which only spreads the blocks over workers; one worker runs
+them in the calling thread.  Philox fills row by row, so a block is drawn
+into one reused buffer in runs of samples of at most _DRAW_BUDGET doubles
+with the numbers of one (block, w) draw.  Each disk compares only its rows
+from the first with Pw < 1 to the last with Pw > 0: a uniform in [0, 1) is
+below every Pw = 1 and no Pw = 0, so the rows before count as a constant
+and the rows after add nothing.
 """
 
 from __future__ import annotations
@@ -39,9 +45,10 @@ __all__ = ["SAMPLE_BLOCK", "McCumulants", "SampleBatch", "mc_cumulants", "sample
 
 # samples per Philox stream; part of the stream contract
 SAMPLE_BLOCK = 256
-# uniforms drawn at once (or one sample's w): Philox fills row by row, so a
-# block drawn in runs of samples gets the numbers of one (block, w) draw
-_DRAW_BUDGET = 1 << 20
+# doubles per draw run (256 KiB), or one sample's w where that is longer:
+# Philox fills row by row, so the runs of a block hold the numbers of one
+# (block, w) draw and the run size is no part of the stream contract
+_DRAW_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -60,34 +67,49 @@ def sample_counts(
     seed: int,
     threads: int = 1,
 ) -> SampleBatch:
-    """Draw `num_samples` independent copies of the joint disk counts."""
+    """Draw `num_samples` independent copies of the joint disk counts over
+    at most `threads` workers (an int >= 1)."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples!r}")
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
     profile = bernoulli_profile(params, disks.unweighted())
     Pw = profile.Pw
-    counts = np.empty((num_samples, Pw.shape[1]), dtype=np.int64)
-
-    step = max(1, _DRAW_BUDGET // max(len(Pw), 1))  # samples per draw
-
-    def fill(k: int) -> None:
-        lo, hi = k * SAMPLE_BLOCK, min((k + 1) * SAMPLE_BLOCK, num_samples)
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, k], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        for start in range(lo, hi, step):
-            stop = min(start + step, hi)
-            U = rng.random((stop - start, len(Pw)))
-            for l in range(Pw.shape[1]):
-                counts[start:stop, l] = profile.ones[l] + np.count_nonzero(U < Pw[:, l], axis=1)
-
-    # imported here: concurrent.futures (and logging with it) is ~10 ms of
-    # every process's import that only sampling needs
-    from concurrent.futures import ThreadPoolExecutor
-
+    w, p = Pw.shape
+    counts = np.empty((num_samples, p), dtype=np.int64)
+    active = []  # (disk, its rows [lo, hi), their Pw)
+    for l, col in enumerate(Pw.T):
+        lo = int(np.logical_and.accumulate(col == 1.0).sum())  # leading rows with Pw = 1
+        hi = w - int(np.logical_and.accumulate(col[::-1] == 0.0).sum())  # before the trailing Pw = 0
+        counts[:, l] = profile.ones[l] + lo
+        if lo < hi:
+            active.append((l, slice(lo, hi), col[lo:hi]))
     blocks = range(-(-num_samples // SAMPLE_BLOCK))
-    with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-        list(pool.map(fill, blocks))
-    return SampleBatch(counts=counts, seed=seed, num_samples=num_samples)
+    step = min(max(1, _DRAW_BUDGET // max(w, 1)), SAMPLE_BLOCK, num_samples)  # samples per run
 
+    def fill(ks: range) -> None:
+        buf = np.empty((step, w))
+        for k in ks:
+            key = np.array([seed & 0xFFFFFFFFFFFFFFFF, k], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            end = min((k + 1) * SAMPLE_BLOCK, num_samples)
+            for start in range(k * SAMPLE_BLOCK, end, step):
+                stop = min(start + step, end)
+                U = rng.random(out=buf[: stop - start])
+                for l, rows, col in active:
+                    counts[start:stop, l] += np.count_nonzero(U[:, rows] < col, axis=1)
+
+    workers = min(threads, len(blocks))
+    if workers == 1:
+        fill(blocks)
+    else:
+        # imported here: concurrent.futures (and logging with it) is ~10 ms
+        # of every process's import that only multi-worker sampling needs
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, [blocks[i::workers] for i in range(workers)]))
+    return SampleBatch(counts=counts, seed=seed, num_samples=num_samples)
 
 @dataclass(frozen=True)
 class McCumulants:

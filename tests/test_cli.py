@@ -657,6 +657,11 @@ for argv in runs:
         assert main(argv) == 0, argv
     assert not scipy_loaded(), (argv, scipy_loaded())
     assert not polynomial_loaded(), argv
+    # one worker samples in the calling thread, without a pool
+    assert "concurrent.futures" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["sample", *base, "--disk", "r=0.6", "--num-samples", "600", "--seed", "3",
+                 "--threads", "2"]) == 0
 """
 
 # stdout of these subcommands when scipy evaluated the incomplete gamma

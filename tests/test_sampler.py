@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -110,33 +111,106 @@ def test_block_stream_contract():
         np.testing.assert_array_equal(batch.counts[lo:hi], want)
 
 
+# SHA-256 of the int64 counts, frozen from the whole-block sampler (one
+# (block, w) draw per block, every window row compared in every disk).
+# Config B at n = 1e5 (disjoint runs; the edge disk's run is cut by row
+# n - 1, the outside disk's is empty; nonzero weights) and config D-like
+# overlapping runs at n = 1e4, each for p = 1..4, draw 2 blocks and a partial
+# one; the last case has a row longer than a draw run (w = 43,806).
+_CONFIG_B = (2.0, 0.5, 10**5, [Disk.fixed(0.45, 0.2), Disk.fixed(0.55, 0.3), Disk.edge(0.3, 0.1),
+                               Disk.fixed(1.2, 0.4)])
+_CONFIG_D = (1.0, 0.0, 10**4, [Disk.fixed(0.5985), Disk.fixed(0.6298), Disk.fixed(0.66, -0.5),
+                               Disk.fixed(0.69, 1.5)])
+_STREAM_DIGESTS = {
+    ("disjoint", 1): "ce9ebc3a5ded9920013004a569ab4ac1d30c051d8d27aefb9153609d87df3043",
+    ("disjoint", 2): "d7eff7b8c454024f3712b1d166f05714400edadfa75e1c98cd776eb2fce27692",
+    ("disjoint", 3): "5d7d2ab11e27e9f8b002c543de409b79f3d24a2a872591edd332a52b08c99f05",
+    ("disjoint", 4): "9c3d312eb63f2d1fbcd32bc3e025cf3a30d5fc442438f56816d2a72e9aa66796",
+    ("overlapping", 1): "fb717bdd9c03f49edd8f6f8230e49e4736d5595fd6afaf15a4bbe82b27035079",
+    ("overlapping", 2): "eff07270fc2589cd7edfdcc36823b864e0e196fee06b5f451107561988d7f978",
+    ("overlapping", 3): "abbf4f5877670d87ee0c9bdbc9ed585d8f1147ee30233724f66fa69d6fa0890a",
+    ("overlapping", 4): "e5260d12ba21c76120f4ea35d87e1d3b9422a1c2d721d6795a6cc94b04d001f8",
+    ("long row", 1): "63f4ee2afcbf368d002ca3c47b41d0e448e57250c532055a2061e9375ee4a20f",
+}
+
+
+def _stream_case(kind, p):
+    if kind == "long row":
+        return EnsembleParams(b=1.0, alpha=0.0, n=10**7), _disks(0.6), SAMPLE_BLOCK + 5, 5
+    b, alpha, n, disks = _CONFIG_B if kind == "disjoint" else _CONFIG_D
+    return EnsembleParams(b=b, alpha=alpha, n=n), DiskSystem(disks[:p]), 2 * SAMPLE_BLOCK + 100, 2024 + p
+
+
+def test_stream_cases_cover_their_shapes():
+    # the frozen cases hold what their names say
+    from mlcounts.exact import _window
+
+    def runs(kind, p):
+        params, disks, _, _ = _stream_case(kind, p)
+        return _window(params, disks.unweighted()).columns
+
+    b = runs("disjoint", 4)
+    assert b[0].stop < b[1].start and b[1].stop < b[2].start and not b[3]
+    assert b[2].stop == 10**5
+    d = runs("overlapping", 4)
+    assert all(x.start < y.start < x.stop for x, y in zip(d, d[1:]))
+    params, disks, _, _ = _stream_case("long row", 1)
+    assert len(bernoulli_profile(params, disks).rows) > sampler._DRAW_BUDGET
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(_STREAM_DIGESTS))
+def test_counts_match_frozen_stream_digest(case, threads):
+    params, disks, S, seed = _stream_case(*case)
+    counts = sample_counts(params, disks, S, seed=seed, threads=threads).counts
+    assert counts.dtype == np.int64 and counts.flags.c_contiguous
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == _STREAM_DIGESTS[case]
+
+
 @pytest.mark.parametrize("rows", [1, 7, 100, 149])
 def test_chunked_draw_keeps_the_stream(monkeypatch, rows):
     # a block drawn in runs of `rows` samples gets the numbers of one
-    # (block, w) draw, which the default budget takes at this w
+    # (block, w) draw
     params = EnsembleParams(b=1.5, alpha=0.3, n=2000)
     disks = _disks(0.5, 0.6)
     w = len(bernoulli_profile(params, disks).rows)
-    assert SAMPLE_BLOCK * w <= sampler._DRAW_BUDGET
     S = 2 * SAMPLE_BLOCK + 100
+    monkeypatch.setattr(sampler, "_DRAW_BUDGET", SAMPLE_BLOCK * w)
     whole = sample_counts(params, disks, S, seed=77).counts
     monkeypatch.setattr(sampler, "_DRAW_BUDGET", rows * w + w - 1)
     np.testing.assert_array_equal(sample_counts(params, disks, S, seed=77, threads=2).counts, whole)
 
 
-def test_draw_memory_is_bounded():
-    # one (block, w) draw alone would hold SAMPLE_BLOCK w doubles: 90 MB here
+def test_draw_memory_is_bounded(monkeypatch):
+    # past the profile, sampling holds two draw runs at most (the buffer
+    # and its comparisons), and the whole call, profile evaluation
+    # included, under a third of one (block, w) draw (SAMPLE_BLOCK w
+    # doubles, 90 MB here)
     params = EnsembleParams(b=1.0, alpha=0.0, n=10**7)
     disks = _disks(0.6)
-    w = len(bernoulli_profile(params, disks).rows)
-    assert w > 40_000
+    built, build_peak = [], []
+
+    def profile_then_reset_peak(params, disks):
+        built.append(bernoulli_profile(params, disks))
+        build_peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return built[-1]
+
+    # a first Philox stream imports modules (~0.9 MB traced); keep them out
+    sample_counts(EnsembleParams(b=1.0, alpha=0.0, n=5), disks, 1, seed=0)
+    monkeypatch.setattr(sampler, "bernoulli_profile", profile_then_reset_peak)
     tracemalloc.start()
     try:
         sample_counts(params, disks, SAMPLE_BLOCK, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < SAMPLE_BLOCK * w * 8 / 3
+    (prof,) = built
+    w = len(prof.rows)
+    assert w > 40_000
+    arrays = sum(a.nbytes for a in (prof.rows, prof.log_P, prof.log_Q, prof.Pw))
+    assert peak < arrays + 2 * 8 * max(sampler._DRAW_BUDGET, w)
+    assert max(build_peak[0], peak) < SAMPLE_BLOCK * w * 8 / 3
 
 
 def _poisson_binomial(probs):
@@ -238,6 +312,13 @@ def test_sampler_input_validation():
     params = EnsembleParams(b=1.0, alpha=0.0, n=5)
     with pytest.raises(ValueError):
         sample_counts(params, _disks(0.5), 0, seed=1)
+
+
+@pytest.mark.parametrize("threads", [0, -2, 1.5, True, "2", None])
+def test_threads_must_be_a_positive_int(threads):
+    params = EnsembleParams(b=1.0, alpha=0.0, n=5)
+    with pytest.raises(ValueError, match="threads"):
+        sample_counts(params, _disks(0.5), 10, seed=1, threads=threads)
 
 
 # --- mc_cumulants -------------------------------------------------------------

@@ -112,6 +112,12 @@ def test_clt_deterministic():
     np.testing.assert_allclose(a.covariance, b.covariance, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("threads", [0, 1.5, True])
+def test_clt_rejects_bad_threads(threads):
+    with pytest.raises(ValueError, match="threads"):
+        clt_experiment(_params(n=200), [0.5], None, num_samples=300, seed=1, threads=threads)
+
+
 @pytest.mark.parametrize("b, bulk_r, s, match", [
     (1.0, [2.0], None, r"c2 = 0\.0 of disk 0"),  # outside the support: no fluctuation
     (6000.0, [0.5], None, r"r\^b underflows to 0"),
