@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import series
-from .exact import Disk, DiskSystem, EnsembleParams, support_radius
+from .exact import Disk, DiskSystem, EnsembleParams, is_int, support_radius
 from .specfun import ZETA_PRIME_MINUS_ONE, erfc, erfcx, log_barnes_g, unit_rule
 
 __all__ = [
@@ -367,7 +367,7 @@ def cumulant_coeffs(j: int, params: EnsembleParams,
                     disks: DiskSystem) -> tuple[CumulantSeries, ...]:
     """The order-j cumulant series of each disk in its regime: the cumulant
     twin of `theorem_coefficients` (params.n is unused)."""
-    if not (isinstance(j, int) and 1 <= j <= series.MAX_ORDER):
+    if not (is_int(j) and 1 <= j <= series.MAX_ORDER):
         raise ValueError(f"cumulant order must be an integer in 1..{series.MAX_ORDER}, got {j!r}")
     kernel = _derivative_kernel(j)
     parts = _per_disk(params, disks, lambda disk: kernel)
@@ -487,14 +487,18 @@ def _log_coefficient(b: float, alpha: float) -> float:
 
 
 def zn_constant(b: float, alpha: float, n1: int, n2: int) -> float:
-    """The constant term for rational b = n1/n2, via zeta'(-1) and Barnes G."""
+    """The constant term for rational b = n1/n2, via zeta'(-1) and Barnes G;
+    a ValueError naming (b, alpha) where it is past double range."""
     total = n1 * n2 * ZETA_PRIME_MINUS_ONE
     total += (b * (n2 - n1) + 2.0 * n1 * alpha) / (4.0 * b) * math.log(2.0 * math.pi)
     total -= _log_coefficient(b, alpha) * math.log(n1)
-    for jj in range(1, n2 + 1):
-        for kk in range(1, n1 + 1):
-            total -= log_barnes_g((jj + alpha / b - 1.0) / n2 + kk / n1)
-    return total
+    try:
+        for jj in range(1, n2 + 1):
+            for kk in range(1, n1 + 1):
+                total -= log_barnes_g((jj + alpha / b - 1.0) / n2 + kk / n1)
+    except ValueError:  # its arguments are > 0, so log G(z) is past double range
+        total = math.inf
+    return _finite("log Z_n constant", (total,), b=b, alpha=alpha)[0]
 
 
 def zn_expansion(params: EnsembleParams) -> ZnExpansion:

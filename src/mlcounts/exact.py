@@ -18,21 +18,21 @@ sampler draws one uniform U_j per window row and counts particle j in disk l
 when U_j < P_jl; everything but the MGF takes the profile at u = 0.
 
 Only an O(sqrt n) window of rows around j ~ b n r_l^(2b) has P_jl away from
-0 and 1.  The profile evaluates that window; every other row is saturated
-(its prefactor z^a e^-z/Gamma(a) is below e^-60) and enters each sum in
-closed form.
+0 and 1; every other row is saturated (its prefactor z^a e^-z/Gamma(a) is
+below e^-60) and enters each sum in closed form.  ``BernoulliProfile`` is
+that window, with its rows of P evaluated on first access, which only the
+sampler needs (``bernoulli_profile``).
 
-The statistics (log-MGF, means, covariances, cumulants) sum their per-row
-terms over the window with ``_window_sums``, one merged run at a time: by
-rows, or, where a run is wide against the scale s on which its terms vary
-(s = b sqrt(z) / sqrt(max(order, weight spread, 1)) rows) and the integral is
+The log-MGF and the cumulants (means and covariances are orders 1 and 2) sum
+their per-row terms with ``_window_sums``, one merged run at a time: by rows,
+or, where a run is wide against the scale s on which its terms vary (s = b
+sqrt(z) / sqrt(max(order, weight spread, 1)) rows) and the integral is
 cheaper, as sum_j f(j) = integral f + (f(A) + f(L))/2 + Gregory's end
 differences where row 0 or n - 1 cuts the run.  The summand is analytic in
 j, so that Euler-Maclaurin remainder is exponentially small in s (below
 1e-18 from s = 3); the integral is composite Gauss-Legendre, checked against
-its doubling.  MAX_WINDOW_ROWS bounds only the rows that are summed (and
-the profile, which the sampler draws from), so the statistics come back in
-milliseconds at any n below 2^63.
+its doubling.  MAX_WINDOW_ROWS bounds only the rows that are summed or
+evaluated, so the statistics come back in milliseconds at any n below 2^63.
 """
 
 from __future__ import annotations
@@ -71,6 +71,11 @@ MAX_WINDOW_ROWS = 2**23
 _RADII_DISTINCT_RTOL = 1e-12
 
 
+def is_int(v) -> bool:
+    """v is a Python or numpy integer and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def support_radius(b: float) -> float:
     """Edge of the equilibrium support, b^(-1/(2b)), for b > 0.  Raises
     ValueError where it is not a finite float (b below ~0.0039)."""
@@ -97,7 +102,7 @@ class EnsembleParams:
         if not (self.alpha > -1 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and > -1, got {self.alpha!r}")
         # profile rows are int64 indices
-        if not (isinstance(self.n, (int, np.integer)) and 1 <= self.n < 2**63):
+        if not (is_int(self.n) and 1 <= self.n < 2**63):
             raise ValueError(f"n must be an integer in [1, 2^63), got {self.n!r}")
         support_radius(self.b)  # raises where b^(-1/(2b)) leaves double range
 
@@ -224,43 +229,6 @@ def _tails(u: np.ndarray) -> np.ndarray:
         return np.concatenate([np.cumsum(u[::-1])[::-1], [0.0]])
 
 
-@dataclass(frozen=True)
-class BernoulliProfile:
-    """Per-particle disk probabilities P[j, l] = P((j+1+alpha)/b, n r_l^(2b)).
-
-    Row j is particle j+1.  Only the window rows (``rows``, increasing) are
-    evaluated, in log form: outside the window every entry is within
-    e^-60 / max_l,k e^(U_l - U_k) of 0 or 1, and is 1 exactly on the rows
-    j < inside[l] (shape below n r_l^(2b)).  ``P`` is the dense (n, p) view,
-    built on first access.
-    """
-
-    n: int
-    rows: np.ndarray  # (w,) window rows
-    log_P: np.ndarray  # (w, p) log P on the window rows
-    log_Q: np.ndarray  # (w, p) log(1 - P) on the window rows, evaluated directly
-    Pw: np.ndarray  # (w, p) exp(log_P)
-    inside: np.ndarray  # (p,) saturated value is 1 on rows j < inside[l]
-    ones: np.ndarray  # (p,) saturated rows inside each disk
-
-    @property
-    def saturated(self) -> np.ndarray:
-        """(p+1,) saturated rows per annulus; annulus l lies inside disks l..p-1."""
-        return np.diff(self.ones, prepend=0, append=self.n - len(self.rows))
-
-    @property
-    def log_q(self) -> np.ndarray:
-        """(w, p+1) log annulus probabilities of the window rows (``_log_annuli``)."""
-        return _log_annuli(self.log_P, self.log_Q)
-
-    @functools.cached_property
-    def P(self) -> np.ndarray:
-        """(n, p) dense profile."""
-        P = (np.arange(self.n)[:, None] < self.inside[None, :]).astype(float)
-        P[self.rows] = self.Pw
-        return P
-
-
 def _log_annuli(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
     """(m, p+1) log annulus probabilities from (m, p) log P and log Q:
     differences of P below 1/2 and of Q above, so a tiny q keeps its
@@ -327,17 +295,33 @@ def _rows(runs: Sequence[tuple[int, int]]) -> np.ndarray:
     return np.concatenate([np.arange(start, stop) for start, stop in runs] + [np.arange(0)])
 
 
-class _Window:
-    """The saturation window of (params, disks): per column its argument z,
-    its run of unsaturated rows and the count `inside` of rows whose shape
-    lies below z (``_column_window``); the merged runs; and the spread
-    max U - min U of the weights it was found at.  (A plain class: a frozen
-    dataclass costs ~1 ms of every import.)"""
+class BernoulliProfile:
+    """The saturation window of (params, disks) and, on it, the per-particle
+    disk probabilities P[j, l] = P((j+1+alpha)/b, n r_l^(2b)); row j is
+    particle j+1.
+
+    Per column l: its argument z_l, its run of unsaturated rows
+    (``_column_window``; ``runs`` merges them) and the count inside[l] of
+    rows whose shape lies below z_l.  Off the window every entry is within
+    e^-60 / e^spread (spread = max U - min U of the weights) of 0 or 1, and
+    is 1 exactly on the rows j < inside[l]; ``ones`` and ``saturated`` count
+    them.  ``rows``, ``log_P``, ``log_Q`` and ``Pw`` are evaluated on first
+    access (``bernoulli_profile`` forces it; the statistics never do), and so
+    is ``P``, the dense (n, p) view.  (A plain class: a frozen dataclass
+    costs ~1 ms of every import.)
+    """
 
     def __init__(self, params: EnsembleParams, z: np.ndarray, columns: tuple[range, ...],
                  inside: np.ndarray, spread: float):
-        self.params, self.z, self.columns, self.inside, self.spread = params, z, columns, inside, spread
+        self.params, self.n, self.z, self.columns = params, params.n, z, columns
+        self.inside, self.spread = inside, spread
         self.runs = _merge(columns)
+        width = sum(stop - start for start, stop in self.runs)
+        # saturated rows inside each disk (rows below `inside` off the window),
+        # and per annulus (p+1,): annulus l lies inside disks l..p-1
+        below = [sum(max(0, min(stop, int(i)) - start) for start, stop in self.runs) for i in inside]
+        self.ones = inside - np.array(below, dtype=inside.dtype)
+        self.saturated = np.diff(self.ones, prepend=0, append=self.n - width)
 
     def check_rows(self, runs: Sequence[tuple[int, int]]) -> None:
         """ValueError, before any row is built, where the rows of `runs` hold
@@ -345,22 +329,7 @@ class _Window:
         width = sum(max(0, min(c.stop, stop) - max(c.start, start))
                     for c in self.columns for start, stop in runs)
         if width > MAX_WINDOW_ROWS:
-            raise ValueError(f"{width} window rows at n = {self.params.n}, over MAX_WINDOW_ROWS = 2^23")
-
-    @property
-    def ones(self) -> np.ndarray:
-        """(p,) saturated rows inside each disk: the rows below `inside` that
-        lie off the window."""
-        below = [sum(max(0, min(stop, int(i)) - start) for start, stop in self.runs)
-                 for i in self.inside]
-        return self.inside - np.array(below, dtype=self.inside.dtype)
-
-    @property
-    def saturated(self) -> np.ndarray:
-        """(p+1,) saturated rows per annulus; annulus l lies inside disks l..p-1."""
-        width = sum(stop - start for start, stop in self.runs)
-        ones = self.ones.tolist()
-        return np.array([b - a for a, b in zip([0, *ones], [*ones, self.params.n - width])])
+            raise ValueError(f"{width} window rows at n = {self.n}, over MAX_WINDOW_ROWS = 2^23")
 
     def evaluate(self, x: np.ndarray, shapes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(m, p) log P and log Q at row positions x (rows, or real nodes)
@@ -386,8 +355,33 @@ class _Window:
                 start += i.size
         return log_P, log_Q
 
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """(w,) window rows, increasing; ValueError past MAX_WINDOW_ROWS."""
+        self.check_rows(self.runs)
+        return _rows(self.runs)
 
-def _window(params: EnsembleParams, disks: DiskSystem) -> _Window:
+    @functools.cached_property
+    def _log_pq(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.evaluate(self.rows)
+
+    log_P = property(lambda self: self._log_pq[0], doc="(w, p) log P on the window rows.")
+    log_Q = property(lambda self: self._log_pq[1], doc="(w, p) log(1 - P), evaluated directly.")
+
+    @functools.cached_property
+    def Pw(self) -> np.ndarray:
+        """(w, p) exp(log_P)."""
+        return np.exp(self.log_P)
+
+    @functools.cached_property
+    def P(self) -> np.ndarray:
+        """(n, p) dense profile."""
+        P = (np.arange(self.n)[:, None] < self.inside[None, :]).astype(float)
+        P[self.rows] = self.Pw
+        return P
+
+
+def _window(params: EnsembleParams, disks: DiskSystem) -> BernoulliProfile:
     """The window of (params, disks) at the disks' weights.  A row is
     saturated in a column when its prefactor stays below e^-60 after scaling
     by the largest ratio of the weights e^(U_l), U_l = u_l + ... + u_p, so
@@ -401,23 +395,21 @@ def _window(params: EnsembleParams, disks: DiskSystem) -> _Window:
         z = params.n * radii ** (2.0 * params.b)
     columns, inside = zip(*(_column_window(params, float(zl), SATURATED_LOG_PREFACTOR - spread)
                             for zl in z))
-    return _Window(params, z, columns, np.array(inside), spread)
+    return BernoulliProfile(params, z, columns, np.array(inside), spread)
 
 
 def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliProfile:
-    """Evaluate the incomplete-gamma profile for (params, disks) on its window.
+    """The incomplete-gamma profile of (params, disks), its window rows
+    evaluated.
 
     Each disk's column is evaluated on its own run of unsaturated rows
     (``_column_window``), and the window is the union of those runs; a
     column whose run is empty is all saturated.  One evaluator call covers
     every column.  Raises ValueError past MAX_WINDOW_ROWS, before any row is
     built."""
-    window = _window(params, disks)
-    window.check_rows(window.runs)
-    rows = _rows(window.runs)
-    log_P, log_Q = window.evaluate(rows)
-    return BernoulliProfile(n=params.n, rows=rows, log_P=log_P, log_Q=log_Q, Pw=np.exp(log_P),
-                            inside=window.inside, ones=window.ones)
+    profile = _window(params, disks)
+    profile.Pw  # evaluates rows, log_P and log_Q
+    return profile
 
 
 # The window integral.  A run is integrated only where the summand's scale s
@@ -454,7 +446,7 @@ def _end_weights(cut: bool) -> np.ndarray:
     return w
 
 
-def _panels(window: _Window, start: int, stop: int, order: int) -> int:
+def _panels(window: BernoulliProfile, start: int, stop: int, order: int) -> int:
     """Coarse panels of the integral over the run [start, stop), or 0 where
     rows are cheaper or the remainder is not provably below eps.
 
@@ -661,11 +653,12 @@ def log_partition_exact(params: EnsembleParams) -> float:
 def _normalize_orders(orders: Sequence, p: int) -> list[tuple[int, ...]]:
     normalized = []
     for k in orders:
-        if isinstance(k, (int, np.integer)):
-            if p != 1:
-                raise ValueError("scalar orders are only allowed for a single disk")
-            k = (int(k),)
-        k = tuple(int(v) for v in k)
+        if is_int(k) and p != 1:
+            raise ValueError("scalar orders are only allowed for a single disk")
+        k = tuple(k) if isinstance(k, Iterable) else (k,)
+        if not all(map(is_int, k)):
+            raise ValueError(f"cumulant multi-index {k!r} has a non-integer entry")
+        k = tuple(map(int, k))
         if len(k) != p:
             raise ValueError(f"multi-index {k} does not match p={p} disks")
         if any(v < 0 for v in k) or sum(k) < 1:
@@ -676,23 +669,16 @@ def _normalize_orders(orders: Sequence, p: int) -> list[tuple[int, ...]]:
     return normalized
 
 
-def _second_moments(log_P: np.ndarray, log_Q: np.ndarray, pairs) -> list[np.ndarray]:
-    """Per-row means P[:, l] (pairs (l, None)) and covariances P[:, lo] Q[:, hi]
-    (pairs (lo, hi), lo <= hi), Q = 1 - P taken from its own log, so a P near
-    1 keeps Q's relative accuracy; saturated rows add 0 to a covariance.
-    Their sums are nonnegative, so their relative error is at most about
-    log2(w) eps."""
-    return [np.exp(log_P[:, lo]) if hi is None else np.exp(log_P[:, lo] + log_Q[:, hi])
-            for lo, hi in pairs]
-
-
 def joint_cumulants_exact(
     params: EnsembleParams, disks: DiskSystem, orders: Sequence
 ) -> list[float]:
     """Exact joint cumulants at u = 0 for the requested multi-indices.
 
-    Orders 1 and 2 use the Bernoulli closed forms; higher orders sum over the
-    window the per-row cumulants of ``series.cumulants`` (no finite
+    Orders 1 and 2 use the Bernoulli closed forms, a row's mean P[:, l] and
+    covariance P[:, lo] Q[:, hi], lo <= hi, with Q = 1 - P from its own log
+    (so a P near 1 keeps Q's relative accuracy); their sums are nonnegative,
+    so their relative error is at most about log2(w) eps.  Higher orders sum
+    over the window the per-row cumulants of ``series.cumulants`` (no finite
     differencing anywhere).  The indicators of nested disks have
     E prod_{l in S} 1{particle in D_rl} = P[:, min S], so every moment is a
     profile column.  A saturated row is deterministic: it adds its indicator
@@ -719,14 +705,15 @@ def joint_cumulants_exact(
         for k in norm:
             support = [i for i, v in enumerate(k) if v > 0]
             if sum(k) <= 2:
-                out += _second_moments(log_P, log_Q, [(min(support), max(support) if sum(k) == 2 else None)])
+                lo, hi = min(support), max(support)
+                out.append(np.exp(log_P[:, lo]) if sum(k) == 1 else np.exp(log_P[:, lo] + log_Q[:, hi]))
                 scales.append(out[-1])
             else:
                 out.append(series.cumulants(
                     [k[i] for i in support],
                     lambda a: Pw[:, min(i for i, v in zip(support, a) if v)],
                 ))
-                scales.append(sum(_second_moments(log_P, log_Q, [(i, i) for i in support])))
+                scales.append(sum(np.exp(log_P[:, i] + log_Q[:, i]) for i in support))
         return np.array(out), np.array(scales)
 
     sums, window = _window_sums(params, disks.unweighted(), terms, max(map(sum, norm)))
@@ -737,16 +724,13 @@ def joint_cumulants_exact(
 def mean_var_exact(
     params: EnsembleParams, disks: DiskSystem
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariance matrix of the disk counts; the weights play no part."""
+    """Means and covariance matrix of the disk counts: the order-1 and
+    order-2 joint cumulants (``joint_cumulants_exact``); the weights play
+    no part."""
     p = len(disks.disks)
-    pairs = [(l, None) for l in range(p)] + [(lo, hi) for lo in range(p) for hi in range(lo, p)]
-    def terms(log_P, log_Q):
-        out = np.array(_second_moments(log_P, log_Q, pairs))
-        return out, out
-
-    sums, window = _window_sums(params, disks.unweighted(), terms, 2)
-    means = sums[:p] + window.ones
+    eye = np.eye(p, dtype=int)
+    lo, hi = np.triu_indices(p)
+    cums = joint_cumulants_exact(params, disks, [*map(tuple, eye), *map(tuple, eye[lo] + eye[hi])])
     cov = np.empty((p, p))
-    for (lo, hi), v in zip(pairs[p:], sums[p:]):
-        cov[lo, hi] = cov[hi, lo] = v
-    return means, cov
+    cov[lo, hi] = cov[hi, lo] = cums[p:]
+    return np.array(cums[:p]), cov

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import DiskSystem, EnsembleParams, bernoulli_profile
+from .exact import DiskSystem, EnsembleParams, bernoulli_profile, is_int
 
 __all__ = ["SAMPLE_BLOCK", "McCumulants", "SampleBatch", "mc_cumulants", "sample_counts"]
 
@@ -67,11 +67,14 @@ def sample_counts(
     seed: int,
     threads: int = 1,
 ) -> SampleBatch:
-    """Draw `num_samples` independent copies of the joint disk counts over
-    at most `threads` workers (an int >= 1)."""
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples!r}")
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+    """Draw `num_samples` independent copies of the joint disk counts from
+    the streams of `seed` over at most `threads` workers.  num_samples and
+    threads are ints >= 1 and seed an int, else a ValueError names them."""
+    if not (is_int(num_samples) and num_samples >= 1):
+        raise ValueError(f"num_samples must be an int >= 1, got {num_samples!r}")
+    if not is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if not (is_int(threads) and threads >= 1):
         raise ValueError(f"threads must be an int >= 1, got {threads!r}")
     profile = bernoulli_profile(params, disks.unweighted())
     Pw = profile.Pw
@@ -86,11 +89,12 @@ def sample_counts(
             active.append((l, slice(lo, hi), col[lo:hi]))
     blocks = range(-(-num_samples // SAMPLE_BLOCK))
     step = min(max(1, _DRAW_BUDGET // max(w, 1)), SAMPLE_BLOCK, num_samples)  # samples per run
+    stream = int(seed) & 0xFFFFFFFFFFFFFFFF
 
     def fill(ks: range) -> None:
         buf = np.empty((step, w))
         for k in ks:
-            key = np.array([seed & 0xFFFFFFFFFFFFFFFF, k], dtype=np.uint64)
+            key = np.array([stream, k], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
             end = min((k + 1) * SAMPLE_BLOCK, num_samples)
             for start in range(k * SAMPLE_BLOCK, end, step):

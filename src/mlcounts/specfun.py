@@ -520,8 +520,8 @@ def log_reg_gamma_pq(a, z) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(z >= 0):
         bad = np.atleast_1d(z)[~(np.atleast_1d(z) >= 0)][0]
         raise ValueError(f"incomplete gamma requires z >= 0, got {float(bad)!r}")
-    if not np.all(a > 0):
-        raise ValueError("incomplete gamma requires shapes a > 0")
+    if not np.all((a > 0) & (a < np.inf)):
+        raise ValueError("incomplete gamma requires finite shapes a > 0")
     eta, uniform, series = _branches(a, z)
     if uniform.all():
         log_p, log_q = _uniform_log_pq(a, eta)
@@ -577,9 +577,10 @@ def _log_barnes_g_asymptotic(w: float) -> float:
 
 
 def log_barnes_g(z: float) -> float:
-    """log G(z) for z > 0, G the Barnes G-function (G(z+1) = Gamma(z) G(z))."""
-    if not z > 0:
-        raise ValueError(f"log_barnes_g requires z > 0, got {z!r}")
+    """log G(z) for finite z > 0, G the Barnes G-function (G(z+1) = Gamma(z)
+    G(z)); ValueError where log G(z) is past double range (z above ~1e153)."""
+    if not 0 < z < math.inf:
+        raise ValueError(f"log_barnes_g requires finite z > 0, got {z!r}")
     shift = 0
     w = z - 1.0
     while w < _BARNES_MIN_W:
@@ -589,6 +590,8 @@ def log_barnes_g(z: float) -> float:
     total = _log_barnes_g_asymptotic(w)
     for i in range(shift):
         total -= math.lgamma(z + i)
+    if not math.isfinite(total):
+        raise ValueError(f"log G(z) is past double range at z = {z!r}")
     return total
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import ExpansionCoefficients, cumulant_coeffs, theorem_coefficients
-from .exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact
+from .exact import Disk, DiskSystem, EnsembleParams, is_int, log_mgf_exact
 from .sampler import sample_counts
 
 __all__ = [
@@ -48,7 +48,10 @@ class ResidualScan:
 
 
 def _validate_n_values(n_values, minimum_count: int, span: float | None) -> tuple[int, ...]:
-    ns = tuple(int(n) for n in n_values)
+    ns = tuple(n_values)
+    if not all(map(is_int, ns)):
+        raise ValueError(f"n_values must be integers, got {list(ns)!r}")
+    ns = tuple(map(int, ns))
     if len(ns) < minimum_count:
         raise ValueError(f"need at least {minimum_count} n-values, got {len(ns)}")
     if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):

@@ -348,6 +348,13 @@ def test_bulk_rejects_bad_inputs():
         bulk_cumulant_coeffs(1, 1.0, 0.0, 1.2)  # outside the bulk
     with pytest.raises(ValueError, match=r"b = 1e-05"):
         bulk_cumulant_coeffs(2, 1e-5, 0.0, 0.5)  # support radius past double range
+
+
+@pytest.mark.parametrize("j", [True, 1.0, 2.5])
+def test_cumulant_order_must_be_an_int(j):
+    # True used to run as j = 1
+    with pytest.raises(ValueError, match="cumulant order"):
+        cumulant_coeffs(j, EnsembleParams(1.0, 0.0, 1), DiskSystem([Disk.fixed(0.5)]))
     # 0.7^2000 is subnormal, so C4 ~ b / r^b overflows; 0.3^700 is 0
     with pytest.raises(ValueError, match=r"b = 2000, r = 0\.7"):
         bulk_cumulant_coeffs(2, 2000, 0.0, 0.7)
@@ -618,6 +625,12 @@ def test_zn_expansion_matches_mp_oracle():
 def test_zn_expansion_past_double_range_raises(b):
     with pytest.raises(ValueError, match=r"alpha = 1e\+300"):
         zn_expansion(EnsembleParams(b=b, alpha=1e300, n=10))
+
+
+def test_zn_constant_past_double_range_raises():
+    # its Barnes G arguments pass ~1e153: nan, now a ValueError naming alpha
+    with pytest.raises(ValueError, match=r"log Z_n constant not finite at b = 3\.0, alpha = 1e\+300"):
+        zn_constant(3.0, 1e300, 3, 1)
 
 
 def test_zn_irrational_b_flag():

@@ -14,6 +14,7 @@ from mlcounts.exact import (
     Disk,
     DiskSystem,
     EnsembleParams,
+    _log_annuli,
     bernoulli_profile,
     joint_cumulants_exact,
     log_mgf_exact,
@@ -176,7 +177,7 @@ def test_profile_invariants_random_sweep():
         params, disks = _rng_config(rng)
         prof = bernoulli_profile(params, disks)
         assert np.all(np.diff(prof.P, axis=1) >= -1e-13)  # row-monotone
-        q = np.exp(prof.log_q)
+        q = np.exp(_log_annuli(prof.log_P, prof.log_Q))
         np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
         # the annuli inside disk l add up to P[j, l]
         np.testing.assert_allclose(np.cumsum(q, axis=1)[:, :-1], prof.Pw, atol=1e-13)
@@ -395,6 +396,24 @@ def test_cumulants_multi_index_shape_checks():
         joint_cumulants_exact(params, two, [(0, 0)])
 
 
+@pytest.mark.parametrize("orders", [[(1.7,)], [(math.inf,)], [True], [(True,)], [1.7], [(np.float64(2.0),)]])
+def test_cumulant_orders_must_be_integers(orders):
+    # (1.7,) used to run as order 1, (inf,) to escape as OverflowError, and
+    # True to run as order 1
+    params, disks = EnsembleParams(b=1.0, alpha=0.0, n=5), DiskSystem([Disk.fixed(0.5)])
+    with pytest.raises(ValueError, match="non-integer"):
+        joint_cumulants_exact(params, disks, orders)
+
+
+def test_numpy_integer_orders_and_n():
+    params, disks = EnsembleParams(b=1.0, alpha=0.0, n=50), DiskSystem([Disk.fixed(0.5)])
+    want = joint_cumulants_exact(params, disks, [1, (3,)])
+    assert joint_cumulants_exact(params, disks, [np.int64(1), np.array([3])]) == want
+    assert joint_cumulants_exact(EnsembleParams(1.0, 0.0, np.int64(50)), disks, [1, (3,)]) == want
+    with pytest.raises(ValueError, match="n must be an integer"):
+        EnsembleParams(b=1.0, alpha=0.0, n=True)
+
+
 def test_cumulants_match_complex_step():
     rng = random.Random(23)
     for _ in range(6):
@@ -493,6 +512,54 @@ def test_ginibre_bulk_variance_leading_order():
     params = EnsembleParams(b=1.0, alpha=0.0, n=n)
     _, cov = mean_var_exact(params, DiskSystem([Disk.fixed(r)]))
     assert cov[0, 0] == pytest.approx(r * math.sqrt(n / math.pi), rel=0.02)
+
+
+# SHA-256 of mean_var_exact's (means, cov) and of joint_cumulants_exact at every
+# order-1 and order-2 multi-index, for p = 1..4, frozen from the engine in
+# which mean_var_exact summed its own terms.  The configurations are the
+# sampler's stream cases: config B at n = 1e5 (disjoint runs; the edge disk's
+# run is cut by row n - 1, the outside disk's is empty) and config D-like
+# overlapping runs at n = 1e4, each as chosen (integrals) and forced onto rows,
+# and config B at n = 1e8 on the integral path.  Bit-level: another BLAS may
+# round the integral's dot products differently.
+_SECOND_ORDER_CASES = {
+    "disjoint": (2.0, 0.5, 10**5, _CONFIG_B[2]),
+    "overlapping": (1.0, 0.0, 10**4, [Disk.fixed(0.5985), Disk.fixed(0.6298), Disk.fixed(0.66, -0.5),
+                                      Disk.fixed(0.69, 1.5)]),
+    "integral": (2.0, 0.5, 10**8, _CONFIG_B[2]),
+}
+_SECOND_ORDER_DIGESTS = {
+    ("disjoint", "chosen"): "9cb08515eddf613e9a98cd8a1560dd1cdb778da9deb27ce2e1e3958f63ecbb54",
+    ("disjoint", "rows"): "d77c73aff3df48ca1a5ff0c10f076036304df9e123b90a1b2ef432f42a1c8f5c",
+    ("overlapping", "chosen"): "d493dc564e41858cfe28e6d77fdb362454ec469cd1e667ad6302a7cd817dc8ee",
+    ("overlapping", "rows"): "28999e5014a2c76e2dd29f03864cc418ffb5a9231ee314d7143d7124c9ea873e",
+    ("integral", "chosen"): "a67de08ca6b35faffd187c96c4887276b82433e94e7960b4b7d22cd942a0e04d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SECOND_ORDER_DIGESTS))
+def test_second_order_statistics_match_frozen_digest(monkeypatch, case):
+    import hashlib
+
+    import mlcounts.exact as exact
+
+    kind, path = case
+    b, alpha, n, disks = _SECOND_ORDER_CASES[kind]
+    params = EnsembleParams(b, alpha, n)
+    if path == "rows":
+        monkeypatch.setattr(exact, "_panels", lambda *args: 0)
+    else:
+        window = exact._window(params, DiskSystem(disks).unweighted())
+        assert all(exact._panels(window, *run, 2) for run in window.runs)
+    digest = hashlib.sha256()
+    for p in range(1, 5):
+        system = DiskSystem(disks[:p])
+        orders = [tuple(int(i == l) + int(i == h) for i in range(p))
+                  for l in range(p) for h in [None, *range(l, p)]]
+        means, cov = mean_var_exact(params, system)
+        cums = np.array(joint_cumulants_exact(params, system, orders))
+        digest.update(means.tobytes() + cov.tobytes() + cums.tobytes())
+    assert digest.hexdigest() == _SECOND_ORDER_DIGESTS[case]
 
 
 # --- window and log-space MGF --------------------------------------------------
@@ -696,7 +763,7 @@ def test_annulus_probabilities_sum_to_one(config):
     # from log Q above, add up to 1
     params, radii, us, _, _ = config
     profile = bernoulli_profile(params, DiskSystem([Disk.fixed(r, u) for r, u in zip(radii, us)]))
-    assert np.all(np.abs(np.exp(profile.log_q).sum(axis=1) - 1.0) <= 1e-13)
+    assert np.all(np.abs(np.exp(_log_annuli(profile.log_P, profile.log_Q)).sum(axis=1) - 1.0) <= 1e-13)
 
 
 def test_n_past_int64_rejected():
@@ -814,7 +881,7 @@ def _compare_paths(params, disks, orders):
     with np.errstate(all="ignore"):
         x = np.log1p(prof.Pw @ omega)
         logspace = ~np.isfinite(x) | (2.0 * (1.0 + prof.Pw @ omega) < 1.0 + prof.Pw @ np.abs(omega))
-        x[logspace] = np.logaddexp.reduce(prof.log_q[logspace] + U, axis=1)
+        x[logspace] = np.logaddexp.reduce(_log_annuli(prof.log_P, prof.log_Q)[logspace] + U, axis=1)
     out = [(got[0], want[0], _path_bound(x, rnd, params.b, np.abs(prof.saturated * U).sum()))]
     P, Q = plain.Pw, np.exp(plain.log_Q)
     p = P.shape[1]

@@ -321,6 +321,24 @@ def test_threads_must_be_a_positive_int(threads):
         sample_counts(params, _disks(0.5), 10, seed=1, threads=threads)
 
 
+@pytest.mark.parametrize("name, value", [("num_samples", 2.5), ("num_samples", True), ("num_samples", -3),
+                                         ("seed", 1.5), ("seed", None), ("seed", True), ("seed", "7")])
+def test_num_samples_and_seed_must_be_ints(name, value):
+    # these used to escape as TypeError (True ran as one sample)
+    params = EnsembleParams(b=1.0, alpha=0.0, n=5)
+    with pytest.raises(ValueError, match=name):
+        sample_counts(params, _disks(0.5), **{"num_samples": 10, "seed": 1, name: value})
+
+
+def test_numpy_integer_arguments_keep_the_stream():
+    # a numpy seed used to overflow in the stream key
+    params = EnsembleParams(b=1.0, alpha=0.0, n=50)
+    for seed in (np.int64(-5), np.uint64(2**63 + 5)):
+        want = sample_counts(params, _disks(0.6), 300, seed=int(seed)).counts
+        got = sample_counts(params, _disks(0.6), np.int64(300), seed=seed).counts
+        np.testing.assert_array_equal(got, want)
+
+
 # --- mc_cumulants -------------------------------------------------------------
 
 

@@ -469,6 +469,23 @@ def test_barnes_domain():
         log_barnes_g(0.0)
 
 
+def test_barnes_rejects_infinite_and_overflowing_z():
+    # z = inf used to return nan, and so did z past ~1.3e154 (inf - inf),
+    # while log G(z) already overflowed from ~1.3e153
+    assert math.isfinite(log_barnes_g(1e153))
+    for z in (math.inf, 1.3e153, 1e155, 1e300):
+        with pytest.raises(ValueError):
+            log_barnes_g(z)
+
+
+def test_incomplete_gamma_rejects_infinite_shapes():
+    # a = inf used to return nan
+    with pytest.raises(ValueError, match="finite shapes"):
+        reg_lower_gamma(math.inf, 1.0)
+    with pytest.raises(ValueError, match="finite shapes"):
+        log_reg_gamma_pq(np.array([1.0, math.inf]), 2.0)
+
+
 
 # --- log-prefactor, broadcast z, Gauss-Legendre rule ----------------------------
 

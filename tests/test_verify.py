@@ -36,6 +36,16 @@ def test_residual_scan_validation():
         residual_scan(_params(), disks, [10, 100, 200, 800])  # n too small
 
 
+def test_n_values_must_be_integers():
+    # 500.7 used to be read as 500
+    disks = DiskSystem([Disk.fixed(0.6, 1.0)])
+    for n_values in ([500.7, 1000, 2000, 4000], [500, 1000, 2000, True], [500.0, 1000, 2000, 4000]):
+        with pytest.raises(ValueError, match="n_values must be integers"):
+            residual_scan(_params(), disks, n_values)
+    with pytest.raises(ValueError, match="n_values must be integers"):
+        coefficient_fit(_params(), disks, [500, 1000, 2000, 3000, 5000, 8000.5])
+
+
 def test_residual_scan_bulk_rate():
     disks = DiskSystem([Disk.fixed(0.6, 1.0)])
     scan = residual_scan(_params(), disks, [200, 400, 800, 1600])
