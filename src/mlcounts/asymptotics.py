@@ -9,14 +9,14 @@ erfc(-t) = 2 - erfc(t): F(-t, e^u) = u + F(t, e^-u), G(-t, e^u) = -G(t, e^-u).
 
 Each regime's (C1, C2, C3, C4) is written once, as one `quad` of a stack of
 integrands over one interval: [0, T] for a bulk disk, onto which the
-reflection folds the whole-line G integrals, and [s, T + |s|] of the e^-u
+reflection folds the whole-line G integrals, and [max(s, -T), T] of the e^-u
 side for the edge disk, onto which it moves the G integral over t <= -s and
-the F pieces (these taken by parts into G integrals).  The kernel gives F, G
-and G^2 at e^u and e^-u from one erfc call: as values at u (the log-MGF), or
-as exact j-th u-derivatives at u = 0 (the cumulant coefficients, up to
-series.MAX_ORDER) from the power-series engine in ``series``: F(t, e^u) is
-the cumulant generating function of a Bernoulli(erfc(t)/2) variable and
-G(t, e^u) a quotient of series in e^u - 1.
+the F pieces (by parts), as moments t^k G and t^k G^2 in exact powers of s.
+The kernel gives F, G and G^2 at e^u and e^-u from one erfc call: as values
+at u (the log-MGF), or as exact j-th u-derivatives at u = 0 (the cumulant
+coefficients, up to series.MAX_ORDER) from the power-series engine in
+``series``: F(t, e^u) is the cumulant generating function of a
+Bernoulli(erfc(t)/2) variable and G(t, e^u) a quotient of series in e^u - 1.
 
 `quad` is Gauss-Legendre on equal panels, doubled until two successive rules
 agree to QUAD_RTOL; their difference is the reported `quad_error`, and a
@@ -171,9 +171,9 @@ def _named(inputs: dict) -> str:
 
 # overflow in an integrand shows as a non-finite value, for the caller to report
 @np.errstate(over="ignore", invalid="ignore")
-def quad(f, lo: float, hi: float, what: str, **inputs) -> tuple[list, float]:
+def quad(f, lo: float, hi: float, what: str, **inputs) -> tuple[list, np.ndarray]:
     """Integral from lo to hi (signed) of f, which maps a t-array to a stack
-    of integrands (k, t), and the summed difference of the last two rules.
+    of integrands (k, t), and each row's difference of the last two rules.
 
     The rule with QUAD_PANELS panels is doubled until two successive rules
     agree to QUAD_RTOL; the first two always run, so f takes their nodes in
@@ -202,7 +202,7 @@ def quad(f, lo: float, hi: float, what: str, **inputs) -> tuple[list, float]:
         panels *= 2
         x, w = unit_rule(panels)
         prev, rows = value, f(lo + span * x)
-    return value.tolist(), float(np.sum(diff))
+    return value.tolist(), diff
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +242,6 @@ def _finite(what: str, values: tuple, **inputs) -> tuple:
     return values
 
 
-def _flag_extreme_s(s_frak: float) -> None:
-    if abs(s_frak) > 6.0:
-        side = ("the e^(-s^2) factors underflow and the returned coefficients are "
-                "effectively their saturated limits" if s_frak > 0 else
-                "the coefficients grow with |s| and do not saturate; further out "
-                "the quadrature does not converge and raises ValueError")
-        frame, level = sys._getframe(1), 2  # blamed: the first caller outside the package
-        while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(f"edge parameter s = {s_frak} is far outside the Gaussian window; {side}",
-                      RuntimeWarning, stacklevel=level)
-
-
 def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
     """(C1, C2, C3, C4) of a bulk disk and the quadrature error."""
     rb = r**b
@@ -272,52 +259,62 @@ def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[floa
         return np.stack([f_sum, t * (f_plus - f_minus), t2 * f_sum, (g_plus - g_minus) * poly,
                          (g_plus + g_minus) * poly_e, (sq_plus + sq_minus) * poly**2])
 
-    (f_sum, f_odd, f_t2, g_poly, g_e, g_sq), err = quad(
+    (f_sum, f_odd, f_t2, g_poly, g_e, g_sq), diff = quad(
         integrands, 0.0, kernel.tail, "bulk coefficients", b=b, r=r, **kernel.named
     )
     C1 = b * r ** (2.0 * b) * kernel.lin
     C2 = _SQRT2 * b * rb * f_sum
     C3 = -(0.5 + alpha) * kernel.lin + 4.0 * b * f_odd + b * g_poly
     C4 = b / rb * (6.0 * _SQRT2 * f_t2 - (g_e + g_sq / 2.0) / _SQRT2)
-    return _finite("bulk coefficients", (C1, C2, C3, C4), b=b, r=r, **kernel.named), err
+    return _finite("bulk coefficients", (C1, C2, C3, C4), b=b, r=r, **kernel.named), float(np.sum(diff))
 
 
-def _edge(b: float, alpha: float, sf: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
-    """(C1, C2, C3, C4) of the edge disk at parameter sf and the quadrature error.
+def _edge(b: float, alpha: float, s: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
+    """(C1, C2, C3, C4) of the edge disk at parameter s and the quadrature error.
 
     The F integrals (over [0, oo) of F(t, e^-u), the s u term and over
-    [0, -sf] of F(t, e^u)) join, by the reflection, into one over [sf, oo)
-    of F(t, e^-u) W', W = (t - sf) t^k, which is -G(t, e^-u) W by parts.
-    The G integral over t <= -sf is reflected onto it, polynomials at -t.
+    [0, -s] of F(t, e^u)) join, by the reflection, into one over [s, oo)
+    of F(t, e^-u) W', W = (t - s) t^k, which is -G(t, e^-u) W by parts.
+    The G integral over t <= -s is reflected onto it, polynomials at -t.
+    So C2..C4 are exact polynomials in s over the moments M_k of t^k G(t,
+    e^-u), k <= 5, and S_k of t^k G(t, e^-u)^2, k <= 4, on [s, tail] clipped
+    to [-tail, tail]: for s <= -tail they do not depend on s.  The error
+    carries each moment's rule difference through its |weight|; the
+    rounding, about eps sum |terms|, grows like |s| in C3 and s^2 in C4.
     """
-    _flag_extreme_s(sf)
+    if s > 6.0:
+        frame, level = sys._getframe(), 1  # blamed: the first caller outside the package
+        while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"edge parameter s = {s} is far outside the Gaussian window; the "
+                      "e^(-s^2) factors underflow and the returned coefficients are "
+                      "effectively their saturated limits", RuntimeWarning, stacklevel=level)
 
-    def integrands(t):
+    def moments(t):  # t^k G, t^k G^2 by products: numpy's t**k (k >= 3) calls pow() per entry
         _, _, _, g, _, g_sq = kernel(t)
-        by_parts = -g * (t - sf)
-        m = -t
-        m2 = m * m
-        poly = (5.0 * m2 + 3.0 * sf * m - 1.0) / 3.0
-        poly_e = (
-            m * (21.0 + m2 * (50.0 * m2 - 193.0))
-            + 6.0 * sf * (1.0 + m2 * (10.0 * m2 - 29.0))
-            - 9.0 * sf * sf * m * (3.0 - 2.0 * m2)
-        ) / 18.0
-        return np.stack([by_parts, by_parts * t, by_parts * t * t,
-                         -g * poly, -g * poly_e, g_sq * poly**2])
+        rows = [g, g_sq]
+        for _ in range(9):
+            rows.append(rows[-2] * t)
+        return np.stack(rows[0::2] + rows[1::2])
 
-    (f0, f1, f2, g_poly, g_e, g_sq), err = quad(
-        integrands, sf, kernel.tail + abs(sf), "edge coefficients", b=b, s=sf, **kernel.named
-    )
-    _, f_minus_at_s, _, g_minus_at_s, _, _ = kernel(np.array([sf]))[:, 0].tolist()
-    b15 = b * math.sqrt(b)  # a float product: past double range inf, not OverflowError
-    C2 = math.sqrt(2.0 * b) * f0
-    C3 = (0.5 + alpha) * f_minus_at_s - 2.0 * b * f1 + b * g_poly
-    C4 = b15 * (2.0 * _SQRT2 * f2 - (g_e + g_sq / 2.0) / _SQRT2) - (
-        (0.5 + alpha) * (2.0 * sf * sf - 1.0) / (3.0 * _SQRT2) * math.sqrt(b)
+    lo = min(max(s, -kernel.tail), kernel.tail)
+    m, diff = quad(moments, lo, kernel.tail, "edge coefficients", b=b, s=s, **kernel.named)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is reported by name
+        weights = np.array([  # C2, C3 and C4 less their point terms, on M_0..M_5, S_0..S_4
+            [s, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, -3.0 * s, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [6.0 * s, 27.0 * s * s - 21.0, -102.0 * s, 121.0 - 18.0 * s * s, 60.0 * s, -50.0,
+             -1.0, -6.0 * s, 10.0 - 9.0 * s * s, 30.0 * s, -25.0],
+        ]) * [[math.sqrt(2.0 * b)], [b / 3.0], [b * math.sqrt(b) / (18.0 * _SQRT2)]]
+        C2, C3, C4 = (weights @ m).tolist()
+        err = float(np.sum(np.abs(weights) @ diff))
+    _, f_minus_at_s, _, g_minus_at_s, _, _ = kernel(np.array([s]))[:, 0].tolist()
+    C3 += (0.5 + alpha) * f_minus_at_s
+    C4 -= (
+        (0.5 + alpha) * (2.0 * s * s - 1.0) / (3.0 * _SQRT2) * math.sqrt(b)
         + (1.0 + 6.0 * alpha + 6.0 * alpha * alpha) / (12.0 * math.sqrt(2.0 * b))
-    ) * g_minus_at_s  # the formula's G(-sf, e^u) is -G(sf, e^-u)
-    return _finite("edge coefficients", (kernel.lin, C2, C3, C4), b=b, s=sf, **kernel.named), err
+    ) * g_minus_at_s  # the formula's G(-s, e^u) is -G(s, e^-u)
+    return _finite("edge coefficients", (kernel.lin, C2, C3, C4), b=b, s=s, **kernel.named), err
 
 
 def _per_disk(params: EnsembleParams, disks: DiskSystem, kernel: Callable) -> list[tuple]:

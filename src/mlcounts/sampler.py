@@ -139,8 +139,8 @@ def _kstats(m2: np.ndarray, m3: np.ndarray, m4: np.ndarray, s) -> tuple:
 
 def mc_cumulants(batch: SampleBatch, max_order: int = 4) -> McCumulants:
     """Unbiased cumulant estimates through order <= 4 with jackknife SEs."""
-    if not 1 <= max_order <= 4:
-        raise ValueError(f"max_order must be in 1..4, got {max_order!r}")
+    if not (is_int(max_order) and 1 <= max_order <= 4):
+        raise ValueError(f"max_order must be an int in 1..4, got {max_order!r}")
     S = batch.num_samples
     if S < 10 * max_order:
         raise ValueError(f"need at least {10 * max_order} samples, got {S}")

@@ -16,7 +16,8 @@ log(lambda), each shape takes one branch:
   P = z^a e^-z / Gamma(a+1) sum_k z^k / ((a+1)...(a+k)), and for a < 1,
   where Q ~ a E1(z) is small, log Q from the small-shape series
   Q = 1 - z^a/Gamma(1+a) (1 + a sum_n (-z)^n / (n! (a+n)));
-* continued fraction, elsewhere: log Q from the Legendre continued fraction.
+* continued fraction, elsewhere: log Q from the Legendre continued fraction;
+* saturated, a >= A_SATURATED off the uniform branch: P = 0 or 1 exactly.
 
 Where a branch gives one log, the other is log(1 - e^x) of it.  Every
 branch keeps P and Q within 1e-13 absolute (the frozen 50-digit grid), and
@@ -61,6 +62,7 @@ __all__ = [
 # Changing either means regenerating _TEMME_TAYLOR.
 A_UNIFORM = 20.0
 ETA_UNIFORM = 1.0
+A_SATURATED = 1e300  # off |eta| <= 1, min(P, Q) < e^(-a/2); lgamma overflows from ~2.5e305
 
 # A prefactor z^a e^-z / Gamma(a) below exp(this) keeps P within ~1e-24 of
 # 0 or 1, far below the 1e-13 absolute budget: such (a, z) are saturated.
@@ -530,11 +532,12 @@ def log_reg_gamma_pq(a, z) -> tuple[np.ndarray, np.ndarray]:
     log_p = np.empty_like(a)
     log_q = np.empty_like(a)
     log_p[uniform], log_q[uniform] = _uniform_log_pq(a[uniform], eta[uniform])
-    zero, infinite = z == 0.0, np.isinf(z)
-    log_p[zero], log_q[zero] = -np.inf, 0.0
-    log_p[infinite], log_q[infinite] = 0.0, -np.inf
-    series &= ~zero
-    frac = ~(uniform | series | zero | infinite)
+    saturated = ~uniform & (a >= A_SATURATED)
+    p_zero, q_zero = (z == 0.0) | (saturated & (z < a)), np.isinf(z) | (saturated & (z > a))
+    log_p[p_zero], log_q[p_zero] = -np.inf, 0.0
+    log_p[q_zero], log_q[q_zero] = 0.0, -np.inf
+    series &= ~p_zero
+    frac = ~(uniform | series | p_zero | q_zero)
     log_p[series] = _log_p_series(a[series], z[series])
     log_q[series] = _log1mexp(log_p[series])
     small = series & (a < 1.0)

@@ -2,11 +2,12 @@ import json
 import math
 import pathlib
 import random
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mlcounts.asymptotics as asym
@@ -21,7 +22,8 @@ from mlcounts.asymptotics import (
     zn_constant,
     zn_expansion,
 )
-from mlcounts.exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact, log_partition_exact
+from mlcounts.exact import (Disk, DiskSystem, EnsembleParams, log_mgf_exact, log_partition_exact,
+                            support_radius)
 from mlcounts.series import MAX_ORDER
 from mlcounts.verify import clt_experiment
 
@@ -542,15 +544,81 @@ def test_edge_quadrature_matches_closed_forms():
                     assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (b, alpha, s, got, want)
 
 
+EPS = 2.0**-52
+
+
+def _edge_vs_bulk(b, alpha, s, j=None, u=None):
+    """(got, want, err, terms) for each edge coefficient at s << 0: the order-j
+    cumulant series (c, d, e) with j given, else (C1, C2, C3, C4) at weight u.
+
+    The edge radius obeys r^(2b) = r*^(2b) (1 + sqrt(2b) s/sqrt(n)), so at
+    fixed s the bulk series re-expands into the edge one, up to O(e^(-s^2)):
+    c = c_b + [j = 1] sqrt(2b) s, d = d_b + c_b sqrt(2b) s/2 and
+    e = e_b - c_b b s^2/4, and C1 = u, C2 = C2_b + sqrt(2b) s u,
+    C3 = C3_b + C2_b sqrt(2b) s/2, C4 = C4_b - C2_b b s^2/4.  The subscript b
+    is the bulk at r*: c and C2 scale as r^b, d and C3 do not depend on r,
+    and e and C4 scale as r^-b, so it is the bulk at r*/2 scaled by 2^b.
+    `err` is the edge's quad_error plus the bulk's, carried through 2^b and
+    the largest factor in s that multiplies a bulk value; `terms` is the
+    sum of |terms| on the right.
+    """
+    params, grow, k = EnsembleParams(b, alpha, 1), 2.0**b, math.sqrt(2.0 * b)
+    bulk_disks = DiskSystem([Disk.fixed(support_radius(b) / 2.0, 0.0 if u is None else u)])
+    if j is None:
+        edge = theorem_coefficients(params, DiskSystem([Disk.edge(s, u)]))
+        bulk = theorem_coefficients(params, bulk_disks)
+        got, lead = (edge.C1, edge.C2, edge.C3, edge.C4), u
+        c_b, d_b, e_b = bulk.C2 * grow, bulk.C3, bulk.C4 / grow
+    else:
+        edge = edge_cumulant_coeffs(j, b, alpha, s)
+        bulk = cumulant_coeffs(j, params, bulk_disks)[0]
+        got, lead = (edge.leading, edge.c, edge.d, edge.e), float(j == 1)
+        c_b, d_b, e_b = bulk.c * grow, bulk.d, bulk.e / grow
+    pairs = [(lead, 0.0), (c_b, k * s * lead), (d_b, c_b * k * s / 2.0),
+             (e_b, -c_b * b * s * s / 4.0)]
+    err = edge.quad_error + grow * (1.0 + k * abs(s) + b * s * s) * bulk.quad_error
+    return [(g, base + shift, err, abs(base) + abs(shift)) for g, (base, shift) in zip(got, pairs)]
+
+
+def _assert_matches_bulk(b, alpha, s, j=None, u=None):
+    # 4x the quadrature errors (the largest deviation seen was 0.89x, j = 10 at
+    # s = -300) plus 16 eps of the terms, the rounding of the re-expansion,
+    # which turns absolute below the smallest normal double (at subnormal u)
+    for got, want, err, terms in _edge_vs_bulk(b, alpha, s, j, u):
+        assert math.isfinite(got)
+        quad_bound, floor = 4.0 * err, 16.0 * sys.float_info.min
+        case = (b, alpha, s, j, u, got, want, err)
+        assert abs(got - want) <= quad_bound + 16.0 * EPS * terms + floor, case
+        if s <= -300.0:  # there the quadrature errors alone carry it
+            assert abs(got - want) <= quad_bound + floor, case
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.floats(0.5, 4.0), alpha=st.floats(-1.0, 1.0, exclude_min=True),
+       j=st.integers(1, MAX_ORDER), u=st.floats(-5.0, 5.0))
+@example(b=1.0, alpha=0.0, j=12, u=-3.0)
+@example(b=1.0, alpha=0.0, j=5, u=0.7)
+@example(b=1.0, alpha=0.0, j=5, u=5.0)
+@example(b=3.7, alpha=0.3, j=12, u=0.7)
+def test_edge_far_inside_is_the_bulk_re_expanded(b, alpha, j, u):
+    # each edge coefficient is a polynomial in s over s-free moments, so it
+    # stays finite and converged at any s << 0 (order 12 used to raise
+    # "quadrature not converged" at s = -90, order 5 at s = -300), unflagged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (-9.0, -15.0, -40.0, -90.0, -300.0):
+            _assert_matches_bulk(b, alpha, s, j=j)
+            _assert_matches_bulk(b, alpha, s, u=u)
+
+
 def test_extreme_edge_parameter_is_flagged():
     with pytest.warns(RuntimeWarning) as record:
         series = edge_cumulant_coeffs(1, 1.0, 0.0, 7.5)
     assert any("edge parameter" in str(w.message) for w in record)
     assert math.isfinite(series.c)  # predictions still returned
-    params = EnsembleParams(b=1.0, alpha=0.0, n=10000)
-    with pytest.warns(RuntimeWarning), warnings.catch_warnings():
-        warnings.simplefilter("always")
-        theorem_coefficients(params, DiskSystem([Disk.edge(-6.5, 0.4)]))
+    with warnings.catch_warnings():  # below s = -6 nothing is flagged
+        warnings.simplefilter("error")
+        _assert_matches_bulk(1.0, 0.0, -6.5, u=0.4)
 
 
 @pytest.mark.parametrize("call", [
@@ -568,15 +636,15 @@ def test_extreme_edge_flag_blames_the_caller(call):
 
 
 def test_extreme_edge_flag_states_each_side():
-    # past s = 6 the coefficients are their saturated limits; below s = -6
-    # they keep growing (e_12 = 94.0 at s = -80) until the quadrature raises
+    # past s = 6 the coefficients are their saturated limits, and flagged;
+    # below s = -6 they grow as polynomials in s, the bulk's re-expanded,
+    # and are not flagged
     with pytest.warns(RuntimeWarning, match=r"s = 7\.5 .*saturated limits"):
         edge_cumulant_coeffs(12, 1.0, 0.0, 7.5)
-    with pytest.warns(RuntimeWarning, match=r"s = -80\.0 .*do not saturate"):
-        assert edge_cumulant_coeffs(12, 1.0, 0.0, -80.0).e == pytest.approx(94.0, abs=0.1)
-    with pytest.warns(RuntimeWarning, match=r"raises ValueError"):
-        with pytest.raises(ValueError, match=r"not converged at b = 1\.0, s = -90\.0, j = 12"):
-            edge_cumulant_coeffs(12, 1.0, 0.0, -90.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (-80.0, -90.0):
+            _assert_matches_bulk(1.0, 0.0, s, j=12)
 
 
 def test_edge_series_evaluate():

@@ -389,6 +389,14 @@ def test_mc_insufficient_samples():
         mc_cumulants(batch, max_order=4)
 
 
+@pytest.mark.parametrize("max_order", [True, 2.5, 0, 5])
+def test_mc_rejects_bad_max_order(max_order):
+    # True used to run as order 1 and 2.5 to escape as TypeError
+    batch = sample_counts(EnsembleParams(b=1.0, alpha=0.0, n=5), _disks(0.5), 50, seed=1)
+    with pytest.raises(ValueError, match="max_order"):
+        mc_cumulants(batch, max_order=max_order)
+
+
 def test_mc_jackknife_se_scale():
     # SE of the mean must match sigma/sqrt(S)
     params = EnsembleParams(b=1.0, alpha=0.0, n=100)

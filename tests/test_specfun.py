@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,16 @@ def test_p_trivia():
     assert reg_lower_gamma(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
     assert reg_lower_gamma(3.7, 0.0) == 0.0
     assert reg_lower_gamma(0.5, 1.0) == pytest.approx(math.erf(1.0), rel=1e-13)
+
+
+def test_p_saturates_past_lgamma_range():
+    # lgamma(a) overflows from a ~ 2.5e305: these raised OverflowError, the
+    # last after a numpy overflow warning in the continued fraction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reg_lower_gamma(3e305, 1.0) == 0.0
+        assert reg_lower_gamma(1e308, 1.0) == 0.0
+        assert reg_lower_gamma(3e305, 1e306) == 1.0
 
 
 def test_p_domain():
