@@ -63,7 +63,9 @@ __all__ = [
 ]
 
 # Evaluated window rows, summed over the columns, of a profile (which the sampler
-# draws from) or of the runs a statistic sums by rows (~1.8 GB at ~217 bytes a row)
+# draws from) or of the runs a statistic sums by rows.  Traced for one disk:
+# ~75 bytes a row for a profile (0.6 GB here), 84-96 for the log-MGF, means
+# and variances, ~224 for cumulants of orders 1-6 (1.9 GB)
 MAX_WINDOW_ROWS = 2**23
 
 # Radii closer than this (relative) are treated as equal, which is an input
@@ -319,9 +321,11 @@ class BernoulliProfile:
         width = sum(stop - start for start, stop in self.runs)
         # saturated rows inside each disk (rows below `inside` off the window),
         # and per annulus (p+1,): annulus l lies inside disks l..p-1
-        below = [sum(max(0, min(stop, int(i)) - start) for start, stop in self.runs) for i in inside]
-        self.ones = inside - np.array(below, dtype=inside.dtype)
-        self.saturated = np.diff(self.ones, prepend=0, append=self.n - width)
+        ones = [i - sum(max(0, min(stop, i) - start) for start, stop in self.runs)
+                for i in inside.tolist()]
+        bounds = [0, *ones, self.n - width]
+        self.ones = np.array(ones, dtype=inside.dtype)
+        self.saturated = np.array([hi - lo for lo, hi in zip(bounds, bounds[1:])], dtype=inside.dtype)
 
     def check_rows(self, runs: Sequence[tuple[int, int]]) -> None:
         """ValueError, before any row is built, where the rows of `runs` hold
@@ -347,8 +351,9 @@ class BernoulliProfile:
         on = [(col, i) for col, i in on if i.size]
         if on:
             a = np.concatenate([shapes[i] for _, i in on])
-            z = np.repeat(self.z[[col for col, _ in on]], [i.size for _, i in on])
-            lp, lq = log_reg_gamma_pq(a, z if len(on) > 1 else z[0])
+            z = (np.repeat(self.z[[col for col, _ in on]], [i.size for _, i in on]) if len(on) > 1
+                 else self.z[on[0][0]])
+            lp, lq = log_reg_gamma_pq(a, z)
             start = 0
             for col, i in on:
                 log_P[i, col], log_Q[i, col] = lp[start : start + i.size], lq[start : start + i.size]
@@ -381,14 +386,15 @@ class BernoulliProfile:
         return P
 
 
-def _window(params: EnsembleParams, disks: DiskSystem) -> BernoulliProfile:
+def _window(params: EnsembleParams, disks: DiskSystem, U: np.ndarray | None = None) -> BernoulliProfile:
     """The window of (params, disks) at the disks' weights.  A row is
     saturated in a column when its prefactor stays below e^-60 after scaling
-    by the largest ratio of the weights e^(U_l), U_l = u_l + ... + u_p, so
-    the window also serves ``log_mgf_exact``; every other caller takes
-    ``disks.unweighted()``."""
+    by the largest ratio of the weights e^(U_l), U_l = u_l + ... + u_p
+    (``_tails(disks.u)``, unless the caller passes them), so the window also
+    serves ``log_mgf_exact``; every other caller takes ``disks.unweighted()``."""
     radii = disks.resolve(params)
-    U = _tails(disks.u)
+    if U is None:
+        U = _tails(disks.u)
     # past double range, a spread puts every row in the window, a z every row inside
     with np.errstate(over="ignore", invalid="ignore"):
         spread = float(U.max() - U.min())
@@ -537,14 +543,14 @@ def _integral_points(params: EnsembleParams, start: int, stop: int, panels: int)
     return x, shapes, (w[:split], w[split:], np.concatenate([lo, hi]))
 
 
-def _window_sums(params: EnsembleParams, disks: DiskSystem, summand, order: int):
-    """Row sums over the window of the terms of summand(log_P, log_Q), and
-    the window itself (the caller adds the saturated rows in closed form).
-    The summand maps (m, p) entries to a (k, m) stack of terms and their
-    (k, m) rounding scale: |term|, or more where a term cancels.
+def _window_sums(window: BernoulliProfile, summand, order: int) -> np.ndarray:
+    """Row sums over the window of the terms of summand(log_P, log_Q) (the
+    caller adds the saturated rows in closed form).  The summand maps (m, p)
+    entries to a (k, m) stack of terms and their (k, m) rounding scale:
+    |term|, or more where a term cancels.
 
     Each merged run of the window takes one of two paths; one evaluator call
-    covers the points of both:
+    covers the points of both (``_first_pass``):
     * rows: the terms of all row runs, in row order, are summed pairwise
       (numpy), with error at most about log2(w) eps sum_j |x_j| (Higham,
       SIAM J. Sci. Comput. 14, 1993);
@@ -559,20 +565,36 @@ def _window_sums(params: EnsembleParams, disks: DiskSystem, summand, order: int)
       a column's saturation cuts off inside the run is not smooth there, and
       fails this where the cut is not negligible against the term's own sum
       (P_l Q_h of two runs that barely overlap, a sum of order e^-100).
-    A run that fails the check is summed by rows, or is a ValueError where
-    its rows would pass MAX_WINDOW_ROWS, which bounds only the row path.
-    ``order`` is the summand's order (1 for the log-MGF; the weights' spread
-    counts too).  The sums of the paths are added exactly (fsum)."""
-    window = _window(params, disks)
+    A run that fails the check is summed by rows once the first pass's
+    points and terms are released, or is a ValueError where its rows would
+    pass MAX_WINDOW_ROWS, which bounds only the row path.  ``order`` is the
+    summand's order (1 for the log-MGF; the weights' spread counts too).
+    The sums of the paths are added exactly (fsum)."""
     plan = [(run, _panels(window, *run, order)) for run in window.runs]
     row_runs = [run for run, panels in plan if not panels]
     window.check_rows(row_runs)
+    total, missed = _first_pass(window, row_runs, [(run, panels) for run, panels in plan if panels], summand)
+    # a non-finite sum goes back to the caller, who names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if missed:
+            window.check_rows(row_runs + missed)
+            total.append(summand(*window.evaluate(_rows(missed)))[0].sum(axis=1))
+        parts = np.array(total)
+        if not np.isfinite(parts).all():
+            return parts.sum(axis=0)
+    return np.array([math.fsum(v) for v in parts.T.tolist()])
+
+
+def _first_pass(window: BernoulliProfile, row_runs: list, integrated: list, summand):
+    """The sums of one evaluator call over the rows of `row_runs` and the
+    points of the (run, panels) in `integrated`: the row sum, then the
+    integral of each run that passes its check; and the runs that fail it."""
+    params = window.params
     rows = _rows(row_runs)
-    integrals = [(run, *_integral_points(params, *run, panels)) for run, panels in plan if panels]
+    integrals = [(run, *_integral_points(params, *run, panels)) for run, panels in integrated]
     x = np.concatenate([rows, *(x for _, x, _, _ in integrals)])
     shapes = np.concatenate([(rows + 1 + params.alpha) / params.b, *(a for _, _, a, _ in integrals)])
     terms, scales = summand(*window.evaluate(x, shapes))
-    # a non-finite sum goes back to the caller, who names it
     with np.errstate(over="ignore", invalid="ignore"):
         total = [terms[:, : rows.size].sum(axis=1)]
         missed = []
@@ -589,13 +611,7 @@ def _window_sums(params: EnsembleParams, disks: DiskSystem, summand, order: int)
                 total.append(value)
             else:
                 missed.append(run)
-        if missed:
-            window.check_rows(row_runs + missed)
-            total.append(summand(*window.evaluate(_rows(missed)))[0].sum(axis=1))
-        parts = np.array(total)
-        if not np.isfinite(parts).all():
-            return parts.sum(axis=0), window
-    return np.array([math.fsum(v) for v in parts.T.tolist()]), window
+    return total, missed
 
 
 def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
@@ -617,7 +633,8 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
     U = _tails(disks.u)
     if not np.isfinite(U).all():
         raise ValueError(f"weight sums u_l + ... + u_p overflow at u = {disks.u.tolist()}")
-    omega = omega_weights(disks.u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = np.exp(U[1:]) * np.expm1(disks.u)  # omega_weights(disks.u), on these tails
 
     @np.errstate(over="ignore", invalid="ignore")
     def terms(log_P, log_Q):
@@ -630,7 +647,8 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
             out[~direct] = np.logaddexp.reduce(_log_annuli(log_P[~direct], log_Q[~direct]) + U, axis=1)
         return out[None, :], np.abs(out)[None, :]
 
-    sums, window = _window_sums(params, disks, terms, 1)
+    window = _window(params, disks, U)
+    sums = _window_sums(window, terms, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         parts = np.array([sums[0], *(window.saturated * U)])
         if not np.isfinite(np.abs(parts).sum()):
@@ -639,15 +657,22 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
 
 
 def log_partition_exact(params: EnsembleParams) -> float:
-    """log Z_n from the closed product formula."""
+    """log Z_n from the closed product formula; a ValueError naming (b, alpha)
+    where it is past double range."""
     b, alpha, n = params.b, params.alpha, params.n
-    lg = math.fsum(math.lgamma((j + alpha) / b) for j in range(1, n + 1))
-    return (
+    try:
+        lg = math.fsum(math.lgamma((j + alpha) / b) for j in range(1, n + 1))
+    except OverflowError:  # lgamma from shapes ~2.5e305, or the sum past double range
+        lg = math.inf
+    total = (
         -(n * n) / (2.0 * b) * math.log(n)
         - (1.0 + 2.0 * alpha) / (2.0 * b) * n * math.log(n)
         + n * math.log(math.pi / b)
         + lg
     )
+    if not math.isfinite(total):
+        raise ValueError(f"log Z_n not finite at b = {b!r}, alpha = {alpha!r}")
+    return total
 
 
 def _normalize_orders(orders: Sequence, p: int) -> list[tuple[int, ...]]:
@@ -716,7 +741,8 @@ def joint_cumulants_exact(
                 scales.append(sum(np.exp(log_P[:, i] + log_Q[:, i]) for i in support))
         return np.array(out), np.array(scales)
 
-    sums, window = _window_sums(params, disks.unweighted(), terms, max(map(sum, norm)))
+    window = _window(params, disks.unweighted())
+    sums = _window_sums(window, terms, max(map(sum, norm)))
     ones = window.ones
     return [float(v) + (float(ones[k.index(1)]) if sum(k) == 1 else 0.0) for v, k in zip(sums, norm)]
 

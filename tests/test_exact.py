@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import random
+import re
 import warnings
 
 import numpy as np
@@ -190,6 +191,25 @@ def test_profile_invariants_random_sweep():
         assert prof.saturated.sum() == len(outside)
 
 
+def test_profile_memory_is_bounded():
+    # the evaluator's temporaries are bounded by its block, so a profile of
+    # 43,806 rows peaks at a small multiple of the arrays it returns (7.5x
+    # while the column was evaluated whole), traced as in
+    # test_draw_memory_is_bounded
+    import tracemalloc
+
+    disks = DiskSystem([Disk.fixed(0.6)])
+    bernoulli_profile(EnsembleParams(b=1.0, alpha=0.0, n=100), disks)  # imports and caches
+    tracemalloc.start()
+    try:
+        prof = bernoulli_profile(EnsembleParams(b=1.0, alpha=0.0, n=10**7), disks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(prof.rows) == 43_806
+    assert peak <= 3.5 * sum(a.nbytes for a in (prof.rows, prof.log_P, prof.log_Q, prof.Pw))
+
+
 def test_profile_matches_scalar_specfun():
     from mlcounts.specfun import reg_lower_gamma
 
@@ -340,6 +360,15 @@ def test_partition_vs_mp_oracle():
     got = log_partition_exact(EnsembleParams(b=2.0, alpha=0.5, n=50))
     want = float(oracles.mp_log_partition(2.0, 0.5, 50))
     assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_partition_past_double_range_raises():
+    # lgamma overflows from shapes ~2.5e305 and the sum of n finite terms can
+    # overflow too: both let OverflowError escape, and shapes past double
+    # range returned inf
+    for b, alpha, n in ((1.0, 1e308, 100), (1.0, 1e303, 1000), (0.004, 1e307, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"b = {b!r}, alpha = {alpha!r}")):
+            log_partition_exact(EnsembleParams(b=b, alpha=alpha, n=n))
 
 
 # --- cumulants ----------------------------------------------------------------

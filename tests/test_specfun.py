@@ -16,6 +16,7 @@ from mlcounts.specfun import (
     _TEMME_TAYLOR,
     _eta,
     _temme_sum,
+    _temme_table,
     erfc,
     erfcx,
     gamma_regime,
@@ -46,7 +47,7 @@ def _temme_R(a, lam):
     """R_a(eta) = exp(-a eta^2/2) sum_k c_k(eta) a^-k / sqrt(2 pi a), from the
     evaluator's pieces."""
     eta = _eta(np.array([lam]) - 1.0)
-    corr = float(_temme_sum(np.array([float(a)]), eta)[0])
+    corr = float(_temme_sum(np.array([float(a)]), eta, _temme_table(abs(float(eta[0])), float(a)))[0])
     return math.exp(-0.5 * a * eta[0] ** 2) * corr / math.sqrt(2.0 * math.pi * a)
 
 
@@ -265,6 +266,45 @@ def test_p_saturates_past_lgamma_range():
         assert reg_lower_gamma(3e305, 1.0) == 0.0
         assert reg_lower_gamma(1e308, 1.0) == 0.0
         assert reg_lower_gamma(3e305, 1e306) == 1.0
+
+
+def test_p_at_subnormal_shapes_is_quiet():
+    # lambda - 1 = (z - a)/a overflows at a subnormal shape: that leaked a
+    # RuntimeWarning from outside the evaluator's errstate.  P is 1 there to
+    # double precision and Q ~ a E1(z) is far below double's normal range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reg_lower_gamma(1e-320, 1.0) == 1.0
+        log_p, log_q = log_reg_gamma_pq(np.array([1e-320, 1e-315, 1e-310]), np.array([0.5, 1.0, 40.0]))
+    assert np.exp(log_p).tolist() == [1.0] * 3
+    assert np.all(np.isfinite(log_q)) and np.all(log_q < -700.0)
+
+
+def test_blocks_do_not_change_a_bit(monkeypatch):
+    # eta and the uniform branch run a block of entries at a time, every
+    # block with the Temme table that the whole call needs: columns whose
+    # entries straddle block edges, with a few shapes off the uniform branch
+    # and tables that differ per column, give the bits of one block
+    import mlcounts.specfun as specfun
+
+    rng = np.random.default_rng(3)
+    a, z = [], []
+    for zc, size in ((4e3, 2500), (2.5e6, 3000)):
+        shapes = zc + math.sqrt(zc) * rng.uniform(-12.0, 12.0, size)
+        shapes[rng.choice(size, 8, replace=False)] = zc * np.array([0.2, 0.5, 2.0, 4.0, 1e-3, 0.3, 3.0, 9.0])
+        a.append(np.sort(shapes))
+        z.append(np.full(size, zc))
+    cases = [(np.concatenate(a), np.concatenate(z)), (np.sort(a[1][a[1] > 0.8 * 2.5e6]), 2.5e6)]
+    tables, real = [], specfun._temme_sum
+    monkeypatch.setattr(specfun, "_temme_sum",
+                        lambda a, eta, table: (tables.append(table.shape), real(a, eta, table))[1])
+    blocked = [log_reg_gamma_pq(shapes, args) for shapes, args in cases]
+    blocked_tables, tables[:] = tables[:], []
+    monkeypatch.setattr(specfun, "_BLOCK", 10**6)
+    for (shapes, args), got in zip(cases, blocked):
+        want = log_reg_gamma_pq(shapes, args)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert tables[0] != tables[1] and blocked_tables == [tables[0]] * 3 + [tables[1]] * 2
 
 
 def test_p_domain():
