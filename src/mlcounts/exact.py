@@ -65,7 +65,7 @@ __all__ = [
 # Evaluated window rows, summed over the columns, of a profile (which the sampler
 # draws from) or of the runs a statistic sums by rows.  Traced for one disk:
 # ~75 bytes a row for a profile (0.6 GB here), 84-96 for the log-MGF, means
-# and variances, ~224 for cumulants of orders 1-6 (1.9 GB)
+# and variances, ~208 for cumulants of orders 1-6 (1.7 GB)
 MAX_WINDOW_ROWS = 2**23
 
 # Radii closer than this (relative) are treated as equal, which is an input
@@ -221,8 +221,13 @@ def omega_weights(u: np.ndarray) -> np.ndarray:
     weight too large for a float comes out infinite.
     """
     u = np.asarray(u, dtype=float)
+    return _omega(u, _tails(u))
+
+
+def _omega(u: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``omega_weights(u)`` from its tails U = ``_tails(u)``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(_tails(u)[1:]) * np.expm1(u)
+        return np.exp(U[1:]) * np.expm1(u)
 
 
 def _tails(u: np.ndarray) -> np.ndarray:
@@ -633,8 +638,7 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
     U = _tails(disks.u)
     if not np.isfinite(U).all():
         raise ValueError(f"weight sums u_l + ... + u_p overflow at u = {disks.u.tolist()}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        omega = np.exp(U[1:]) * np.expm1(disks.u)  # omega_weights(disks.u), on these tails
+    omega = _omega(disks.u, U)
 
     @np.errstate(over="ignore", invalid="ignore")
     def terms(log_P, log_Q):
@@ -726,20 +730,20 @@ def joint_cumulants_exact(
         # an order >= 3 kappa_j cancels to far below its moments: its
         # rounding scales with the variances P Q of its indicators
         Pw = np.exp(log_P)
-        out, scales = [], []
-        for k in norm:
+        out, scales = np.empty((2, len(norm), len(log_P)))
+        for row, k in enumerate(norm):
             support = [i for i, v in enumerate(k) if v > 0]
             if sum(k) <= 2:
                 lo, hi = min(support), max(support)
-                out.append(np.exp(log_P[:, lo]) if sum(k) == 1 else np.exp(log_P[:, lo] + log_Q[:, hi]))
-                scales.append(out[-1])
+                log_term = log_P[:, lo] if sum(k) == 1 else log_P[:, lo] + log_Q[:, hi]
+                out[row] = scales[row] = np.exp(log_term)
             else:
-                out.append(series.cumulants(
+                out[row] = series.cumulants(
                     [k[i] for i in support],
                     lambda a: Pw[:, min(i for i, v in zip(support, a) if v)],
-                ))
-                scales.append(sum(np.exp(log_P[:, i] + log_Q[:, i]) for i in support))
-        return np.array(out), np.array(scales)
+                )
+                scales[row] = sum(np.exp(log_P[:, i] + log_Q[:, i]) for i in support)
+        return out, scales
 
     window = _window(params, disks.unweighted())
     sums = _window_sums(window, terms, max(map(sum, norm)))

@@ -404,13 +404,16 @@ def _temme_sum(a: np.ndarray, eta: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 # Entries per pass of eta and of the uniform branch.  Their temporaries (the
-# powers of t^2, eta and 1/a, the c_k, Cody's rationals) take ~150 bytes an
-# entry, ~0.3 MB a block, against the ~26 bytes an entry that a call keeps
-# (eta, its masks, log P and log Q).  A block's ~100 numpy calls cost ~80 us
-# over its ~0.2 ms of arithmetic; a call of 43,806 entries takes 5.0 ms in
-# blocks and 8.0 ms whole, whose 7 MB of temporaries are fresh pages each
-# time (2-vCPU Xeon, numpy 2.4).
-_BLOCK = 2048
+# powers of t^2, eta and 1/a, the c_k, Cody's rationals) peak at ~180 bytes
+# an entry, ~0.27 MB a block, against the ~26 bytes an entry that a call
+# keeps (eta, its masks, log P and log Q).  A block's ~100 numpy calls cost
+# ~80 us.  A round of the exact-mgf benchmark (calls of ~10^2 to ~3 10^3
+# entries) takes 24.9 ms at 1536, 24.7 ms at 2048, 26.9 ms at 1024 and
+# 24.5 ms unblocked, and its worker's first-round peak RSS reads 37.75,
+# 37.84, 37.57 and ~37.97 MB.  A repeated call of 43,806 entries takes
+# 4.6 ms in blocks and 3.2 ms whole, whose 7 MB of temporaries are fresh
+# pages on a process's first such call (2-vCPU Xeon, numpy 2.4).
+_BLOCK = 1536
 
 
 def _blocks(size: int):

@@ -300,11 +300,13 @@ def test_blocks_do_not_change_a_bit(monkeypatch):
                         lambda a, eta, table: (tables.append(table.shape), real(a, eta, table))[1])
     blocked = [log_reg_gamma_pq(shapes, args) for shapes, args in cases]
     blocked_tables, tables[:] = tables[:], []
+    counts = [math.ceil(shapes.size / specfun._BLOCK) for shapes, _ in cases]
     monkeypatch.setattr(specfun, "_BLOCK", 10**6)
     for (shapes, args), got in zip(cases, blocked):
         want = log_reg_gamma_pq(shapes, args)
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
-    assert tables[0] != tables[1] and blocked_tables == [tables[0]] * 3 + [tables[1]] * 2
+    assert min(counts) >= 2
+    assert tables[0] != tables[1] and blocked_tables == [tables[0]] * counts[0] + [tables[1]] * counts[1]
 
 
 def test_p_domain():
