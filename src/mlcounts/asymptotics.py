@@ -19,8 +19,9 @@ coefficients, up to series.MAX_ORDER) from the power-series engine in
 Bernoulli(erfc(t)/2) variable and G(t, e^u) a quotient of series in e^u - 1.
 
 `quad` is Gauss-Legendre on equal panels, doubled until two successive rules
-agree to QUAD_RTOL; their difference is the reported `quad_error`, and a
-last rule that misses is a ValueError.  Semi-infinite integrals stop at
+agree to QUAD_RTOL or to their rounding floor; their difference (or the
+floor) is the reported `quad_error`, and a last rule that misses is a
+ValueError.  Semi-infinite integrals stop at
 sqrt(T^2 + |u|), T = sqrt(-log 1e-16) + 2: every integrand is
 O(e^{|u| - t^2}), so the discarded tail is below poly(T) e^{-T^2} ~ 1e-24 of
 the integrand's scale, far under QUAD_RTOL.
@@ -58,7 +59,7 @@ __all__ = [
 TAIL_T = math.sqrt(-math.log(1e-16)) + 2.0  # ~8.07
 QUAD_PANELS = 8  # panels of the first rule on every interval
 QUAD_RTOL = 1e-13  # successive rules agree to this, relative to max(1, |value|)
-QUAD_NOISE = 1e-14  # or, at the last rule, to this times the integral of |f|: its rounding
+QUAD_NOISE = 1e-14  # or to this times the integral of |f|: its rounding
 _QUAD_DOUBLINGS = 6
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -173,15 +174,18 @@ def _named(inputs: dict) -> str:
 @np.errstate(over="ignore", invalid="ignore")
 def quad(f, lo: float, hi: float, what: str, **inputs) -> tuple[list, np.ndarray]:
     """Integral from lo to hi (signed) of f, which maps a t-array to a stack
-    of integrands (k, t), and each row's difference of the last two rules.
+    of integrands (k, t), and each row's error: the difference of its last
+    two rules, or the rounding floor where the row stopped on that.
 
-    The rule with QUAD_PANELS panels is doubled until two successive rules
-    agree to QUAD_RTOL; the first two always run, so f takes their nodes in
-    one call.  If the last rule still misses it by more than the rounding of
-    the sum (QUAD_NOISE), that is a ValueError naming `what` and `inputs`.
-    A non-finite value is returned as it is, without a numpy warning, for
-    the caller to report.  The k values are Python floats, so that
-    arithmetic on them overflows to inf without a numpy warning.
+    The rule with QUAD_PANELS panels is doubled until, in every row, two
+    successive rules agree to QUAD_RTOL or to the rounding of the sum
+    (QUAD_NOISE times the integral of |f|, which doubling cannot lower); a
+    row that stops on the floor reports max(difference, floor).  The first
+    two rules always run, so f takes their nodes in one call.  A last rule
+    that still misses is a ValueError naming `what` and `inputs`.  A
+    non-finite value is returned as it is, without a numpy warning, for the
+    caller to report.  The k values are Python floats, so that arithmetic
+    on them overflows to inf without a numpy warning.
     """
     span = hi - lo
     panels = 2 * QUAD_PANELS
@@ -195,9 +199,11 @@ def quad(f, lo: float, hi: float, what: str, **inputs) -> tuple[list, np.ndarray
         converged = diff <= QUAD_RTOL * np.maximum(1.0, np.abs(value))
         if np.all(converged) or not np.all(np.isfinite(value)):
             break
+        floor = QUAD_NOISE * (np.abs(rows) @ (abs(span) * w))
+        if np.all(converged | (diff <= floor)):
+            diff = np.where(converged, diff, np.maximum(diff, floor))
+            break
         if panels == QUAD_PANELS << _QUAD_DOUBLINGS:
-            if np.all(diff <= QUAD_NOISE * (np.abs(rows) @ (abs(span) * w))):
-                break
             raise ValueError(f"{what}: quadrature not converged at {_named(inputs)}")
         panels *= 2
         x, w = unit_rule(panels)

@@ -64,8 +64,8 @@ __all__ = [
 
 # Evaluated window rows, summed over the columns, of a profile (which the sampler
 # draws from) or of the runs a statistic sums by rows.  Traced for one disk:
-# ~75 bytes a row for a profile (0.6 GB here), 84-96 for the log-MGF, means
-# and variances, ~208 for cumulants of orders 1-6 (1.7 GB)
+# ~75 bytes a row for a profile (0.6 GB here), ~84 for the log-MGF, means
+# and variances, ~160 for cumulants of orders 1-6 (1.3 GB)
 MAX_WINDOW_ROWS = 2**23
 
 # Radii closer than this (relative) are treated as equal, which is an input
@@ -549,10 +549,12 @@ def _integral_points(params: EnsembleParams, start: int, stop: int, panels: int)
 
 
 def _window_sums(window: BernoulliProfile, summand, order: int) -> np.ndarray:
-    """Row sums over the window of the terms of summand(log_P, log_Q) (the
-    caller adds the saturated rows in closed form).  The summand maps (m, p)
-    entries to a (k, m) stack of terms and their (k, m) rounding scale:
-    |term|, or more where a term cancels.
+    """Row sums over the window of the terms of summand(log_P, log_Q, first)
+    (the caller adds the saturated rows in closed form).  The summand maps
+    (m, p) entries to a (k, m) stack of terms and the (k, m - first) rounding
+    scale of the entries from `first` on, the integral points, where the
+    check reads it (rows come first and take none): |term|, or more where a
+    term cancels.
 
     Each merged run of the window takes one of two paths; one evaluator call
     covers the points of both (``_first_pass``):
@@ -583,7 +585,8 @@ def _window_sums(window: BernoulliProfile, summand, order: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         if missed:
             window.check_rows(row_runs + missed)
-            total.append(summand(*window.evaluate(_rows(missed)))[0].sum(axis=1))
+            rows = _rows(missed)
+            total.append(summand(*window.evaluate(rows), rows.size)[0].sum(axis=1))
         parts = np.array(total)
         if not np.isfinite(parts).all():
             return parts.sum(axis=0)
@@ -599,11 +602,12 @@ def _first_pass(window: BernoulliProfile, row_runs: list, integrated: list, summ
     integrals = [(run, *_integral_points(params, *run, panels)) for run, panels in integrated]
     x = np.concatenate([rows, *(x for _, x, _, _ in integrals)])
     shapes = np.concatenate([(rows + 1 + params.alpha) / params.b, *(a for _, _, a, _ in integrals)])
-    terms, scales = summand(*window.evaluate(x, shapes))
+    terms, scales = summand(*window.evaluate(x, shapes), rows.size)
     with np.errstate(over="ignore", invalid="ignore"):
         total = [terms[:, : rows.size].sum(axis=1)]
+        terms = terms[:, rows.size :]  # the integral points, as `scales`
         missed = []
-        start = rows.size
+        start = 0
         for run, x, _, (w0, w1, w_ends) in integrals:
             coarse = slice(start, start + w0.size)
             fine = slice(coarse.stop, coarse.stop + w1.size)
@@ -641,7 +645,7 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
     omega = _omega(disks.u, U)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def terms(log_P, log_Q):
+    def terms(log_P, log_Q, first):
         Pw = np.exp(log_P)
         x = Pw @ omega
         scale = Pw @ np.abs(omega)
@@ -649,7 +653,7 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
         out = np.log1p(x, where=direct, out=np.zeros_like(x))
         if not direct.all():
             out[~direct] = np.logaddexp.reduce(_log_annuli(log_P[~direct], log_Q[~direct]) + U, axis=1)
-        return out[None, :], np.abs(out)[None, :]
+        return out[None, :], np.abs(out[first:])[None, :]
 
     window = _window(params, disks, U)
     sums = _window_sums(window, terms, 1)
@@ -726,23 +730,24 @@ def joint_cumulants_exact(
     """
     norm = _normalize_orders(orders, len(disks.disks))
 
-    def terms(log_P, log_Q):
+    def terms(log_P, log_Q, first):
         # an order >= 3 kappa_j cancels to far below its moments: its
         # rounding scales with the variances P Q of its indicators
         Pw = np.exp(log_P)
-        out, scales = np.empty((2, len(norm), len(log_P)))
+        out, scales = np.empty((len(norm), len(log_P))), np.empty((len(norm), len(log_P) - first))
         for row, k in enumerate(norm):
             support = [i for i, v in enumerate(k) if v > 0]
             if sum(k) <= 2:
                 lo, hi = min(support), max(support)
                 log_term = log_P[:, lo] if sum(k) == 1 else log_P[:, lo] + log_Q[:, hi]
-                out[row] = scales[row] = np.exp(log_term)
+                out[row] = np.exp(log_term)
+                scales[row] = out[row, first:]
             else:
                 out[row] = series.cumulants(
                     [k[i] for i in support],
                     lambda a: Pw[:, min(i for i, v in zip(support, a) if v)],
                 )
-                scales[row] = sum(np.exp(log_P[:, i] + log_Q[:, i]) for i in support)
+                scales[row] = sum(np.exp(log_P[first:, i] + log_Q[first:, i]) for i in support)
         return out, scales
 
     window = _window(params, disks.unweighted())

@@ -219,6 +219,7 @@ _TEMME = np.zeros((len(_TEMME_TAYLOR[0]), len(_TEMME_TAYLOR)))  # (m, k), zero-p
 for _k, _row in enumerate(_TEMME_TAYLOR):
     _TEMME[: len(_row), _k] = _row
 _TEMME_ABS = np.abs(_TEMME)
+_TEMME_M, _TEMME_K = (np.arange(size) for size in _TEMME.shape)  # the table's powers of eta, 1/a
 _TEMME_TOL = 1e-18  # the cut of the table, applied again per column
 
 # W. J. Cody's rational approximations (Math. Comp. 23, 1969; CALERF),
@@ -390,8 +391,7 @@ def log_prefactor(a: float, z: float) -> float:
 def _temme_table(eta_max: float, a_min: float) -> np.ndarray:
     """(k, m) Taylor table of the c_k cut to the terms that rows with
     |eta| <= eta_max and a >= a_min need: |c_km| eta_max^m a_min^-k >= _TEMME_TOL."""
-    m, k = np.indices(_TEMME.shape)
-    keep = _TEMME_ABS * eta_max**m / a_min**k >= _TEMME_TOL
+    keep = _TEMME_ABS * eta_max**_TEMME_M[:, None] / a_min**_TEMME_K >= _TEMME_TOL
     rows, cols = np.nonzero(keep)
     return _TEMME[: rows.max() + 1, : cols.max() + 1].T
 

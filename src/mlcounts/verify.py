@@ -63,6 +63,28 @@ def _validate_n_values(n_values, minimum_count: int, span: float | None) -> tupl
     return ns
 
 
+@np.errstate(all="ignore")  # a singular R shows as a bound that is not finite
+def _least_squares(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """x minimizing ||A x - y||_2 for A (m, k), m >= k, and ||R||_F ||R^-1||_F,
+    which bounds A's 2-norm condition number from above.  Householder QR of
+    [A | y], then back substitution on [Q^T y | I]: backward stable as
+    LAPACK's lstsq is (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 20), without paging in LAPACK."""
+    k = A.shape[1]
+    W = np.column_stack([A, y])
+    for j in range(k):
+        v = W[j:, j].copy()
+        v[0] += math.copysign(math.sqrt(v @ v), v[0])
+        vv = v @ v
+        if vv > 0.0:
+            W[j:, j:] -= np.outer(v, (2.0 / vv) * (v @ W[j:, j:]))
+    R = np.triu(W[:k, :k])
+    X = np.column_stack([W[:k, k], np.eye(k)])
+    for i in reversed(range(k)):
+        X[i] = (X[i] - R[i, i + 1 :] @ X[i + 1 :]) / R[i, i]
+    return X[:, 0], math.sqrt((R * R).sum() * (X[:, 1:] * X[:, 1:]).sum())
+
+
 def residual_scan(params: EnsembleParams, disks: DiskSystem, n_values) -> ResidualScan:
     """Scan r(n) = log_mgf_exact - predicted and fit log|r| ~ rate * log n.
 
@@ -83,14 +105,17 @@ def residual_scan(params: EnsembleParams, disks: DiskSystem, n_values) -> Residu
             f"quadrature noise floor {floor:.3e}; nothing to fit",
             residuals=tuple(residuals),
         )
+    # least squares in closed form: at least 2 distinct n, so never rank-deficient
     logn = np.log([n for n, u in zip(ns, used) if u])
     logr = np.log([abs(r) for r, u in zip(residuals, used) if u])
-    slope, intercept = np.polyfit(logn, logr, 1)
+    dx = logn - logn.mean()
+    slope = float(dx @ (logr - logr.mean()) / (dx @ dx))
+    intercept = logr.mean() - slope * logn.mean()
     return ResidualScan(
         n_values=ns,
         residuals=tuple(residuals),
-        fitted_rate=float(slope),
-        fitted_K=float(math.exp(intercept)),
+        fitted_rate=slope,
+        fitted_K=math.exp(intercept),
         quad_error=coeffs.quad_error,
         used=used,
     )
@@ -106,19 +131,20 @@ class CoefficientFit:
 
 
 def coefficient_fit(params: EnsembleParams, disks: DiskSystem, n_values) -> CoefficientFit:
-    """Fit exact log-MGF against the basis B = {n, sqrt(n), 1, 1/sqrt(n)}.  Each
-    fitted C_k, and its deviation, errs by about eps max|log-MGF| ||B^+||_2: 234
-    on n = 1000..32000 doubling (scaled condition number 81; 352 on 500..4000),
-    so C4 of a log-MGF near 1e4 carries about 7 significant digits."""
+    """Fit exact log-MGF against the basis B = {n, sqrt(n), 1, 1/sqrt(n)}, its
+    columns scaled to unit norm (``_least_squares``).  Each fitted C_k, and its
+    deviation, errs by about eps max|log-MGF| ||B^+||_2: 234 on n = 1000..32000
+    doubling (scaled condition number 81; 352 on 500..4000), so C4 of a log-MGF
+    near 1e4 carries about 7 significant digits.  ValueError where the scaled
+    basis's ||R||_F ||R^-1||_F, never below its condition number, passes 1e10."""
     ns = _validate_n_values(n_values, minimum_count=6, span=None)
     y = np.array([log_mgf_exact(replace(params, n=n), disks) for n in ns])
     narr = np.array(ns, dtype=float)
     basis = np.column_stack([narr, np.sqrt(narr), np.ones_like(narr), 1.0 / np.sqrt(narr)])
     scale = np.linalg.norm(basis, axis=0)
-    scaled = basis / scale
-    if np.linalg.cond(scaled) > 1e10:
+    sol, cond = _least_squares(basis / scale, y)
+    if not cond <= 1e10:
         raise ValueError("n-range too narrow: the fit basis is ill-conditioned")
-    sol, *_ = np.linalg.lstsq(scaled, y, rcond=None)
     fitted = tuple(float(v) for v in sol / scale)
     predicted = theorem_coefficients(params, disks)
     target = (predicted.C1, predicted.C2, predicted.C3, predicted.C4)

@@ -243,6 +243,42 @@ def test_temme_taylor_table_is_current():
     assert live == [list(row) for row in _TEMME_TAYLOR]
 
 
+def _temme_table_by_indices(eta_max, a_min):
+    """The cut of the Temme table as first written: one (m, k) power grid."""
+    from mlcounts.specfun import _TEMME, _TEMME_ABS, _TEMME_TOL
+
+    m, k = np.indices(_TEMME.shape)
+    keep = _TEMME_ABS * eta_max**m / a_min**k >= _TEMME_TOL
+    rows, cols = np.nonzero(keep)
+    return _TEMME[: rows.max() + 1, : cols.max() + 1].T
+
+
+def test_temme_table_cut_is_unchanged():
+    # powers of eta_max and of a_min taken once per axis and broadcast: the
+    # same table, bit for bit, as the power grid, also on the cut's edges
+    # (eta_max where an entry meets _TEMME_TOL at a_min, and its neighbours)
+    from mlcounts.specfun import _TEMME_ABS, _TEMME_TOL
+
+    a_values = [A_UNIFORM, 20.0, 1e2, 1e3, 1e5, 1e8, 1e15, math.inf]
+    eta_values = [0.0, 1e-8, 1e-3, 0.05, 0.1, ETA_UNIFORM, 0.5, 1.0]
+    cases = [(eta, a) for eta in eta_values for a in a_values]
+    for a in a_values[:-1]:
+        for m, k in zip(*np.nonzero(_TEMME_ABS)):
+            if m:  # the eta_max at which entry (m, k) meets the cut
+                edge = (_TEMME_TOL * a**k / _TEMME_ABS[m, k]) ** (1.0 / m)
+                cases += [(eta, a) for eta in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0))
+                          if eta <= 1.0]
+    for k in range(1, _TEMME_ABS.shape[1]):  # the a_min at which c_k(0) meets it
+        edge = (_TEMME_ABS[0, k] / _TEMME_TOL) ** (1.0 / k)
+        cases += [(0.0, a) for a in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf))]
+    shapes = set()
+    for eta, a in cases:
+        got, want = _temme_table(float(eta), float(a)), _temme_table_by_indices(float(eta), float(a))
+        assert got.shape == want.shape and np.array_equal(got, want), (eta, a)
+        shapes.add(got.shape)
+    assert len(shapes) > 20  # the grid crosses many cuts
+
+
 def test_rgamma1p_table_is_current():
     # the same for the Taylor table of 1/Gamma(1+a) - 1 of the small-shape branch
     live = [float(v) for v in _derive_frozen_constants().rgamma1p_taylor()]

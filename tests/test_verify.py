@@ -1,16 +1,22 @@
+import json
+import math
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mlcounts.exact import Disk, DiskSystem, EnsembleParams
+from mlcounts.exact import Disk, DiskSystem, EnsembleParams, log_mgf_exact
 from mlcounts.sampler import SAMPLE_BLOCK
 from mlcounts.verify import (
     BelowNoiseError,
+    _least_squares,
     clt_experiment,
     coefficient_fit,
     residual_scan,
 )
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _params(n=1000, b=1.0, alpha=0.0):
@@ -92,8 +98,89 @@ def test_coefficient_fit_validation():
     disks = DiskSystem([Disk.fixed(0.6, 1.0)])
     with pytest.raises(ValueError):
         coefficient_fit(_params(), disks, [500, 1000, 2000, 3000, 5000])  # too few
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n-range too narrow"):  # kappa_2 = 2.2e10 > 1e10
         coefficient_fit(_params(), disks, [1000, 1001, 1002, 1003, 1004, 1005])
+
+
+def _basis(ns):
+    narr = np.array(ns, dtype=float)
+    return np.column_stack([narr, np.sqrt(narr), np.ones_like(narr), 1.0 / np.sqrt(narr)])
+
+
+_FIT_CASES = [
+    (1.0, 0.0, Disk.fixed(0.6, 1.0), [1000, 2000, 4000, 8000, 16000, 32000]),
+    (1.0, 0.0, Disk.fixed(0.6, 0.9), [500, 1000, 2000, 3000, 5000, 8000]),
+    (2.0, 0.5, Disk.edge(0.3, 0.4), [500, 700, 1000, 1500, 2200, 4000]),
+    (0.5, 0.25, Disk.fixed(1.5, -0.7), [1000, 2000, 4000, 8000, 16000, 32000]),
+]
+
+
+@pytest.mark.parametrize("b, alpha, disk, ns", _FIT_CASES)
+def test_fits_agree_with_lapack(b, alpha, disk, ns):
+    # the QR fit and the closed-form rate against LAPACK's lstsq and polyfit,
+    # within 8 eps of each coefficient's sensitivity |B^+| |y| (measured: 2)
+    params, disks = EnsembleParams(b, alpha, 1000), DiskSystem([disk])
+    fit = coefficient_fit(params, disks, ns)
+    y = np.array([log_mgf_exact(replace(params, n=n), disks) for n in ns])
+    basis = _basis(ns)
+    scale = np.linalg.norm(basis, axis=0)
+    want = np.linalg.lstsq(basis / scale, y, rcond=None)[0] / scale
+    bound = 8.0 * _EPS * (np.abs(np.linalg.pinv(basis)) @ np.abs(y))
+    assert np.all(np.abs(np.array(fit.fitted) - want) <= bound)
+
+    scan = residual_scan(params, disks, ns[:1] + [2 * ns[0], 4 * ns[0], 8 * ns[0]])
+    x, logr = np.log(scan.n_values), np.log(np.abs(scan.residuals))
+    slope, intercept = np.polyfit(x, logr, 1)
+    pinv = np.abs(np.linalg.pinv(np.column_stack([x, np.ones_like(x)])))
+    rate_bound, log_k_bound = 8.0 * _EPS * (pinv @ np.abs(logr))
+    assert abs(scan.fitted_rate - slope) <= rate_bound
+    assert abs(math.log(scan.fitted_K) - intercept) <= log_k_bound
+
+
+@pytest.mark.parametrize("ns", [c[3] for c in _FIT_CASES]
+                         + [[1000, 1001, 1002, 1003, 1004, 1005], [1000, 1100, 1200, 1300, 1400, 1500]])
+def test_fit_guard_is_never_looser_than_the_condition_number(ns):
+    # ||R||_F ||R^-1||_F lies between kappa_2 and k kappa_2 (k = 4 columns)
+    basis = _basis(ns)
+    scaled = basis / np.linalg.norm(basis, axis=0)
+    kappa = np.linalg.cond(scaled)
+    _, bound = _least_squares(scaled, np.ones(len(ns)))
+    assert kappa * (1 - 1e-6) <= bound <= 4.0 * kappa * (1 + 1e-6)
+
+
+def test_least_squares_reports_a_singular_basis():
+    # a zero column leaves R singular: a guard that is not finite, quietly
+    A = np.column_stack([np.ones(5), np.zeros(5), np.arange(5.0)])
+    _, bound = _least_squares(A, np.arange(5.0))
+    assert not math.isfinite(bound)
+
+
+def test_verify_fits_run_without_lapack(monkeypatch, capsys):
+    # every LAPACK routine numpy reaches (its _umath_linalg gufuncs), the
+    # public solvers and polyfit raise: the residual scan, the coefficient
+    # fit and `mlcounts verify-residual` never reach them
+    import numpy.linalg._umath_linalg as lapack
+
+    from mlcounts import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in dir(lapack):
+        if not name.startswith("_") and callable(getattr(lapack, name)):
+            monkeypatch.setattr(lapack, name, refuse)
+    for name in ("lstsq", "solve", "cond", "pinv", "qr", "svd", "inv", "eig", "eigh", "det",
+                 "slogdet", "cholesky", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    with pytest.raises(AssertionError, match="LAPACK called"):
+        np.linalg.lstsq(np.eye(2), np.ones(2))
+    disks = DiskSystem([Disk.fixed(0.6, 1.0)])
+    residual_scan(_params(), disks, [500, 1000, 2000, 4000])
+    coefficient_fit(_params(), disks, [1000, 2000, 4000, 8000, 16000, 32000])
+    assert cli.main(["verify-residual", "--b", "1", "--alpha", "0", "--disk", "r=0.6,u=1.0",
+                     "--n-values", "500,1000,2000,4000"]) == 0
+    assert json.loads(capsys.readouterr().out)["experiment"] == "residual_scan"
 
 
 def test_clt_bulk_small():
