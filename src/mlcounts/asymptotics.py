@@ -30,7 +30,6 @@ the integrand's scale, far under QUAD_RTOL.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -289,12 +288,9 @@ def _edge(b: float, alpha: float, s: float, kernel: _Kernel) -> tuple[tuple[floa
     rounding, about eps sum |terms|, grows like |s| in C3 and s^2 in C4.
     """
     if s > 6.0:
-        frame, level = sys._getframe(), 1  # blamed: the first caller outside the package
-        while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
-            frame, level = frame.f_back, level + 1
         warnings.warn(f"edge parameter s = {s} is far outside the Gaussian window; the "
                       "e^(-s^2) factors underflow and the returned coefficients are "
-                      "effectively their saturated limits", RuntimeWarning, stacklevel=level)
+                      "effectively their saturated limits", RuntimeWarning, stacklevel=2)
 
     def moments(t):  # t^k G, t^k G^2 by products: numpy's t**k (k >= 3) calls pow() per entry
         _, _, _, g, _, g_sq = kernel(t)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,14 +58,14 @@ __all__ = [
     "log_mgf_exact",
     "log_partition_exact",
     "mean_var_exact",
-    "omega_weights",
     "support_radius",
 ]
 
 # Evaluated window rows, summed over the columns, of a profile (which the sampler
 # draws from) or of the runs a statistic sums by rows.  Traced for one disk:
 # ~75 bytes a row for a profile (0.6 GB here), ~84 for the log-MGF, means
-# and variances, ~160 for cumulants of orders 1-6 (1.3 GB)
+# and variances, ~160 for cumulants of orders 1-6 (1.3 GB).  It also caps the
+# lgamma terms that log_partition_exact sums, ~2 s at the cap
 MAX_WINDOW_ROWS = 2**23
 
 # Radii closer than this (relative) are treated as equal, which is an input
@@ -155,10 +155,6 @@ class DiskSystem:
         self.u = np.array([d.u for d in self.disks], dtype=float)
         self.u.flags.writeable = False
 
-    def unweighted(self) -> "DiskSystem":
-        """The same disks at u = 0."""
-        return DiskSystem(replace(d, u=0.0) for d in self.disks)
-
     def __repr__(self) -> str:
         return f"DiskSystem({list(self.disks)!r})"
 
@@ -214,18 +210,10 @@ class DiskSystem:
         return radii
 
 
-def omega_weights(u: np.ndarray) -> np.ndarray:
-    """Jump weights omega_l = e^(u_l+...+u_p) - e^(u_{l+1}+...+u_p), l=1..p.
-
-    Computed as exp(tail) * expm1(u_l), which stays accurate for small u; a
-    weight too large for a float comes out infinite.
-    """
-    u = np.asarray(u, dtype=float)
-    return _omega(u, _tails(u))
-
-
 def _omega(u: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """``omega_weights(u)`` from its tails U = ``_tails(u)``."""
+    """Jump weights omega_l = e^(U_l) - e^(U_(l+1)), l = 1..p, from the tails
+    U = ``_tails(u)``: exp(U_(l+1)) expm1(u_l), which stays accurate for small
+    u; a weight too large for a float comes out infinite."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.exp(U[1:]) * np.expm1(u)
 
@@ -310,12 +298,12 @@ class BernoulliProfile:
     Per column l: its argument z_l, its run of unsaturated rows
     (``_column_window``; ``runs`` merges them) and the count inside[l] of
     rows whose shape lies below z_l.  Off the window every entry is within
-    e^-60 / e^spread (spread = max U - min U of the weights) of 0 or 1, and
-    is 1 exactly on the rows j < inside[l]; ``ones`` and ``saturated`` count
-    them.  ``rows``, ``log_P``, ``log_Q`` and ``Pw`` are evaluated on first
-    access (``bernoulli_profile`` forces it; the statistics never do), and so
-    is ``P``, the dense (n, p) view.  (A plain class: a frozen dataclass
-    costs ~1 ms of every import.)
+    e^-60 / e^spread of 0 or 1 (``_window``), and is 1 exactly on the rows
+    j < inside[l]; ``ones`` and ``saturated`` count them.  The two arrays it
+    keeps, ``rows`` and ``Pw``, are evaluated on first access
+    (``bernoulli_profile`` forces it; the statistics never do), and so is
+    ``P``, the dense (n, p) view.  (A plain class: a frozen dataclass costs
+    ~1 ms of every import.)
     """
 
     def __init__(self, params: EnsembleParams, z: np.ndarray, columns: tuple[range, ...],
@@ -372,16 +360,9 @@ class BernoulliProfile:
         return _rows(self.runs)
 
     @functools.cached_property
-    def _log_pq(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.evaluate(self.rows)
-
-    log_P = property(lambda self: self._log_pq[0], doc="(w, p) log P on the window rows.")
-    log_Q = property(lambda self: self._log_pq[1], doc="(w, p) log(1 - P), evaluated directly.")
-
-    @functools.cached_property
     def Pw(self) -> np.ndarray:
-        """(w, p) exp(log_P)."""
-        return np.exp(self.log_P)
+        """(w, p) P on the window rows."""
+        return np.exp(self.evaluate(self.rows)[0])
 
     @functools.cached_property
     def P(self) -> np.ndarray:
@@ -391,18 +372,14 @@ class BernoulliProfile:
         return P
 
 
-def _window(params: EnsembleParams, disks: DiskSystem, U: np.ndarray | None = None) -> BernoulliProfile:
-    """The window of (params, disks) at the disks' weights.  A row is
-    saturated in a column when its prefactor stays below e^-60 after scaling
-    by the largest ratio of the weights e^(U_l), U_l = u_l + ... + u_p
-    (``_tails(disks.u)``, unless the caller passes them), so the window also
-    serves ``log_mgf_exact``; every other caller takes ``disks.unweighted()``."""
+def _window(params: EnsembleParams, disks: DiskSystem, spread: float = 0.0) -> BernoulliProfile:
+    """The window of (params, disks).  A row is saturated in a column when
+    its prefactor stays below e^-60 / e^spread.  ``log_mgf_exact`` passes
+    the spread max U - min U of its weights' tails, the log of their largest
+    ratio; every other caller takes the window at u = 0, and none reads the
+    weights."""
     radii = disks.resolve(params)
-    if U is None:
-        U = _tails(disks.u)
-    # past double range, a spread puts every row in the window, a z every row inside
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = float(U.max() - U.min())
+    with np.errstate(over="ignore"):  # past double range, a z puts every row inside
         z = params.n * radii ** (2.0 * params.b)
     columns, inside = zip(*(_column_window(params, float(zl), SATURATED_LOG_PREFACTOR - spread)
                             for zl in z))
@@ -410,8 +387,8 @@ def _window(params: EnsembleParams, disks: DiskSystem, U: np.ndarray | None = No
 
 
 def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliProfile:
-    """The incomplete-gamma profile of (params, disks), its window rows
-    evaluated.
+    """The incomplete-gamma profile of (params, disks) at u = 0, its window
+    rows evaluated; the disks' weights play no part.
 
     Each disk's column is evaluated on its own run of unsaturated rows
     (``_column_window``), and the window is the union of those runs; a
@@ -419,7 +396,7 @@ def bernoulli_profile(params: EnsembleParams, disks: DiskSystem) -> BernoulliPro
     every column.  Raises ValueError past MAX_WINDOW_ROWS, before any row is
     built."""
     profile = _window(params, disks)
-    profile.Pw  # evaluates rows, log_P and log_Q
+    profile.Pw  # evaluates rows and Pw
     return profile
 
 
@@ -655,7 +632,8 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
             out[~direct] = np.logaddexp.reduce(_log_annuli(log_P[~direct], log_Q[~direct]) + U, axis=1)
         return out[None, :], np.abs(out[first:])[None, :]
 
-    window = _window(params, disks, U)
+    # a spread past double range (finite U of opposite signs) puts every row in the window
+    window = _window(params, disks, float(U.max()) - float(U.min()))
     sums = _window_sums(window, terms, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         parts = np.array([sums[0], *(window.saturated * U)])
@@ -665,9 +643,12 @@ def log_mgf_exact(params: EnsembleParams, disks: DiskSystem) -> float:
 
 
 def log_partition_exact(params: EnsembleParams) -> float:
-    """log Z_n from the closed product formula; a ValueError naming (b, alpha)
-    where it is past double range."""
+    """log Z_n from the closed product formula, which sums n lgamma terms
+    (~0.2 s at n = 1e6): a ValueError naming n past MAX_WINDOW_ROWS, before
+    any term is summed, and naming (b, alpha) where it is past double range."""
     b, alpha, n = params.b, params.alpha, params.n
+    if n > MAX_WINDOW_ROWS:
+        raise ValueError(f"log Z_n sums n = {n} terms, over MAX_WINDOW_ROWS = 2^23")
     try:
         lg = math.fsum(math.lgamma((j + alpha) / b) for j in range(1, n + 1))
     except OverflowError:  # lgamma from shapes ~2.5e305, or the sum past double range
@@ -710,7 +691,11 @@ def joint_cumulants_exact(
     Orders 1 and 2 use the Bernoulli closed forms, a row's mean P[:, l] and
     covariance P[:, lo] Q[:, hi], lo <= hi, with Q = 1 - P from its own log
     (so a P near 1 keeps Q's relative accuracy); their sums are nonnegative,
-    so their relative error is at most about log2(w) eps.  Higher orders sum
+    so their relative error is at most about log2(w) eps.  That bound leaves
+    out the saturation cut, which drops entries below e^-60 absolute: where
+    the sum is itself that small it loses relative accuracy (b = 1,
+    n = 421,696, r = 1.0078125, just outside the support: a variance of
+    1.24e-22 off by 5.2e-7 relative).  Higher orders sum
     over the window the per-row cumulants of ``series.cumulants`` (no finite
     differencing anywhere).  The indicators of nested disks have
     E prod_{l in S} 1{particle in D_rl} = P[:, min S], so every moment is a
@@ -750,7 +735,7 @@ def joint_cumulants_exact(
                 scales[row] = sum(np.exp(log_P[first:, i] + log_Q[first:, i]) for i in support)
         return out, scales
 
-    window = _window(params, disks.unweighted())
+    window = _window(params, disks)
     sums = _window_sums(window, terms, max(map(sum, norm)))
     ones = window.ones
     return [float(v) + (float(ones[k.index(1)]) if sum(k) == 1 else 0.0) for v, k in zip(sums, norm)]
@@ -761,7 +746,9 @@ def mean_var_exact(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means and covariance matrix of the disk counts: the order-1 and
     order-2 joint cumulants (``joint_cumulants_exact``); the weights play
-    no part."""
+    no part.  Relative error about log2(w) eps, apart from the absolute
+    e^-60 saturation cut, which sets the accuracy of sums that small (see
+    ``joint_cumulants_exact``)."""
     p = len(disks.disks)
     eye = np.eye(p, dtype=int)
     lo, hi = np.triu_indices(p)

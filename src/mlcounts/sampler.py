@@ -76,7 +76,7 @@ def sample_counts(
         raise ValueError(f"seed must be an int, got {seed!r}")
     if not (is_int(threads) and threads >= 1):
         raise ValueError(f"threads must be an int >= 1, got {threads!r}")
-    profile = bernoulli_profile(params, disks.unweighted())
+    profile = bernoulli_profile(params, disks)
     Pw = profile.Pw
     w, p = Pw.shape
     counts = np.empty((num_samples, p), dtype=np.int64)

@@ -92,7 +92,8 @@ def residual_scan(params: EnsembleParams, disks: DiskSystem, n_values) -> Residu
     each n.  Points with |r| <= 100x the aggregate quadrature error estimate
     are excluded from the fit.  Each r errs by about eps max|log-MGF|, so
     fitted_rate (absolute) and fitted_K (relative) err by about that over min|r|
-    times ||L^+||_2, L = [log n, 1] the fit's basis (4.75 on n = 500..4000 doubling).
+    times ||L^+||_2, L = [log n, 1] the basis of the fit (``_least_squares``;
+    4.75 on n = 500..4000 doubling).
     """
     ns = _validate_n_values(n_values, minimum_count=4, span=8.0)
     coeffs = theorem_coefficients(params, disks)  # n-independent
@@ -105,16 +106,14 @@ def residual_scan(params: EnsembleParams, disks: DiskSystem, n_values) -> Residu
             f"quadrature noise floor {floor:.3e}; nothing to fit",
             residuals=tuple(residuals),
         )
-    # least squares in closed form: at least 2 distinct n, so never rank-deficient
+    # at least 2 distinct n, so never rank-deficient
     logn = np.log([n for n, u in zip(ns, used) if u])
     logr = np.log([abs(r) for r, u in zip(residuals, used) if u])
-    dx = logn - logn.mean()
-    slope = float(dx @ (logr - logr.mean()) / (dx @ dx))
-    intercept = logr.mean() - slope * logn.mean()
+    (slope, intercept), _ = _least_squares(np.column_stack([logn, np.ones_like(logn)]), logr)
     return ResidualScan(
         n_values=ns,
         residuals=tuple(residuals),
-        fitted_rate=slope,
+        fitted_rate=float(slope),
         fitted_K=math.exp(intercept),
         quad_error=coeffs.quad_error,
         used=used,

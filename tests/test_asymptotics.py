@@ -616,23 +616,16 @@ def test_extreme_edge_parameter_is_flagged():
         series = edge_cumulant_coeffs(1, 1.0, 0.0, 7.5)
     assert any("edge parameter" in str(w.message) for w in record)
     assert math.isfinite(series.c)  # predictions still returned
+    # every entry point that takes edge coefficients passes the flag on
+    for call in (lambda: cumulant_coeffs(1, EnsembleParams(1.0, 0.0, 1), DiskSystem([Disk.edge(7.5)])),
+                 lambda: theorem_coefficients(EnsembleParams(1.0, 0.0, 1),
+                                              DiskSystem([Disk.edge(7.5, 1.0)])),
+                 lambda: clt_experiment(EnsembleParams(1.0, 0.0, 400), [], 7.5, 100, 1)):
+        with pytest.warns(RuntimeWarning, match="edge parameter"):
+            call()
     with warnings.catch_warnings():  # below s = -6 nothing is flagged
         warnings.simplefilter("error")
         _assert_matches_bulk(1.0, 0.0, -6.5, u=0.4)
-
-
-@pytest.mark.parametrize("call", [
-    lambda: edge_cumulant_coeffs(1, 1.0, 0.0, 7.5),
-    lambda: cumulant_coeffs(1, EnsembleParams(1.0, 0.0, 1), DiskSystem([Disk.edge(7.5)])),
-    lambda: theorem_coefficients(EnsembleParams(1.0, 0.0, 1), DiskSystem([Disk.edge(7.5, 1.0)])),
-    lambda: clt_experiment(EnsembleParams(1.0, 0.0, 400), [], 7.5, 100, 1),
-], ids=["edge", "cumulant", "theorem", "clt"])
-def test_extreme_edge_flag_blames_the_caller(call):
-    # at any call depth the flag points at the first frame outside the package
-    # (it used to name a line of asymptotics.py for edge_cumulant_coeffs)
-    with pytest.warns(RuntimeWarning, match="edge parameter") as record:
-        call()
-    assert record and all(w.filename == __file__ for w in record)
 
 
 def test_extreme_edge_flag_states_each_side():

@@ -138,6 +138,10 @@ def test_zn_subcommand(capsys):
     payload = json.loads(out)
     assert payload["includes_constant"] is True
     assert abs(payload["residual"]) < 1e-6
+    # past the row cap the exact sum, linear in n, is refused at once
+    code, out, err = run(capsys, "zn", "--b", "1", "--alpha", "0", "--n", "1000000000000")
+    assert code == 2 and out == ""
+    assert "n = 1000000000000 terms, over MAX_WINDOW_ROWS" in err
 
 
 def test_sample_csv_and_json(capsys, tmp_path):
@@ -265,9 +269,9 @@ def test_non_positive_threads_exit_2(capsys):
 def _argv(draw):
     """argv of one computing subcommand over the documented input ranges: b in
     [0.05, 5], in [5, 1e4], where r^b and the e^(-s^2) factors leave double
-    range, or up to 1e300, where b^1.5 does; n past 2^63 some of the time (but
-    for zn, whose exact sum is O(n)); 1-3 disks, increasing fixed radii, some
-    at r* (1 +- 1e-13), which classify calls the edge, and at most one edge
+    range, or up to 1e300, where b^1.5 does; n past 2^63 some of the time (for
+    zn, past the 2^23 terms that its exact sum takes at most); 1-3 disks,
+    increasing fixed radii, some at r* (1 +- 1e-13), which classify calls the edge, and at most one edge
     disk, placed anywhere.  Half the examples write each option as
     "--name=value", the other half as two tokens, where a value such as
     -1e-05 must still be read as a value."""
@@ -291,7 +295,7 @@ def _argv(draw):
         # small n often: there an edge disk's 1 + sqrt(2b) s/sqrt(n) can reach 0;
         # past 2^63 n is no int64 row index; sample and verify-clt keep n small
         # otherwise, as their window grows like sqrt(n)
-        huge = st.integers(2**63, 2**70) if sub != "zn" else st.nothing()
+        huge = st.integers(2**63, 2**70) if sub != "zn" else st.integers(2**23 + 1, 2**63 - 1)
         argv += opt("n", str(draw(st.one_of(st.integers(1, 20), st.integers(1, 2000), huge))))
     if sub == "verify-clt":
         radii = draw(st.lists(radius, max_size=2, unique=True))

@@ -11,17 +11,19 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc, hyp1f1, gammaln
 
+import mlcounts.exact as exact
 from mlcounts.exact import (
     Disk,
     DiskSystem,
     EnsembleParams,
     _log_annuli,
+    _omega,
+    _tails,
     bernoulli_profile,
     joint_cumulants_exact,
     log_mgf_exact,
     log_partition_exact,
     mean_var_exact,
-    omega_weights,
     support_radius,
 )
 from mlcounts.asymptotics import bulk_cumulant_coeffs
@@ -44,6 +46,13 @@ def _rng_config(rng):
     params = EnsembleParams(b=b, alpha=alpha, n=n)
     disks = DiskSystem([Disk.fixed(r, u) for r, u in zip(radii, us)])
     return params, disks
+
+
+def _mgf_window(params, disks):
+    """The window that log_mgf_exact sums over: at the spread of the disks'
+    weight tails, where bernoulli_profile takes u = 0."""
+    U = _tails(disks.u)
+    return exact._window(params, disks, float(U.max()) - float(U.min()))
 
 
 # --- parameter and disk validation -------------------------------------------
@@ -132,7 +141,7 @@ def test_omega_weights_identities():
     rng = random.Random(5)
     for _ in range(50):
         u = np.array([rng.uniform(-2, 2) for _ in range(rng.randint(1, 4))])
-        om = omega_weights(u)
+        om = _omega(u, _tails(u))
         tails = _exp_tails(u)
         # Omega_l = sum_{k >= l} omega_k with omega_{p+1} = 1
         p = len(u)
@@ -142,7 +151,8 @@ def test_omega_weights_identities():
 
 def test_omega_weights_overflow_to_inf():
     with np.errstate(over="raise"):
-        om = omega_weights(np.array([800.0, 0.5]))
+        u = np.array([800.0, 0.5])
+        om = _omega(u, _tails(u))
     assert math.isinf(om[0]) and om[1] == pytest.approx(math.expm1(0.5), rel=1e-15)
 
 
@@ -176,13 +186,13 @@ def test_profile_invariants_random_sweep():
     rng = random.Random(9)
     for _ in range(25):
         params, disks = _rng_config(rng)
-        prof = bernoulli_profile(params, disks)
+        prof = _mgf_window(params, disks)
         assert np.all(np.diff(prof.P, axis=1) >= -1e-13)  # row-monotone
-        q = np.exp(_log_annuli(prof.log_P, prof.log_Q))
+        q = np.exp(_log_annuli(*prof.evaluate(prof.rows)))
         np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
         # the annuli inside disk l add up to P[j, l]
         np.testing.assert_allclose(np.cumsum(q, axis=1)[:, :-1], prof.Pw, atol=1e-13)
-        lhs = 1.0 + prof.Pw @ omega_weights(disks.u)
+        lhs = 1.0 + prof.Pw @ _omega(disks.u, _tails(disks.u))
         rhs = q @ _exp_tails(disks.u)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
         # outside the window every row is one-hot: P is 0 or 1
@@ -193,8 +203,9 @@ def test_profile_invariants_random_sweep():
 
 def test_profile_memory_is_bounded():
     # the evaluator's temporaries are bounded by its block, so a profile of
-    # 43,806 rows peaks at a small multiple of the arrays it returns (7.5x
-    # while the column was evaluated whole), traced as in
+    # 43,806 rows peaks at a small multiple of its rows and of the three
+    # (w, p) arrays log P, log Q (which the profile drops) and Pw (7.5x while
+    # the column was evaluated whole), traced as in
     # test_draw_memory_is_bounded
     import tracemalloc
 
@@ -207,7 +218,7 @@ def test_profile_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(prof.rows) == 43_806
-    assert peak <= 3.5 * sum(a.nbytes for a in (prof.rows, prof.log_P, prof.log_Q, prof.Pw))
+    assert peak <= 3.5 * (prof.rows.nbytes + 3 * prof.Pw.nbytes)
 
 
 def test_profile_matches_scalar_specfun():
@@ -280,6 +291,44 @@ def test_window_is_union_of_column_runs(monkeypatch, case):
         assert len(rows) == 0 and not calls
 
 
+@st.composite
+def _column_cases(draw):
+    n = draw(st.integers(1, 20_000))
+    b = draw(st.floats(0.05, 5.0))
+    alpha = draw(st.floats(-1.0, 3.0, exclude_min=True))
+    ratio = draw(st.one_of(st.floats(0.0, 1.5, exclude_min=True), st.floats(0.9, 1.1),
+                           st.floats(-30.0, 0.0).map(lambda x: 10.0**x)))
+    spread = draw(st.floats(0.0, 100.0))
+    return EnsembleParams(b, alpha, n), n * (ratio * support_radius(b)) ** (2.0 * b), spread
+
+
+@settings(max_examples=100, deadline=None)
+@given(_column_cases())
+@example((EnsembleParams(0.05, -0.999, 2), 0.1, 0.0))  # the run is row inside - 1 alone
+@example((EnsembleParams(1.0, -0.9, 50), 0.5, 0.0))  # the run starts at row 0
+@example((EnsembleParams(1.0, 0.0, 1000), 1000.0, 100.0))  # the run ends at row n - 1
+@example((EnsembleParams(1.0, 0.0, 1000), 1e-37, 0.0))  # empty: every row outside the disk
+@example((EnsembleParams(5.0, 2.0, 20_000), 20_000 * 1.5**10 / 5.0, 100.0))  # empty: every row inside
+def test_column_window_is_a_scan_of_every_row(case):
+    # the window search (one bisection per end of the run) finds the rows
+    # that a scan of all n log-prefactors finds; a row within 1e-9 of the
+    # threshold may fall on either side.  inside counts the shapes below z
+    from mlcounts.specfun import log_prefactor
+
+    params, z, spread = case
+    threshold = SATURATED_LOG_PREFACTOR - spread
+    run, inside = exact._column_window(params, z, threshold)
+    shapes = [(j + 1 + params.alpha) / params.b for j in range(params.n)]
+    assert inside == sum(a < z for a in shapes)
+    if z == 0.0 or math.isinf(z):  # every P is exactly 0 or 1
+        assert not run
+        return
+    for j, a in enumerate(shapes):
+        g = log_prefactor(a, z)
+        if abs(g - threshold) > 1e-9:
+            assert (j in run) == (g >= threshold), (j, g, run)
+
+
 def test_union_merges_nested_touching_and_repeated_runs():
     from mlcounts.exact import _merge, _rows
 
@@ -314,8 +363,8 @@ def test_mgf_factorization_sweep():
     rng = random.Random(13)
     for _ in range(20):
         params, disks = _rng_config(rng)
-        prof = bernoulli_profile(params, disks)
-        om = omega_weights(disks.u)
+        prof = _mgf_window(params, disks)
+        om = _omega(disks.u, _tails(disks.u))
         direct = float(np.prod(1.0 + prof.P @ om))
         assert math.exp(log_mgf_exact(params, disks)) == pytest.approx(direct, rel=1e-12)
 
@@ -369,6 +418,15 @@ def test_partition_past_double_range_raises():
     for b, alpha, n in ((1.0, 1e308, 100), (1.0, 1e303, 1000), (0.004, 1e307, 3)):
         with pytest.raises(ValueError, match=re.escape(f"b = {b!r}, alpha = {alpha!r}")):
             log_partition_exact(EnsembleParams(b=b, alpha=alpha, n=n))
+
+
+@pytest.mark.parametrize("n", [2**23 + 1, 10**12, 2**63 - 1])
+def test_partition_past_the_row_cap_raises(monkeypatch, n):
+    # the sum is linear in n (days at n = 1e12): past MAX_WINDOW_ROWS a
+    # ValueError names n before any lgamma term is taken
+    monkeypatch.setattr(math, "lgamma", lambda x: pytest.fail("summed past the cap"))
+    with pytest.raises(ValueError, match=rf"n = {n} terms, over MAX_WINDOW_ROWS"):
+        log_partition_exact(EnsembleParams(b=0.5, alpha=0.0, n=n))
 
 
 # --- cumulants ----------------------------------------------------------------
@@ -578,7 +636,7 @@ def test_second_order_statistics_match_frozen_digest(monkeypatch, case):
     if path == "rows":
         monkeypatch.setattr(exact, "_panels", lambda *args: 0)
     else:
-        window = exact._window(params, DiskSystem(disks).unweighted())
+        window = exact._window(params, DiskSystem(disks))
         assert all(exact._panels(window, *run, 2) for run in window.runs)
     digest = hashlib.sha256()
     for p in range(1, 5):
@@ -603,7 +661,7 @@ def _brute_force(params, disks, orders):
     Q = np.exp(np.column_stack([lq for _, lq in logs]))
 
     p = len(radii)
-    log_mgf = math.fsum(np.log1p(P @ omega_weights(disks.u)).tolist())
+    log_mgf = math.fsum(np.log1p(P @ _omega(disks.u, _tails(disks.u))).tolist())
     means = [math.fsum(P[:, l].tolist()) for l in range(p)]
     cov = [[math.fsum((P[:, min(i, k)] * Q[:, max(i, k)]).tolist()) for k in range(p)]
            for i in range(p)]
@@ -630,8 +688,7 @@ def test_windowed_reductions_match_brute_force(n, b, alpha, radii):
     if p > 1:
         orders += [(1, 1, 0, 0), (2, 1, 0, 0), (0, 1, 2, 0), (1, 0, 0, 3)]
     log_mgf, means, cov, cums = _brute_force(params, disks, orders)
-    prof = bernoulli_profile(params, disks)
-    assert prof.saturated.sum() > 0  # the closed-form rows take part
+    assert _mgf_window(params, disks).saturated.sum() > 0  # the closed-form rows take part
     assert log_mgf_exact(params, disks) == pytest.approx(log_mgf, rel=1e-12)
     got_means, got_cov = mean_var_exact(params, disks)
     np.testing.assert_allclose(got_means, means, rtol=1e-12)
@@ -651,7 +708,6 @@ def test_u_zero_statistics_take_the_unweighted_window(monkeypatch, u):
     plain = DiskSystem([Disk.fixed(0.6), Disk.fixed(0.63)])
     weighted = DiskSystem([Disk.fixed(0.6, u[0]), Disk.fixed(0.63, u[1])])
     assert not weighted.u.flags.writeable and weighted.u.tolist() == list(u)
-    assert weighted.unweighted().u.tolist() == [0.0, 0.0]
     orders = [(0, 3), (2, 1)]
     want_means, want_cov = mean_var_exact(params, plain)
     want_cums = joint_cumulants_exact(params, plain, orders)
@@ -679,8 +735,8 @@ def test_mgf_weight_sums_past_double_range_raise():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"u = \[1e\+308, 1e\+308\]"):
             log_mgf_exact(params, disks)
-        # the profile at these weights evaluates every row, without a warning
-        assert len(bernoulli_profile(params, disks).rows) == 5
+        # a window at a spread past double range evaluates every row, without a warning
+        assert len(exact._window(params, disks, math.inf).rows) == 5
         # finite weight sums whose log-MGF is past double range raise too
         with pytest.raises(ValueError, match=r"log-MGF past double range at u = \[1e\+308\]"):
             log_mgf_exact(params, DiskSystem([Disk.fixed(0.5, 1e308)]))
@@ -713,11 +769,12 @@ def test_odd_bulk_cumulant_sums_within_pairwise_bound(k):
 
 @pytest.mark.parametrize("n", [10**4, 10**6])
 def test_means_and_covariances_within_pairwise_bound(n):
-    # against fsum over the unweighted window, the one mean_var_exact sums
+    # against fsum over the window at u = 0, the one mean_var_exact sums
     b, alpha, disks = _CONFIG_B
     disks = DiskSystem(disks)
     params = EnsembleParams(b=b, alpha=alpha, n=n)
-    prof = bernoulli_profile(params, disks.unweighted())
+    prof = bernoulli_profile(params, disks)
+    log_P, log_Q = prof.evaluate(prof.rows)
     rtol = _pairwise_rtol(len(prof.rows))
     means, cov = mean_var_exact(params, disks)
     p = prof.Pw.shape[1]
@@ -725,7 +782,7 @@ def test_means_and_covariances_within_pairwise_bound(n):
         want = math.fsum(prof.Pw[:, l].tolist() + [float(prof.saturated[: l + 1].sum())])
         assert abs(means[l] - want) <= rtol * want
         for h in range(l, p):
-            want = math.fsum(np.exp(prof.log_P[:, l] + prof.log_Q[:, h]).tolist())
+            want = math.fsum(np.exp(log_P[:, l] + log_Q[:, h]).tolist())
             assert abs(cov[l, h] - want) <= rtol * want
 
 
@@ -791,8 +848,33 @@ def test_annulus_probabilities_sum_to_one(config):
     # each window row's annulus probabilities, taken from log P below 1/2 and
     # from log Q above, add up to 1
     params, radii, us, _, _ = config
-    profile = bernoulli_profile(params, DiskSystem([Disk.fixed(r, u) for r, u in zip(radii, us)]))
-    assert np.all(np.abs(np.exp(_log_annuli(profile.log_P, profile.log_Q)).sum(axis=1) - 1.0) <= 1e-13)
+    profile = _mgf_window(params, DiskSystem([Disk.fixed(r, u) for r, u in zip(radii, us)]))
+    assert np.all(np.abs(np.exp(_log_annuli(*profile.evaluate(profile.rows))).sum(axis=1) - 1.0) <= 1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_mgf_configs().filter(lambda config: any(config[2])))
+def test_statistics_at_u_match_u_zero_bit_for_bit(config):
+    # only the log-MGF reads the weights: at any u the means, covariances,
+    # cumulants, profile and sampled counts are those of the same disks at
+    # u = 0, bit for bit
+    from mlcounts.sampler import sample_counts
+
+    params, radii, us, _, _ = config
+    weighted = DiskSystem([Disk.fixed(r, u) for r, u in zip(radii, us)])
+    plain = DiskSystem([Disk.fixed(r) for r in radii])
+    p = len(radii)
+    orders = [tuple(k if i == l else 0 for i in range(p)) for l in range(p) for k in (1, 2, 3, MAX_ORDER)]
+    if p > 1:
+        orders.append(tuple(2 if i == 0 else int(i == p - 1) for i in range(p)))
+
+    def outputs(disks):
+        profile = bernoulli_profile(params, disks)
+        return [*mean_var_exact(params, disks), np.array(joint_cumulants_exact(params, disks, orders)),
+                profile.rows, profile.Pw, sample_counts(params, disks, 50, seed=7).counts]
+
+    for got, want in zip(outputs(weighted), outputs(plain)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_n_past_int64_rejected():
@@ -940,8 +1022,8 @@ def _compare_paths(params, disks, orders):
     the window sums as chosen (got) and forced onto rows (want)."""
     import mlcounts.exact as exact
 
-    prof = bernoulli_profile(params, disks)
-    plain = bernoulli_profile(params, disks.unweighted())
+    prof = _mgf_window(params, disks)
+    plain = bernoulli_profile(params, disks)
     rnd, rnd0 = (_row_shape_rounding(p.rows, params.alpha, params.b) for p in (prof, plain))
     got = [log_mgf_exact(params, disks), *mean_var_exact(params, disks),
            joint_cumulants_exact(params, disks, orders)]
@@ -950,11 +1032,11 @@ def _compare_paths(params, disks, orders):
         want = [log_mgf_exact(params, disks), *mean_var_exact(params, disks),
                 joint_cumulants_exact(params, disks, orders)]
     U = np.concatenate([np.cumsum(disks.u[::-1])[::-1], [0.0]])
-    omega = omega_weights(disks.u)
+    omega = _omega(disks.u, U)
     with np.errstate(all="ignore"):
         x = np.log1p(prof.Pw @ omega)
         logspace = ~np.isfinite(x) | (2.0 * (1.0 + prof.Pw @ omega) < 1.0 + prof.Pw @ np.abs(omega))
-        x[logspace] = np.logaddexp.reduce(_log_annuli(prof.log_P, prof.log_Q)[logspace] + U, axis=1)
+        x[logspace] = np.logaddexp.reduce(_log_annuli(*prof.evaluate(prof.rows))[logspace] + U, axis=1)
     p = len(disks.disks)
     # below the normal range each operation errs by up to 2^-1075 absolute,
     # not eps relative: each path carries at most ~(p + 1) such errors a
@@ -964,7 +1046,7 @@ def _compare_paths(params, disks, orders):
     out = [(got[0], want[0], _path_bound(x, rnd, params.b, np.abs(prof.saturated * U).sum())
             + p * math.exp(spread) * _cut_term(prof) + subnormal)]
     cut = _cut_term(plain)
-    P, Q = plain.Pw, np.exp(plain.log_Q)
+    P, Q = plain.Pw, np.exp(plain.evaluate(plain.rows)[1])
     for l in range(p):
         out.append((got[1][l], want[1][l],
                     _path_bound(P[:, l], rnd0, params.b, plain.ones[l]) + cut + subnormal))
@@ -1033,7 +1115,7 @@ def test_integral_and_row_paths_agree(config):
     from hypothesis import assume
 
     params, disks, orders = config
-    windows = [exact._window(params, d) for d in (disks, disks.unweighted())]
+    windows = [_mgf_window(params, disks), exact._window(params, disks)]
     assume(all(sum(stop - start for start, stop in w.runs) <= 40_000 for w in windows))
     assume(any(exact._panels(w, *run, order) for w, order in zip(windows, (1, MAX_ORDER))
                for run in w.runs))
@@ -1050,7 +1132,7 @@ def test_paths_agree_at_the_switch():
     disks = DiskSystem([Disk.fixed(0.6, 0.9)])
 
     def integrates(n):
-        window = exact._window(EnsembleParams(1.0, 0.0, n), disks)
+        window = _mgf_window(EnsembleParams(1.0, 0.0, n), disks)
         return any(exact._panels(window, *run, 1) for run in window.runs)
 
     lo, hi = 1000, 100_000

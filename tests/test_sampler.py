@@ -147,7 +147,7 @@ def test_stream_cases_cover_their_shapes():
 
     def runs(kind, p):
         params, disks, _, _ = _stream_case(kind, p)
-        return _window(params, disks.unweighted()).columns
+        return _window(params, disks).columns
 
     b = runs("disjoint", 4)
     assert b[0].stop < b[1].start and b[1].stop < b[2].start and not b[3]
@@ -208,7 +208,7 @@ def test_draw_memory_is_bounded(monkeypatch):
     (prof,) = built
     w = len(prof.rows)
     assert w > 40_000
-    arrays = sum(a.nbytes for a in (prof.rows, prof.log_P, prof.log_Q, prof.Pw))
+    arrays = prof.rows.nbytes + prof.Pw.nbytes  # the two arrays a profile keeps
     assert peak < arrays + 2 * 8 * max(sampler._DRAW_BUDGET, w)
     assert max(build_peak[0], peak) < SAMPLE_BLOCK * w * 8 / 3
 
