@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Freeze the slow mpmath oracle values that the test suite checks against.
 
-Writes tests/data/mp_oracles.json with five tables:
+Writes tests/data/mp_oracles.json with six tables:
 
 * ``bulk_coeffs``: (C2, C3, C4) of one bulk disk (b = 1, alpha = 0, r = 0.6)
   at large |u|, from the 30-digit whole-line quadrature
@@ -21,7 +21,10 @@ Writes tests/data/mp_oracles.json with five tables:
   derivatives from ``tests/oracles.py::mp_joint_cumulants`` on the window
   rows of the exact engine's profile;
 * ``erfcx``: e^(t^2) erfc(t) at 50 digits for t from 0 to 1e4
-  (``tests/oracles.py::mp_erfcx``).
+  (``tests/oracles.py::mp_erfcx``);
+* ``bulk_points``: (C2, C3, C4) of three bulk disks at scattered
+  (b, alpha, r, u), from the same 30-digit ``mp_bulk_coeffs``, where the
+  coefficients' ``quad_error`` is checked against the true error of C4.
 
 The tests keep one live spot check of each slow table, so a stale file fails.
 
@@ -55,6 +58,11 @@ EXACT = {
                [6, 6]],
 }
 
+BULK_POINTS = [  # (b, alpha, r, u)
+    (3.868747336608599, 1.2590247580712735, 0.29113977447182693, 13.151753424469227),
+    (2.7032879754901717, 0.7444246327265908, 0.5293427691033824, -27.468181707753395),
+    (3.540732555455184, 0.9552755190660901, 0.31540303715262136, 21.779197569367945),
+]
 
 ERFCX_T = [0.0, 0.1, 0.25, 0.46875, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.99, 4.0, 4.01,
            5.0, 6.0, 8.0, 10.0, 12.5, 15.0, 20.0, 26.0, 27.5, 30.0, 50.0, 100.0, 300.0, 1e3, 3e3,
@@ -105,6 +113,15 @@ def _edge_derivatives(t0):
     }
 
 
+def _bulk_points(t0):
+    values = []
+    for b, alpha, r, u in BULK_POINTS:
+        coeffs = oracles.mp_bulk_coeffs(b, alpha, r, u)
+        values.append({"b": b, "alpha": alpha, "r": r, "u": u, "coeffs": list(coeffs)})
+        print(f"bulk point u = {u} done ({time.time() - t0:.1f}s)", flush=True)
+    return {"dps": 30, "values": values}
+
+
 def _exact_cumulants(t0):
     params = EnsembleParams(b=EXACT["b"], alpha=EXACT["alpha"], n=EXACT["n"])
     profile = bernoulli_profile(params, DiskSystem([Disk.fixed(r) for r in EXACT["radii"]]))
@@ -127,6 +144,7 @@ def main() -> None:
         "edge_derivatives": _edge_derivatives(t0),
         "exact_cumulants": _exact_cumulants(t0),
         "erfcx": _erfcx(),
+        "bulk_points": _bulk_points(t0),
     }
     target = ROOT / "tests" / "data" / "mp_oracles.json"
     target.write_text(json.dumps(out, indent=1) + "\n")

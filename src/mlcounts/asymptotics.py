@@ -3,20 +3,19 @@
 The log-MGF expands as C1 n + C2 sqrt(n) + C3 + C4/sqrt(n) + o(1).  Bulk
 disks (r inside the equilibrium support), one optional edge disk (radius at
 the support edge plus s/sqrt(n)) and outside disks each contribute terms
-built from F(t, s) = log(1 + (s-1) erfc(t)/2) and G = dF/dt, integrated
-against low-degree polynomials.  Both obey one reflection, from
-erfc(-t) = 2 - erfc(t): F(-t, e^u) = u + F(t, e^-u), G(-t, e^u) = -G(t, e^-u).
+built from F(t, s) = log(1 + (s-1) erfc(t)/2) and G = dF/dt.  Both obey one
+reflection, from erfc(-t) = 2 - erfc(t): F(-t, e^u) = u + F(t, e^-u),
+G(-t, e^u) = -G(t, e^-u).
 
-Each regime's (C1, C2, C3, C4) is written once, as one `quad` of a stack of
-integrands over one interval: [0, T] for a bulk disk, onto which the
-reflection folds the whole-line G integrals, and [max(s, -T), T] of the e^-u
-side for the edge disk, onto which it moves the G integral over t <= -s and
-the F pieces (by parts), as moments t^k G and t^k G^2 in exact powers of s.
-The kernel gives F, G and G^2 at e^u and e^-u from one erfc call: as values
-at u (the log-MGF), or as exact j-th u-derivatives at u = 0 (the cumulant
-coefficients, up to series.MAX_ORDER) from the power-series engine in
-``series``: F(t, e^u) is the cumulant generating function of a
-Bernoulli(erfc(t)/2) variable and G(t, e^u) a quotient of series in e^u - 1.
+By parts and the reflection, every F integral is one of G, so one formula
+serves both regimes: exact polynomials in s over eleven moments
+M_k = int t^k G(t, e^-u), k <= 5, and S_k = int t^k G(t, e^-u)^2, k <= 4,
+from one `quad`.  The edge disk takes them over [max(s, -T), T] at its s; a
+bulk disk is the same formula at s = 0, scaled by sqrt(b) r^b, over the
+whole line, which the reflection folds onto [0, T].  The kernel gives G and
+G^2 at e^u and e^-u from one erfc call: as values at u (the log-MGF), or as
+exact j-th u-derivatives at u = 0 (the cumulant coefficients, up to
+series.MAX_ORDER), G(t, e^u) being a quotient of series in e^u - 1.
 
 `quad` is Gauss-Legendre on equal panels, doubled until two successive rules
 agree to QUAD_RTOL or to their rounding floor; their difference (or the
@@ -76,14 +75,14 @@ _LOG_FORM_U = 600.0
 class _Kernel(NamedTuple):
     """What a regime's formula integrates.
 
-    Called on a t-array, the kernel returns the rows F(t, e^u), F(t, e^-u),
-    G(t, e^u), G(t, e^-u), G(t, e^u)^2, G(t, e^-u)^2, as values at u or as
-    exact j-th u-derivatives at u = 0.  `half` computes them at t = |t| only,
-    where c = erfc(t)/2 <= 1/2 and nothing cancels; the reflection gives
-    t < 0: F(-t, e^+-u) = +-u + F(t, e^-+u), G(-t, e^+-u) = -G(t, e^-+u).
-    `lin` is u in the same form; past |t| = `tail` every integrand has
-    dropped below e^(-TAIL_T^2) of its scale.  `named` (u or j) joins a
-    regime's inputs in its error messages.
+    Called on a t-array, the kernel returns the rows G(t, e^u), G(t, e^-u),
+    G(t, e^u)^2, G(t, e^-u)^2, as values at u or as exact j-th
+    u-derivatives at u = 0.  `half` computes them at t = |t| only, where
+    c = erfc(t)/2 <= 1/2 and nothing cancels; the reflection
+    G(-t, e^+-u) = -G(t, e^-+u) gives t < 0.  `lin` is u in the same form,
+    C1's factor; past |t| = `tail` every integrand has dropped below
+    e^(-TAIL_T^2) of its scale.  `named` (u or j) joins a regime's inputs in
+    its error messages.
     """
 
     half: Callable[[np.ndarray], np.ndarray]
@@ -97,40 +96,32 @@ class _Kernel(NamedTuple):
         neg = t < 0.0
         if not neg.any():
             return rows
-        flipped = rows[[1, 0, 3, 2, 5, 4]]
-        flipped[0] += self.lin
-        flipped[1] -= self.lin
-        flipped[2:4] *= -1.0
+        flipped = rows[[1, 0, 3, 2]]
+        flipped[:2] *= -1.0
         return np.where(neg, flipped, rows)
 
 
 def _value_kernel(u: float) -> _Kernel:
     """The kernel at u: both sides from one helper, `side(v)` at v = +-u.
 
-    With c = erfc(t)/2 <= 1/2 at t >= 0, F(t, e^v) = log1p((e^v - 1) c): the
-    argument never falls below -1/2, so nothing cancels as e^v -> 0 or oo,
-    and F is exactly 0 at u = 0.  G(t, e^v) = -(e^v - 1) e^(-t^2)/(sqrt(pi)
-    (1 + (e^v - 1) c)), a quotient (exp(-t^2 - F) would carry F's absolute
-    rounding, ~|u| eps, as relative error).  The integrands decay like
-    e^(|u| - t^2), hence the tail sqrt(TAIL_T^2 + |u|).  Past v = _LOG_FORM_U,
-    where e^v overflows and erfc underflows, F = v + log(c + (1-c) e^-v) in
-    log space with log c = log(erfcx(t)/2) - t^2, and
-    G = -1/(sqrt(pi) (erfcx(t)/2 + e^(t^2)/(e^v - 1))).
+    With c = erfc(t)/2 <= 1/2 at t >= 0, G(t, e^v) = -(e^v - 1) e^(-t^2)/
+    (sqrt(pi) (1 + (e^v - 1) c)), a quotient whose denominator never falls
+    below 1/2, so nothing cancels as e^v -> 0 or oo, and G is exactly 0 at
+    u = 0.  The integrands decay like e^(|u| - t^2), hence the tail
+    sqrt(TAIL_T^2 + |u|).  Past v = _LOG_FORM_U, where e^v overflows and
+    erfc underflows, G = -1/(sqrt(pi) (erfcx(t)/2 + e^(t^2)/(e^v - 1))).
     """
 
-    def side(v, t, t2, c):  # F(t, e^v) and G(t, e^v)
+    def side(v, t, t2, c):  # G(t, e^v)
         if v <= _LOG_FORM_U:
-            a = math.expm1(v) * c
-            return np.log1p(a), -math.expm1(v) * np.exp(-t2) / (_SQRT_PI * (1.0 + a))
-        half_x = erfcx(t) / 2.0
-        f = v + np.logaddexp(np.log(half_x) - t2, np.log1p(-c) - v)
-        return f, -1.0 / (_SQRT_PI * (half_x + np.exp(t2 - v - math.log1p(-math.exp(-v)))))
+            return -math.expm1(v) * np.exp(-t2) / (_SQRT_PI * (1.0 + math.expm1(v) * c))
+        return -1.0 / (_SQRT_PI * (erfcx(t) / 2.0 + np.exp(t2 - v - math.log1p(-math.exp(-v)))))
 
     def half(t):
         t2 = t * t
         c = erfc(t) / 2.0
-        (f_plus, g_plus), (f_minus, g_minus) = side(u, t, t2, c), side(-u, t, t2, c)
-        return np.stack([f_plus, f_minus, g_plus, g_minus, g_plus * g_plus, g_minus * g_minus])
+        g_plus, g_minus = side(u, t, t2, c), side(-u, t, t2, c)
+        return np.stack([g_plus, g_minus, g_plus * g_plus, g_minus * g_minus])
 
     return _Kernel(half, u, math.sqrt(TAIL_T**2 + abs(u)), {"u": u})
 
@@ -138,11 +129,10 @@ def _value_kernel(u: float) -> _Kernel:
 def _derivative_kernel(j: int) -> _Kernel:
     """The kernel as exact j-th u-derivatives at u = 0 (j <= MAX_ORDER).
 
-    With c = erfc(t)/2, the j-th derivative of F(t, e^u) = log(1 + c(e^u - 1))
-    is the Bernoulli cumulant kappa_j(c), and G(t, e^u) = -g0 (e^u - 1)/(1 +
-    c(e^u - 1)), g0 = e^(-t^2)/sqrt(pi), is a quotient of series.  The e^-u
-    side is (-1)^j times the e^u side, so the parity zeros of the bulk
-    integrands are exact.
+    With c = erfc(t)/2 and g0 = e^(-t^2)/sqrt(pi), G(t, e^u) = -g0 (e^u - 1)/
+    (1 + c(e^u - 1)) is a quotient of series in u.  The e^-u side is (-1)^j
+    times the e^u side, so the parity zeros of the bulk coefficients are
+    exact.
     """
     expm1 = series.inverse_factorials(j)
     expm1[0] = 0.0  # e^u - 1
@@ -151,12 +141,11 @@ def _derivative_kernel(j: int) -> _Kernel:
 
     def half(t):
         c = erfc(t) / 2.0
-        kappa = series.cumulants((j,), lambda a: c) if j else np.zeros_like(c)
         g0 = np.exp(-t * t) / _SQRT_PI
         gs = [g0 * r for r in series.quotient(-expm1, [1.0, *(c * e for e in expm1[1:])])]
         g = gs[j] * fact
         g_sq = sum(gs[i] * gs[j - i] for i in range(j + 1)) * fact
-        return np.stack([kappa, sign * kappa, g, sign * g, g_sq, sign * g_sq])
+        return np.stack([g, sign * g, g_sq, sign * g_sq])
 
     return _Kernel(half, float(j == 1), TAIL_T, {"j": j})
 
@@ -247,88 +236,85 @@ def _finite(what: str, values: tuple, **inputs) -> tuple:
     return values
 
 
-def _bulk(b: float, alpha: float, r: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
-    """(C1, C2, C3, C4) of a bulk disk and the quadrature error."""
-    rb = r**b
-    if rb == 0.0:  # C4 divides by r^b
-        raise ValueError(f"r^b underflows to 0 at b = {b!r}, r = {r!r}")
+def _coefficients(b: float, alpha: float, s: float, rho: float, kernel: _Kernel, kind: str,
+                  named: dict) -> tuple[tuple[float, ...], float]:
+    """(C1, C2, C3, C4) of a bulk or edge disk and the quadrature error; `named`
+    (b and r or s, then the kernel's u or j) joins the error messages.
 
-    def integrands(t):
-        # the whole-line G integrals folded onto t >= 0: even polynomials take G(t, e^u) -
-        # G(t, e^-u), odd ones the sum; in t^2, as numpy's t**k (k >= 3) calls pow() per entry
-        f_plus, f_minus, g_plus, g_minus, sq_plus, sq_minus = kernel(t)
-        f_sum = f_plus + f_minus
-        t2 = t * t
-        poly = (5.0 * t2 - 1.0) / 3.0
-        poly_e = t * (21.0 + t2 * (50.0 * t2 - 193.0)) / 18.0
-        return np.stack([f_sum, t * (f_plus - f_minus), t2 * f_sum, (g_plus - g_minus) * poly,
-                         (g_plus + g_minus) * poly_e, (sq_plus + sq_minus) * poly**2])
-
-    (f_sum, f_odd, f_t2, g_poly, g_e, g_sq), diff = quad(
-        integrands, 0.0, kernel.tail, "bulk coefficients", b=b, r=r, **kernel.named
-    )
-    C1 = b * r ** (2.0 * b) * kernel.lin
-    C2 = _SQRT2 * b * rb * f_sum
-    C3 = -(0.5 + alpha) * kernel.lin + 4.0 * b * f_odd + b * g_poly
-    C4 = b / rb * (6.0 * _SQRT2 * f_t2 - (g_e + g_sq / 2.0) / _SQRT2)
-    return _finite("bulk coefficients", (C1, C2, C3, C4), b=b, r=r, **kernel.named), float(np.sum(diff))
-
-
-def _edge(b: float, alpha: float, s: float, kernel: _Kernel) -> tuple[tuple[float, ...], float]:
-    """(C1, C2, C3, C4) of the edge disk at parameter s and the quadrature error.
-
-    The F integrals (over [0, oo) of F(t, e^-u), the s u term and over
-    [0, -s] of F(t, e^u)) join, by the reflection, into one over [s, oo)
-    of F(t, e^-u) W', W = (t - s) t^k, which is -G(t, e^-u) W by parts.
-    The G integral over t <= -s is reflected onto it, polynomials at -t.
-    So C2..C4 are exact polynomials in s over the moments M_k of t^k G(t,
-    e^-u), k <= 5, and S_k of t^k G(t, e^-u)^2, k <= 4, on [s, tail] clipped
-    to [-tail, tail]: for s <= -tail they do not depend on s.  The error
-    carries each moment's rule difference through its |weight|; the
-    rounding, about eps sum |terms|, grows like |s| in C3 and s^2 in C4.
+    The edge formula's F integrals (over [0, oo) of F(t, e^-u), the s u term
+    and over [0, -s] of F(t, e^u)) join, by the reflection, into one over
+    [s, oo) of F(t, e^-u) W', W = (t - s) t^k, which is -G(t, e^-u) W by
+    parts; its G integral over t <= -s is reflected onto the same interval,
+    and its point term (1/2 + alpha) F(s, e^-u) is -(1/2 + alpha) M_0, as
+    F(oo, e^-u) = 0.  So C2..C4 are exact polynomials in s over the moments
+    M_k of t^k G(t, e^-u), k <= 5, and S_k of t^k G(t, e^-u)^2, k <= 4, on
+    [s, tail] clipped to [-tail, tail], with rows scaled by (rho, 1, 1/rho)
+    and C1 = rho^2 lin.  The edge disk takes them at its s with rho = 1.  A
+    bulk disk is the same formula at s = 0, rho = sqrt(b) r^b, over the
+    whole line, its point terms at their s -> -oo limits (the C4 one is 0):
+    the reflection folds each moment onto [0, tail], even k of M taking
+    G(t, e^-u) - G(t, e^u) and odd k the sum, S_k the reverse, so the
+    parity zeros stay exact.  The error carries each moment's rule
+    difference through its |weight|; the rounding, about eps sum |terms|,
+    grows like |s| in C3 and s^2 in C4.
     """
-    if s > 6.0:
-        warnings.warn(f"edge parameter s = {s} is far outside the Gaussian window; the "
-                      "e^(-s^2) factors underflow and the returned coefficients are "
-                      "effectively their saturated limits", RuntimeWarning, stacklevel=2)
+    edge = kind == "edge"
 
-    def moments(t):  # t^k G, t^k G^2 by products: numpy's t**k (k >= 3) calls pow() per entry
-        _, _, _, g, _, g_sq = kernel(t)
-        rows = [g, g_sq]
-        for _ in range(9):
-            rows.append(rows[-2] * t)
-        return np.stack(rows[0::2] + rows[1::2])
+    def moments(t):
+        g_plus, g_minus, sq_plus, sq_minus = kernel(t)
+        if edge:
+            rows = (g_minus, g_minus, sq_minus, sq_minus)
+        else:
+            rows = (g_minus - g_plus, g_minus + g_plus, sq_minus + sq_plus, sq_minus - sq_plus)
 
-    lo = min(max(s, -kernel.tail), kernel.tail)
-    m, diff = quad(moments, lo, kernel.tail, "edge coefficients", b=b, s=s, **kernel.named)
+        def powers(even, odd, count):  # by products: numpy's t**k (k >= 3) calls pow() per entry
+            out = [even, odd * t]
+            while len(out) < count:
+                out.append(out[-2] * t * t)
+            return out
+
+        return np.stack(powers(*rows[:2], 6) + powers(*rows[2:], 5))
+
+    lo = min(max(s, -kernel.tail), kernel.tail) if edge else 0.0
+    what = f"{kind} coefficients"
+    m, diff = quad(moments, lo, kernel.tail, what, **named)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is reported by name
-        weights = np.array([  # C2, C3 and C4 less their point terms, on M_0..M_5, S_0..S_4
+        weights = np.array([  # C2, C3 and C4 less the C4 point term, on M_0..M_5, S_0..S_4
             [s, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
             [1.0, -3.0 * s, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
             [6.0 * s, 27.0 * s * s - 21.0, -102.0 * s, 121.0 - 18.0 * s * s, 60.0 * s, -50.0,
              -1.0, -6.0 * s, 10.0 - 9.0 * s * s, 30.0 * s, -25.0],
-        ]) * [[math.sqrt(2.0 * b)], [b / 3.0], [b * math.sqrt(b) / (18.0 * _SQRT2)]]
+        ]) * [[math.sqrt(2.0 * b) * rho], [b / 3.0], [b * math.sqrt(b) / (18.0 * _SQRT2) / rho]]
+        weights[1, 0] -= 0.5 + alpha
         C2, C3, C4 = (weights @ m).tolist()
         err = float(np.sum(np.abs(weights) @ diff))
-    _, f_minus_at_s, _, g_minus_at_s, _, _ = kernel(np.array([s]))[:, 0].tolist()
-    C3 += (0.5 + alpha) * f_minus_at_s
-    C4 -= (
-        (0.5 + alpha) * (2.0 * s * s - 1.0) / (3.0 * _SQRT2) * math.sqrt(b)
-        + (1.0 + 6.0 * alpha + 6.0 * alpha * alpha) / (12.0 * math.sqrt(2.0 * b))
-    ) * g_minus_at_s  # the formula's G(-s, e^u) is -G(s, e^-u)
-    return _finite("edge coefficients", (kernel.lin, C2, C3, C4), b=b, s=s, **kernel.named), err
+    if edge:
+        C4 -= (
+            (0.5 + alpha) * (2.0 * s * s - 1.0) / (3.0 * _SQRT2) * math.sqrt(b)
+            + (1.0 + 6.0 * alpha + 6.0 * alpha * alpha) / (12.0 * math.sqrt(2.0 * b))
+        ) * float(kernel(np.array([s]))[1, 0])  # the formula's G(-s, e^u) is -G(s, e^-u)
+    return _finite(what, (rho * rho * kernel.lin, C2, C3, C4), **named), err
 
 
 def _per_disk(params: EnsembleParams, disks: DiskSystem, kernel: Callable) -> list[tuple]:
     """(kind, (C1, C2, C3, C4), quadrature error) of each disk, with kernel(disk),
     in its regime from DiskSystem.classify: the one branch on a regime."""
+    b, alpha = params.b, params.alpha
     out = []
-    for disk, (kind, x) in zip(disks.disks, disks.classify(params.b)):
+    for disk, (kind, x) in zip(disks.disks, disks.classify(b)):
         k = kernel(disk)
         if kind == "bulk":
-            coeffs, err = _bulk(params.b, params.alpha, x, k)
+            rb = x**b
+            if rb == 0.0:  # C4 divides by r^b
+                raise ValueError(f"r^b underflows to 0 at b = {b!r}, r = {x!r}")
+            coeffs, err = _coefficients(b, alpha, 0.0, math.sqrt(b) * rb, k, kind,
+                                         {"b": b, "r": x, **k.named})
         elif kind == "edge":
-            coeffs, err = _edge(params.b, params.alpha, x, k)
+            if x > 6.0:
+                warnings.warn(f"edge parameter s = {x} is far outside the Gaussian window; the "
+                              "e^(-s^2) factors underflow and the returned coefficients are "
+                              "effectively their saturated limits", RuntimeWarning, stacklevel=2)
+            coeffs, err = _coefficients(b, alpha, x, 1.0, k, kind, {"b": b, "s": x, **k.named})
         else:
             coeffs, err = (k.lin, 0.0, 0.0, 0.0), 0.0
         out.append((kind, coeffs, err))
@@ -407,7 +393,7 @@ def edge_mean_coeffs(b: float, alpha: float, s: float) -> tuple[float, float, fl
         * (
             (b * (2.0 + 4.0 * alpha) - 1.0 - 6.0 * alpha - 6.0 * alpha * alpha) / (12.0 * math.sqrt(b))
             + (3.0 * b - 2.0 - 4.0 * alpha) * s * s / 6.0 * math.sqrt(b)
-            - 2.0 * s**4 / 9.0 * (b * math.sqrt(b))  # inf past double range, as in _edge
+            - 2.0 * s**4 / 9.0 * (b * math.sqrt(b))  # inf past double range, as in _coefficients
         )
     )
     return _finite("edge mean coefficients", (c1, d1, e1), b=b, alpha=alpha, s=s)

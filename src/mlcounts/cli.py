@@ -43,8 +43,11 @@ def _emit(args, payload) -> None:
         # ndarrays and numpy integers reach `default`: tolist gives Python numbers
         text = json.dumps(payload, allow_nan=False, default=lambda o: o.tolist()) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

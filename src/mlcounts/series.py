@@ -2,11 +2,11 @@
 
 Coefficients run over window rows or quadrature nodes, so one call covers a
 whole column.  ``cumulants`` turns moments into a joint cumulant: the exact
-cumulants of nested disk indicators, and the u-derivatives of the Bernoulli
-kernel log(1 + c(e^u - 1)) of the expansion.  ``quotient`` divides Taylor
-series.  MAX_ORDER is the one order cap of the package: a relative change of
-1e-15 in the moments moves an order-12 cumulant by ~1e-13 and an order-16 one
-by ~1e-11, so past 12 the input, not the arithmetic, sets the error.
+cumulants of nested disk indicators.  ``quotient`` divides Taylor series:
+the u-derivatives of the expansion's kernel G(t, e^u).  MAX_ORDER is the one
+order cap of the package: a relative change of 1e-15 in the moments moves an
+order-12 cumulant by ~1e-13 and an order-16 one by ~1e-11, so past 12 the
+input, not the arithmetic, sets the error.
 """
 
 from __future__ import annotations

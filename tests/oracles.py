@@ -110,23 +110,20 @@ def mp_joint_cumulants(Pw, orders, dps=50):
 
 
 def mp_kernel_derivatives(t, order, dps=50):
-    """j-th u-derivatives at u = 0, j = 0..order, of F(t, e^u), F(t, e^-u),
-    G(t, e^u) and G(t, e^u)^2 at one t, from dps-digit ``mp.taylor``, with
-    F = log(1 + c (e^u - 1)), G = -e^(-t^2)/sqrt(pi) (e^u - 1)/(1 + c (e^u - 1))
-    and c = erfc(t)/2.  Returns four lists of order + 1 values."""
+    """j-th u-derivatives at u = 0, j = 0..order, of G(t, e^u) and
+    G(t, e^u)^2 at one t, from dps-digit ``mp.taylor``, with
+    G = -e^(-t^2)/sqrt(pi) (e^u - 1)/(1 + c (e^u - 1)) and c = erfc(t)/2.
+    Returns two lists of order + 1 values."""
     with mp.workdps(dps):
         tt = mpf(t)
         c = mp.erfc(tt) / 2
         g0 = mp.e ** (-tt * tt) / mp.sqrt(mppi)
 
-        def F(u):
-            return mplog(1 + c * mp.expm1(u))
-
         def G(u):
             return -g0 * mp.expm1(u) / (1 + c * mp.expm1(u))
 
         out = []
-        for fn in (F, lambda u: F(-u), G, lambda u: G(u) ** 2):
+        for fn in (G, lambda u: G(u) ** 2):
             coeffs = mp.taylor(fn, 0, order)
             out.append([float(cf * mp.factorial(j)) for j, cf in enumerate(coeffs)])
         return out

@@ -40,25 +40,22 @@ def _frozen_bulk(u):
 
 
 # --- kernel functions ---------------------------------------------------------
-# F(t, s) = log(1 + (s-1) erfc(t)/2) and G = dF/dt, read off the value kernel
-# at u = log s; its rows are F, G and G^2 at e^u and e^-u:
-F_PLUS, F_MINUS, G_PLUS, G_MINUS, SQ_PLUS, SQ_MINUS = range(6)
-SWAP_SIDES = [F_MINUS, F_PLUS, G_MINUS, G_PLUS, SQ_MINUS, SQ_PLUS]
+# G = dF/dt of F(t, s) = log(1 + (s-1) erfc(t)/2), read off the value kernel at
+# u = log s; its rows are G and G^2 at e^u and e^-u:
+G_PLUS, G_MINUS, SQ_PLUS, SQ_MINUS = range(4)
+SWAP_SIDES = [G_MINUS, G_PLUS, SQ_MINUS, SQ_PLUS]
 
 
 def _F(t, s):
-    return asym._value_kernel(math.log(s))(np.array([t]))[F_PLUS][0]
+    return math.log1p((s - 1.0) * math.erfc(t) / 2.0)
+
+
+def _G_closed(t, s):  # s may be complex
+    return -(s - 1.0) * np.exp(-t * t) / (math.sqrt(math.pi) * (1.0 + (s - 1.0) * math.erfc(t) / 2.0))
 
 
 def _G(t, s):
     return asym._value_kernel(math.log(s))(np.array([t]))[G_PLUS][0]
-
-
-def test_F_trivia():
-    for t in (-3.0, 0.0, 1.7):
-        assert _F(t, 1.0) == 0.0
-    assert _F(0.0, 2.5) == pytest.approx(math.log(1.75), rel=1e-14)
-    assert _F(-9.0, 3.0) == pytest.approx(math.log(3.0), rel=1e-10)
 
 
 def test_G_trivia():
@@ -77,30 +74,17 @@ def test_G_is_t_derivative_of_F():
         assert fd == pytest.approx(_G(t, s), abs=1e-9)
 
 
-def test_u_parity_of_symmetrized_F():
-    # odd u-derivatives of F(t,e^u) + F(t,e^-u) vanish identically
-    rng = random.Random(4)
-    t = np.array([rng.uniform(-4, 4) for _ in range(50)])
-    for j in range(1, MAX_ORDER + 1, 2):
-        f_plus, f_minus = asym._derivative_kernel(j)(t)[[F_PLUS, F_MINUS]]
-        assert np.all(f_plus + f_minus == 0.0)
-    for j in range(2, MAX_ORDER + 1, 2):
-        f_plus, f_minus = asym._derivative_kernel(j)(t)[[F_PLUS, F_MINUS]]
-        assert np.all(f_plus - f_minus == 0.0)
-
-
 @pytest.mark.parametrize("u", [0.0, 0.7, -2.5, 30.0, -650.0, 800.0])
 def test_value_kernel_sides_and_reflection(u):
     # the e^-u rows at u are the e^u rows at -u, bit for bit, for t of either
     # sign; G(t, e^-u) and its square are the reflection of the e^u side,
-    # G(t, e^-u) = -G(-t, e^u), exactly; F(t, e^-u) = F(-t, e^u) - u
+    # G(t, e^-u) = -G(-t, e^u), exactly
     t = np.array([-6.0, -3.1, -1.2, -0.3, 0.45, 1.7, 3.3, 5.2, 7.9])
     rows = asym._value_kernel(u)(t)
     assert np.array_equal(asym._value_kernel(-u)(t), rows[SWAP_SIDES])
     mirror = asym._value_kernel(u)(-t)
     assert np.array_equal(rows[G_MINUS], -mirror[G_PLUS])
     assert np.array_equal(rows[SQ_MINUS], mirror[SQ_PLUS])
-    assert rows[F_MINUS] == pytest.approx(mirror[F_PLUS] - u, rel=0.0, abs=1e-15 * max(1.0, abs(u)))
 
 
 def test_derivative_kernel_sides_and_reflection():
@@ -110,32 +94,31 @@ def test_derivative_kernel_sides_and_reflection():
     for j in range(MAX_ORDER + 1):
         kernel = asym._derivative_kernel(j)
         rows, mirror = kernel(t), kernel(-t)
-        assert np.array_equal(rows[[F_MINUS, G_MINUS, SQ_MINUS]],
-                              (-1.0) ** j * rows[[F_PLUS, G_PLUS, SQ_PLUS]]), j
+        assert np.array_equal(rows[[G_MINUS, SQ_MINUS]], (-1.0) ** j * rows[[G_PLUS, SQ_PLUS]]), j
         assert np.array_equal(rows[G_MINUS], -mirror[G_PLUS]), j
         assert np.array_equal(rows[SQ_MINUS], mirror[SQ_PLUS]), j
 
 
 def test_u_derivative_series_vs_complex_step():
-    # order-1 derivative of F(t, e^u) via complex step
+    # order-1 derivative of G(t, e^u) via complex step of the closed form
     h = 1e-20
     ts = np.array([-2.0, 0.0, 0.8, 3.0])
-    f_plus = asym._derivative_kernel(1)(ts)[F_PLUS]
+    g_plus = asym._derivative_kernel(1)(ts)[G_PLUS]
     g = asym._derivative_kernel(0)(ts)[G_PLUS]
     for i, t in enumerate(ts):
-        cs = complex(np.log(1 + (np.exp(1j * h) - 1) * math.erfc(t) / 2)).imag / h
-        assert f_plus[i] == pytest.approx(cs, rel=1e-12, abs=1e-15)
+        cs = complex(_G_closed(t, np.exp(1j * h))).imag / h
+        assert g_plus[i] == pytest.approx(cs, rel=1e-12, abs=1e-15)
         # and the G-series order 0 must equal G itself
         assert g[i] == pytest.approx(_G(t, 1.0), abs=1e-15)
 
 
 def test_derivative_kernel_vs_mp_taylor():
-    # every order up to MAX_ORDER of F(t, e^u), F(t, e^-u), G and G^2 against
-    # 50-digit Taylor coefficients, to 1e-14 of each column's largest value
+    # every order up to MAX_ORDER of G and G^2 against 50-digit Taylor
+    # coefficients, to 1e-14 of each column's largest value
     ts = np.array([-6.0, -3.1, -1.2, -0.3, 0.0, 0.45, 1.7, 3.3, 5.2, 7.9])
-    want = np.array([oracles.mp_kernel_derivatives(t, MAX_ORDER) for t in ts])  # (t, 4, j)
+    want = np.array([oracles.mp_kernel_derivatives(t, MAX_ORDER) for t in ts])  # (t, 2, j)
     for j in range(MAX_ORDER + 1):
-        got = asym._derivative_kernel(j)(ts)[[F_PLUS, F_MINUS, G_PLUS, SQ_PLUS]]
+        got = asym._derivative_kernel(j)(ts)[[G_PLUS, SQ_PLUS]]
         ref = want[:, :, j].T
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-14 * scale), j
@@ -249,6 +232,23 @@ def test_frozen_bulk_oracle_is_current():
     assert oracles.mp_bulk_coeffs(1.0, 0.0, 0.6, -30.0) == pytest.approx(_frozen_bulk(-30.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("point", FROZEN["bulk_points"]["values"], ids=lambda p: f"u={p['u']:.1f}")
+def test_bulk_quad_error_covers_c4(point):
+    # quad_error carries each moment's rule difference through its |weight| in
+    # C2..C4, so through b/r^b for C4: against the 30-digit oracle the C4 error
+    # is within 4x of it (it used to be the unweighted sum of the rule
+    # differences, 8x to 250x below the true error here)
+    params = EnsembleParams(b=point["b"], alpha=point["alpha"], n=10)
+    C = theorem_coefficients(params, DiskSystem([Disk.fixed(point["r"], point["u"])]))
+    assert abs(C.C4 - point["coeffs"][2]) <= 4.0 * C.quad_error
+
+
+def test_frozen_bulk_points_oracle_is_current():
+    point = FROZEN["bulk_points"]["values"][0]
+    live = oracles.mp_bulk_coeffs(point["b"], point["alpha"], point["r"], point["u"])
+    assert live == pytest.approx(point["coeffs"], rel=1e-14)
+
+
 @pytest.mark.parametrize("u", [710.0, -710.0, 800.0, -800.0])
 def test_bulk_coefficients_past_exp_overflow(u):
     # e^|u| overflows a float past |u| ~ 709.78 (and erfc flushes to 0 where
@@ -336,10 +336,10 @@ def test_bulk_variance_closed_form():
 
 def test_bulk_parity_structure():
     s3 = bulk_cumulant_coeffs(3, 1.0, 0.0, 0.6)
-    assert s3.c == 0.0 and abs(s3.e) <= 1e-12
+    assert s3.c == 0.0 and s3.e == 0.0
     assert s3.d != 0.0
     s4 = bulk_cumulant_coeffs(4, 2.0, 0.5, 0.5)
-    assert abs(s4.d) <= 1e-12
+    assert s4.d == 0.0
     assert s4.c != 0.0
 
 
@@ -376,18 +376,15 @@ def _parity_configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(_parity_configs())
 def test_bulk_parity_property(config):
-    # odd orders: c_j is exactly 0 and e_j vanishes; even orders: d_j vanishes
-    # ("vanishes": within 1e-10 of the nonzero coefficients, as criterion 07).
-    # e_j is b/r^b times integrals whose odd parts cancel, so its zero is
-    # measured on that scale too: at r = 0.05 r*, b = 3 (b/r^b = 4e4) the
-    # rounding left in e_11 is 2.7e-10
+    # odd orders: c_j and e_j are exactly 0; even orders: d_j is exactly 0.
+    # The e^-u side of the kernel is (-1)^j times the e^u side, so every
+    # moment these coefficients read folds to an exact 0
     b, alpha, r, j = config
     s = bulk_cumulant_coeffs(j, b, alpha, r)
     if j % 2:
-        assert s.c == 0.0
-        assert abs(s.e) <= 1e-10 * max(1.0, abs(s.d), b / r**b)
+        assert s.c == 0.0 and s.e == 0.0
     else:
-        assert abs(s.d) <= 1e-10 * max(1.0, abs(s.c), abs(s.e))
+        assert s.d == 0.0
 
 
 def test_expansion_derivatives_match_cumulant_series():

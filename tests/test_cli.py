@@ -168,6 +168,15 @@ def test_sample_csv_and_json(capsys, tmp_path):
     assert len(payload["se"]) == 1
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_out_to_an_unwritable_path_exits_2(capsys, tmp_path, where):
+    # an --out the CLI cannot open used to escape as FileNotFoundError, exit 1
+    path = tmp_path / "no_such_dir" / "x.json" if where == "missing" else tmp_path
+    code, out, err = run(capsys, "zn", "--b", "1", "--n", "10", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {path}: ")
+
+
 def test_verify_residual_pass_and_fail(capsys):
     code, out, _ = run(
         capsys,
